@@ -8,7 +8,8 @@ exit status —
     0   every check the command ran passed,
     1   a check ran to completion and failed,
     2   the request itself was unusable (bad flags, bad config, bad
-        geometry, unsupported format, refused cost caps),
+        geometry, a grid too coarse for the radius, unsupported format,
+        refused cost caps),
     3   operator calibration failed (no normalization candidate works;
         the residual evidence is dumped).
 
@@ -33,8 +34,8 @@ from .fock import ModelParams, iter_level_basis
 from .field import QuadratureSpec, SeparationError, locality_check, \
     locality_sweep
 from .spectrum import find_onshell_momentum, noghost_csv, noghost_scan
-from .testfn import BumpProfile, is_c1_real, make_testfunction, realify, \
-    verify_constraints_pointwise, verify_support
+from .testfn import BumpProfile, ResolutionError, is_c1_real, \
+    make_testfunction, realify, verify_constraints_pointwise, verify_support
 
 __all__ = ["main"]
 
@@ -252,6 +253,10 @@ def cmd_ddf_state(args) -> int:
     level = sum(n for _, n in word)
     if args.momentum is not None:
         p = Momentum(_parse_vector(args.momentum))
+        if p.lightcone() == 0:
+            raise ConfigError(
+                "momentum has p^0 + p^{d-1} = 0: every transverse operator "
+                "vanishes on that fiber, so the state would be zero")
     else:
         p = find_onshell_momentum(2 * (level - params.b), params.d).p
     ctx = DdfContext(params, p)
@@ -332,10 +337,34 @@ def cmd_testfn(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _quadrature(args, radius: Fraction) -> QuadratureSpec:
+def _vanishes_on_slice(tf, dq: int) -> bool:
+    """True when the body is zero on the quadrature slice p^j = 0, j > dq.
+
+    Each coefficient is reduced modulo the mass shell to A + p^0 B; p^0
+    is not a polynomial in the slice momenta, so the coefficient vanishes
+    on the slice's shell exactly when no term lives in p^0..p^dq alone.
+    """
+    for _, q in tf.body.items():
+        if any(not any(exps[dq + 1:])
+               for exps in q.reduce_shell(tf.shell).terms):
+            return False
+    return True
+
+
+def _quadrature(args, tf) -> QuadratureSpec:
+    """The momentum grid for the locality check.  A word lowering along
+    directions the slice cannot see may project to the zero state; that
+    is refused here, before any quadrature."""
     dq = args.dq if args.dq is not None else 2
+    hidden = sorted({i for i, _ in tf.word if i > dq})
+    if hidden and _vanishes_on_slice(tf, dq):
+        raise ConfigError(
+            f"word direction {', '.join(map(str, hidden))} lies outside the "
+            f"--dq {dq} quadrature slice, which projects the test function "
+            f"to zero; raise --dq to {hidden[-1]}")
     n = args.grid if args.grid is not None else 256
-    extent = args.extent if args.extent is not None else 24.0 / float(radius)
+    extent = args.extent if args.extent is not None \
+        else 24.0 / float(tf.profile.R)
     return QuadratureSpec(d_q=dq, extent=extent, n=n, levels=(0, 2, 4))
 
 
@@ -343,7 +372,7 @@ def cmd_locality(args) -> int:
     params = _model(args)
     tf = _build_real_testfunction(args, params)
     radius = tf.profile.R
-    spec = _quadrature(args, radius)
+    spec = _quadrature(args, tf)
     tol = args.tol if args.tol is not None else 1e-6
     if args.sweep:
         seps = [_parse_vector(s) for s in str(args.sweep).split(";")]
@@ -364,9 +393,9 @@ def cmd_observable(args) -> int:
     params = _model(args)
     tf = _build_real_testfunction(args, params)
     radius = tf.profile.R
+    spec = _quadrature(args, tf)
     constraints = verify_constraints_pointwise(tf, _onshell_samples(tf))
     support = verify_support(tf, grid=1024, axes=tuple(range(min(params.d, 4))))
-    spec = _quadrature(args, radius)
     tol = args.tol if args.tol is not None else 1e-6
     sep = (radius / 2, 4 * radius) + (Fraction(0),) * (spec.d_q - 1)
     loc = locality_check(tf, tf, sep, spec, tol=tol)
@@ -534,6 +563,9 @@ def main(argv=None) -> int:
         return 2
     except SeparationError as exc:
         sys.stderr.write(f"geometry error: {exc}\n")
+        return 2
+    except ResolutionError as exc:
+        sys.stderr.write(f"resolution error: {exc}; raise --grid\n")
         return 2
     except CalibrationError as exc:
         sys.stderr.write("calibration failed; residual evidence:\n")

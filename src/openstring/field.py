@@ -38,7 +38,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .fock import FockVector, inner_indefinite
+from .fock import monomial_norm
 from .poly import Poly
 from .testfn import TestFunction
 
@@ -229,26 +229,10 @@ def _aligned(vals, monos, union):
     return out
 
 
-_GRAM_CACHE: dict = {}
-
-
 def _fiber_gram(monos):
-    """Exact fiber Gram of oscillator monomials, as a float matrix."""
-    key = tuple(monos)
-    hit = _GRAM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    size = len(monos)
-    gram = np.zeros((size, size))
-    for i, mi in enumerate(monos):
-        vi = FockVector()
-        vi.add_term(mi, Fraction(1))
-        for j, mj in enumerate(monos):
-            vj = FockVector()
-            vj.add_term(mj, Fraction(1))
-            gram[i, j] = float(inner_indefinite(vi, vj))
-    _GRAM_CACHE[key] = gram
-    return gram
+    """Fiber Gram of oscillator monomials, as a float matrix; the
+    canonical basis is orthogonal, so it is diagonal."""
+    return np.diag([float(monomial_norm(m)) for m in monos])
 
 
 def project_pi(tf: TestFunction, spec: QuadratureSpec) -> SmearedState:
@@ -264,7 +248,7 @@ def project_pi(tf: TestFunction, spec: QuadratureSpec) -> SmearedState:
     grids = spec.grids()
     omega = np.sqrt(sum(g * g for g in grids) + float(r))
     rho = np.sqrt(omega * omega + sum(g * g for g in grids))
-    prof = tf.profile.radial_fourier_interp(rho)
+    prof = tf.profile.radial_fourier(rho)
     comps = [omega] + list(grids) + [None] * (tf.params.d - 1 - spec.d_q)
     body = dict(tf.body.items())
     monos = tuple(sorted(body))

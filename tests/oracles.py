@@ -3,12 +3,15 @@
 Everything here recomputes results through a different route than the
 production code: basis sizes by enumerating integer partitions directly,
 inner products by recursively migrating annihilators with the bare
-commutation relation, level dimensions by explicit series multiplication.
+commutation relation, level dimensions by explicit series multiplication,
+radial transforms by a shell-and-angle double quadrature.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gamma, pi
+
+import numpy as np
 
 from openstring.exactnum import conjugate
 from openstring.fock import FockVector, apply_oscillator
@@ -109,3 +112,27 @@ def u_exponential_partition_apply(n, k, v, params, sign=1, dagger=False):
         if w:
             out += w
     return out
+
+
+def radial_fourier_shells(profile, rho):
+    """Radial transform as a double quadrature over radius s and polar
+    angle theta: f_hat(rho) = (2pi)^(-d/2) |S^(d-2)| int_0^R f(s) s^(d-1)
+    int_0^pi cos(rho s cos theta) sin^(d-2) theta dtheta ds.
+
+    Costs len(rho) * n_s * n_theta cosines; the production code reaches
+    the same integral through the profile's 1-D projection instead.
+    """
+    rho = np.abs(np.atleast_1d(np.asarray(rho, dtype=float)))
+    d = profile.d
+    R = float(profile.R)
+    n = int(R * float(np.max(rho, initial=0.0)) / 1.5) + 192
+    x, w = np.polynomial.legendre.leggauss(n)
+    s, ws = R * (x + 1.0) / 2.0, R * w / 2.0
+    theta, wt = pi * (x + 1.0) / 2.0, pi * w / 2.0
+    radial = profile.radial_position(s) * s ** (d - 1) * ws
+    angular = np.sin(theta) ** (d - 2) * wt
+    area = 2.0 * pi ** ((d - 1) / 2.0) / gamma((d - 1) / 2.0)
+    out = np.empty_like(rho)
+    for k, r in enumerate(rho):
+        out[k] = radial @ (np.cos(np.outer(s * r, np.cos(theta))) @ angular)
+    return (2.0 * pi) ** (-d / 2.0) * area * out

@@ -223,6 +223,16 @@ class TestDdfState:
         assert payload["constraint_residual_terms"] == 0
         assert payload["terms"]            # nonempty state
 
+    def test_degenerate_fiber_is_refused(self, capsys):
+        # p^0 + p^{d-1} = 0: every transverse operator is zero there, so
+        # the state would be zero and its constraints vacuously satisfied
+        code, out, err = run(
+            capsys, ["ddf-state", "--d", "4", "--word", "1:1",
+                     "--momentum", "1,0,0,-1"])
+        assert code == 2
+        assert out == ""
+        assert "p^0 + p^{d-1} = 0" in err
+
     def test_explicit_momentum(self, capsys):
         code, out, _ = run(
             capsys, ["ddf-state", "--d", "4", "--word", "1:1,2:1",
@@ -242,6 +252,15 @@ class TestTestfn:
         assert payload["pass"] is True
         assert payload["constraints"]["residual_terms"] == 0
         assert float(payload["support"]["worst_fraction"]) < 1e-3
+
+    def test_coarse_grid_is_a_resolution_error(self, capsys):
+        code, out, err = run(
+            capsys, ["testfn", "--d", "4", "--radius", "1/100",
+                     "--grid", "64"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resolution error:")
+        assert "raise --grid" in err
 
     def test_small_radius(self, capsys):
         code, out, _ = run(
@@ -295,3 +314,21 @@ class TestObservable:
         assert payload["constraints_pass"] is True
         assert payload["support_pass"] is True
         assert payload["locality"]["pass"] is True
+
+    @pytest.mark.parametrize("command", ["observable", "locality"])
+    def test_word_invisible_to_the_slice_is_refused(self, capsys, command):
+        # the level-one body along direction 3 lives on p^3 and p^{d-1},
+        # both zero on the --dq 2 slice
+        code, out, err = run(
+            capsys, [command, "--d", "6", "--word", "3:1", "--grid", "64"])
+        assert code == 2
+        assert out == ""
+        assert "direction 3" in err and "--dq 2" in err
+
+    def test_level_two_word_off_the_slice_still_runs(self, capsys):
+        # a level-two body along direction 3 keeps terms in p^0 alone, so
+        # the slice sees it and the check runs
+        code, out, _ = run(
+            capsys, ["locality", "--d", "6", "--word", "3:2", "--grid", "64"])
+        assert code == 0
+        assert json.loads(out)["pass"] is True

@@ -19,6 +19,7 @@ from openstring.field import (
     QuadratureSpec,
     SeparationError,
     SmearedState,
+    _fiber_gram,
     commutator_kernel,
     field_equation_check,
     field_matrix_element,
@@ -30,7 +31,8 @@ from openstring.field import (
     project_pi,
 )
 from openstring.fiber import Momentum
-from openstring.fock import FockVector, ModelParams
+from openstring.fock import FockVector, ModelParams, inner_indefinite, \
+    level_basis
 from openstring.poly import Poly
 from openstring.spectrum import find_onshell_momentum
 from openstring.testfn import BumpProfile, TestFunction, make_testfunction, realify
@@ -181,6 +183,20 @@ class TestSmearedState:
 
     def test_orthogonal_levels_have_zero_inner(self, sf, sh):
         assert sf.inner(sh) == 0.0
+
+    def test_fiber_gram_is_the_exact_pairing(self):
+        # every pairing <m_i, m_j> through level 2, timelike (negative)
+        # norms and repeated oscillators included
+        monos = [m for n in range(3) for m in level_basis(P4, n)]
+        units = []
+        for m in monos:
+            v = FockVector()
+            v.add_term(m, Fraction(1))
+            units.append(v)
+        want = np.array([[float(inner_indefinite(u, v)) for v in units]
+                         for u in units])
+        assert np.array_equal(_fiber_gram(monos), want)
+        assert np.any(want < 0)
 
 
 class TestMultiParticle:

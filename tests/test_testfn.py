@@ -2,8 +2,9 @@
 
 The numeric transforms are checked against closed forms (d=3 reduces the
 angular kernel to sin(u)/u, d=1 is a plain cosine transform, and the
-half-power profile at d=4 has a spherical-Bessel transform) plus one
-end-to-end projection-slice oracle at d=2.  The exact side — cleared
+half-power profile at d=4 has a spherical-Bessel transform), one
+end-to-end projection-slice oracle at d=2, and, at d=26, the shell-and-angle
+double quadrature the production path replaced.  The exact side — cleared
 polynomial bodies, reality flips, constraint residuals — is all
 frozen-value or identity work with zero tolerance.
 """
@@ -18,6 +19,7 @@ from openstring.fiber import Momentum, virasoro_apply
 from openstring.fock import FockVector, ModelParams
 from openstring.poly import Poly, sym_momentum
 from openstring.spectrum import OnShellMomentum, find_onshell_momentum
+from tests.oracles import radial_fourier_shells
 from openstring.testfn import (
     BumpProfile,
     OffShellSampleError,
@@ -148,6 +150,33 @@ class TestBumpProfile:
     def test_transform_is_even(self, profile4):
         vals = profile4.radial_fourier(np.array([-3.0, 3.0]))
         assert vals[0] == vals[1]
+
+    def test_d26_matches_shell_quadrature(self):
+        # the headline profile (R = 1/10 at d = 26) over the support
+        # check's whole momentum window, out to where the transform has
+        # decayed to rounding level
+        prof = BumpProfile(Fraction(1, 10), 26)
+        rho = np.linspace(0.0, 4021.0, 64)
+        want = radial_fourier_shells(prof, rho)
+        peak = np.max(np.abs(want))
+        assert np.abs(want[-1]) < 1e-12 * peak
+        got = prof.radial_fourier(rho)
+        assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+    def test_grid_input_keeps_shape_and_matches_pointwise(self, profile4):
+        # one node count throughout, so only the grouping of the sums
+        # can differ between the two routes
+        rho = np.array([[0.5, 3.0, 0.5], [3.0, -0.5, 7.0]])
+        got = profile4.radial_fourier(rho, n_s=200)
+        assert got.shape == rho.shape
+        assert got[0, 0] == got[0, 2] == got[1, 1]
+        assert got[0, 1] == got[1, 0]
+        pointwise = np.array([
+            profile4.radial_fourier(np.array([v]), n_s=200)[0]
+            for v in rho.ravel()
+        ]).reshape(rho.shape)
+        peak = np.max(np.abs(pointwise))
+        assert np.max(np.abs(got - pointwise)) <= 1e-15 * peak
 
 
 class TestFactory:
