@@ -11,7 +11,9 @@ exit status —
         geometry, a grid too coarse for the radius, unsupported format,
         refused cost caps),
     3   operator calibration failed (no normalization candidate works;
-        the residual evidence is dumped).
+        the residual evidence is dumped),
+    4   internal error: two exact routes disagreed, or a result failed
+        its certificate (a fault of the program, not of the request).
 
 Reports are byte-stable for a fixed command line and seed: dictionaries
 are emitted with sorted keys, floats are formatted explicitly, and the
@@ -33,7 +35,8 @@ from .fiber import Momentum, virasoro_bracket_scan
 from .fock import ModelParams, iter_level_basis
 from .field import QuadratureSpec, SeparationError, locality_check, \
     locality_sweep
-from .spectrum import find_onshell_momentum, noghost_csv, noghost_scan
+from .spectrum import InvariantError, find_onshell_momentum, noghost_csv, \
+    noghost_scan
 from .testfn import BumpProfile, ResolutionError, is_c1_real, \
     make_testfunction, realify, verify_constraints_pointwise, verify_support
 
@@ -572,6 +575,9 @@ def main(argv=None) -> int:
         for kappa, witness in exc.residuals.items():
             sys.stderr.write(f"  kappa = {kappa}: {witness}\n")
         return 3
+    except InvariantError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -450,6 +450,16 @@ def _exact_abs_sq(values) -> Fraction:
     return sum((Fraction(v) * Fraction(v) for v in values), Fraction(0))
 
 
+def _unit_states(f_tf: TestFunction, g_tf: TestFunction,
+                 spec: QuadratureSpec):
+    """Unit-normalized projections of both test functions; the same test
+    function is projected once."""
+    f_state = project_pi(f_tf, spec).unit()
+    if g_tf is f_tf:
+        return f_state, f_state
+    return f_state, project_pi(g_tf, spec).unit()
+
+
 def locality_check(f_tf: TestFunction, g_tf: TestFunction, a,
                    spec: QuadratureSpec, tol: float = 1e-6) -> LocalityReport:
     """Commutator kernel at spacelike separation, with a timelike control.
@@ -474,8 +484,7 @@ def locality_check(f_tf: TestFunction, g_tf: TestFunction, a,
             f"|a_vec|^2 = {space_sq} does not clear (R_F + R_G + |a0|)^2 "
             f"= {reach * reach}"
         )
-    f_state = project_pi(f_tf, spec).unit()
-    g_state = project_pi(g_tf, spec).unit()
+    f_state, g_state = _unit_states(f_tf, g_tf, spec)
     kernel = commutator_kernel(f_state, g_state.translate(a))
     control_shift = [f_tf.profile.R + g_tf.profile.R] + [0] * spec.d_q
     control = commutator_kernel(f_state, g_state.translate(control_shift))
@@ -500,8 +509,7 @@ def locality_sweep(f_tf: TestFunction, g_tf: TestFunction, separations,
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a0", "a_space", "spacelike", "kernel_abs", "pass"])
-    f_state = project_pi(f_tf, spec).unit()
-    g_state = project_pi(g_tf, spec).unit()
+    f_state, g_state = _unit_states(f_tf, g_tf, spec)
     reach_base = f_tf.profile.R + g_tf.profile.R
     for a in separations:
         a = tuple(Fraction(x) for x in a)

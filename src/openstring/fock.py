@@ -287,10 +287,12 @@ def inner_positive(u: FockVector, v: FockVector):
 
 
 def iter_level_basis(params: ModelParams, n: int):
-    """Yield all level-n canonical monomials in deterministic sorted order.
+    """Yield all level-n canonical monomials in ascending tuple order.
 
-    Generation runs mode-major with nondecreasing directions inside a mode,
-    which coincides with ascending tuple order of the canonical encoding.
+    Not lazy: the monomials are generated mode-major, with nondecreasing
+    directions inside a mode, which is not the ascending order (at level 2,
+    ((2, 0),) comes out before ((1, 0), (1, 0))).  The whole level is
+    therefore collected and sorted before the first monomial is yielded.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")

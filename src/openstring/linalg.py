@@ -4,7 +4,11 @@ Matrices are plain lists of lists whose entries are Fractions or ExactNums.
 Two elimination routes are provided on purpose: straightforward row echelon
 with field division, and a fraction-free (Bareiss) elimination whose
 intermediate entries are minors of the input.  Rank computations in the
-package are cross-checked between the two.
+package are cross-checked between the two.  The Bareiss route has an
+integer lane for all-rational input: each row is scaled by the lcm of its
+denominators, which leaves the rank alone, and the elimination then runs
+on Python ints with exact floor division.  Surd or complex entries take
+the generic field lane.
 
 ``hermitian_signature`` computes the inertia (n_plus, n_minus, n_null) of a
 Hermitian form by symmetric elimination with diagonal pivoting, a hyperbolic
@@ -65,16 +69,18 @@ def rref(matrix, track=False):
         rows[r], rows[pr] = rows[pr], rows[r]
         if trans:
             trans[r], trans[pr] = trans[pr], trans[r]
-        inv = Fraction(1) / rows[r][c] if isinstance(rows[r][c], (int, Fraction)) else rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        if trans:
-            trans[r] = [x * inv for x in trans[r]]
+        if rows[r][c] != 1:
+            inv = Fraction(1) / rows[r][c] if isinstance(rows[r][c], (int, Fraction)) else rows[r][c].inverse()
+            rows[r] = [x * inv if x else x for x in rows[r]]
+            if trans:
+                trans[r] = [x * inv if x else x for x in trans[r]]
+        # zero entries of the pivot row leave the other rows alone
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
                 if trans:
-                    trans[i] = [a - f * b for a, b in zip(trans[i], trans[r])]
+                    trans[i] = [a - f * b if b else a for a, b in zip(trans[i], trans[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -91,23 +97,68 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
+def _as_fraction(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return x.rational_value()
+
+
+def _denominator_lcm(row) -> int:
+    out = 1
+    for x in row:
+        out = out * x.denominator // gcd(out, x.denominator)
+    return out
+
+
+def _integer_rows(rows):
+    """Sparse rows {column: entry} scaled to integers by the lcm of their
+    denominators, or None if an entry is not rational."""
+    out = []
+    for row in rows:
+        if not all(map(is_rational_real, row.values())):
+            return None
+        f = {j: _as_fraction(x) for j, x in row.items()}
+        scale = _denominator_lcm(f.values())
+        out.append({j: x.numerator * (scale // x.denominator)
+                    for j, x in f.items()})
+    return out
+
+
 def rank_fraction_free(matrix) -> int:
-    """Rank by Bareiss elimination (independent of :func:`rref`)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
+    """Rank by Bareiss elimination (independent of :func:`rref`).
+
+    Rows are kept sparse, as {column: entry}.  All-rational input runs on
+    integers after scaling each row by the lcm of its denominators; every
+    intermediate entry is then an integer minor, so the division by the
+    previous pivot is exact.  Other entries stay in their field.
+    """
+    if not matrix:
         return 0
-    nrows, ncols = len(rows), len(rows[0])
-    prev = Fraction(1)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    ints = _integer_rows(rows)
+    integral = ints is not None
+    if integral:
+        rows = ints
+    nrows, ncols = len(rows), len(matrix[0])
+    prev = 1
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pr = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        top = rows[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            rows[i] = [(rows[i][j] * piv - fi * rows[r][j]) / prev for j in range(ncols)]
+            new = {j: a * piv for j, a in rows[i].items()}
+            fi = rows[i].get(c)
+            if fi is not None:
+                for j, b in top.items():
+                    new[j] = new.get(j, 0) - fi * b
+            if integral:
+                rows[i] = {j: x // prev for j, x in new.items() if x}
+            else:
+                rows[i] = {j: x / prev for j, x in new.items() if x}
         prev = piv
         r += 1
         if r == nrows:
@@ -206,22 +257,11 @@ def _sig_generic(m):
     return pos, neg, nul
 
 
-def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return x.rational_value()
-
-
 def _sig_rational(g):
     """Integer Bareiss lane: entries stay minors of the scaled input."""
     n = len(g)
     f = [[_as_fraction(x) for x in row] for row in g]
-    scale = []
-    for i in range(n):
-        l = 1
-        for x in f[i]:
-            l = l * x.denominator // gcd(l, x.denominator)
-        scale.append(l)
+    scale = [_denominator_lcm(row) for row in f]
     m = [
         [int(f[i][j] * scale[i] * scale[j]) for j in range(n)]
         for i in range(n)

@@ -4,7 +4,8 @@ Everything here recomputes results through a different route than the
 production code: basis sizes by enumerating integer partitions directly,
 inner products by recursively migrating annihilators with the bare
 commutation relation, level dimensions by explicit series multiplication,
-radial transforms by a shell-and-angle double quadrature.
+radial transforms by a shell-and-angle double quadrature, the spurious
+radical and the physical signature through the Gram of a physical basis.
 """
 
 from collections import Counter
@@ -136,3 +137,27 @@ def radial_fourier_shells(profile, rho):
     for k, r in enumerate(rho):
         out[k] = radial @ (np.cos(np.outer(s * r, np.cos(theta))) @ angular)
     return (2.0 * pi) ** (-d / 2.0) * area * out
+
+
+def gram_route(physical):
+    """(radical, signature) of the form on the span of a physical basis,
+    through its Gram matrix: the radical is the Gram kernel mapped back
+    to vectors, and the signature is ``gram_signature`` of the basis.
+
+    Builds a len(physical)^2 Gram; the production scan reads both answers
+    off the constraint rows and a Schur complement of their size instead.
+    """
+    from openstring.fock import inner_indefinite
+    from openstring.linalg import kernel_basis
+    from openstring.spectrum import gram_signature
+
+    gram = [[inner_indefinite(u, v) for v in physical] for u in physical]
+    radical = []
+    for coeffs in kernel_basis(gram, ncols=len(physical)):
+        v = FockVector()
+        for c, basis_vec in zip(coeffs, physical):
+            if c:
+                for mono, a in basis_vec.items():
+                    v.add_term(mono, c * a)
+        radical.append(v)
+    return radical, gram_signature(physical)

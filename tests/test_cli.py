@@ -213,6 +213,18 @@ class TestNoGhost:
         assert [r["d"] for r in rows] == [4, 4, 10, 10]
         assert rows[3]["signature"] == [8, 0, 1]
 
+    def test_disagreeing_rank_audit_is_an_internal_error(self, capsys,
+                                                         monkeypatch):
+        from openstring import spectrum
+
+        monkeypatch.setattr(spectrum, "rank_fraction_free",
+                            lambda matrix: len(matrix) + 1)
+        code, out, err = run(
+            capsys, ["noghost", "--d-list", "4", "--max-level", "1"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: elimination routes disagree")
+
 
 class TestDdfState:
     def test_default_word_on_shell(self, capsys):

@@ -369,6 +369,28 @@ class TestLocality:
         assert rep.passed
         assert rep.control_passed
 
+    def test_same_test_function_is_projected_once(self, f_level1,
+                                                  monkeypatch):
+        from dataclasses import replace
+
+        from openstring import field
+
+        calls = []
+        original = field.project_pi
+
+        def counting(tf, spec):
+            calls.append(tf)
+            return original(tf, spec)
+
+        monkeypatch.setattr(field, "project_pi", counting)
+        a = (Fraction(1, 2), 4, 0)
+        once = locality_check(f_level1, f_level1, a, SPEC)
+        assert calls == [f_level1]
+        twin = replace(f_level1)
+        twice = locality_check(f_level1, twin, a, SPEC)
+        assert len(calls) == 3
+        assert once.to_json_dict() == twice.to_json_dict()
+
     def test_sweep_emits_csv(self, f_level1):
         spec = QuadratureSpec(d_q=2, extent=24.0, n=64, levels=(0,))
         out = locality_sweep(

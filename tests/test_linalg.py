@@ -55,6 +55,27 @@ class TestEchelon:
             m = mat_mul(frac_matrix(rng, nrows, inner), frac_matrix(rng, inner, ncols))
             assert rank(m) == rank_fraction_free(m) <= inner
 
+    def test_rank_lanes_agree_on_surd_and_rational_entries(self):
+        # the same rank-deficient matrix over Q(sqrt 2) and over Q: the
+        # first takes the field lane, the second the integer lane
+        rng = random.Random(13)
+        root2 = ExactNum(0, 0, 1, 0, 2)
+        for _ in range(15):
+            nrows, ncols = rng.randint(2, 5), rng.randint(2, 6)
+            inner = rng.randint(1, min(nrows, ncols) - 1)
+            left = frac_matrix(rng, nrows, inner)
+            right = frac_matrix(rng, inner, ncols)
+            m = mat_mul(left, right)
+            surd = mat_mul([[x * root2 for x in row] for row in left], right)
+            assert rank_fraction_free(m) == rank(m)
+            assert rank_fraction_free(surd) == rank(surd) == rank(m)
+
+    def test_integer_lane_with_mixed_denominators(self):
+        m = [[Fraction(1, 2), Fraction(1, 3), 0],
+             [Fraction(3, 2), 1, 0],
+             [0, Fraction(5, 7), Fraction(2, 9)]]
+        assert rank_fraction_free(m) == rank(m) == 2
+
     def test_kernel_annihilates(self):
         rng = random.Random(11)
         for _ in range(25):

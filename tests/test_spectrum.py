@@ -22,8 +22,9 @@ from openstring.fock import (
     inner_indefinite,
     iter_level_basis,
 )
-from openstring.linalg import DependencyError
+from openstring.linalg import DependencyError, rank
 from openstring.spectrum import (
+    InvariantError,
     LevelSpace,
     OffShellWarning,
     OnShellMomentum,
@@ -33,9 +34,12 @@ from openstring.spectrum import (
     gram_signature,
     noghost_csv,
     noghost_scan,
+    physical_signature,
     physical_subspace,
     spurious_subspace,
 )
+
+from .oracles import gram_route
 
 P4 = ModelParams(d=4)
 P26 = ModelParams(d=26)
@@ -299,6 +303,94 @@ class TestNoGhostScan:
         rep = noghost_scan([4], max_level=0)[0]
         rep.signature = (0, 0, 0)
         assert rep.invariant_violations()
+
+
+# d <= 5 to level 3, d = 6 and 10 to level 2, at integer and half-integer
+# intercepts; the half-integer ones put p^0 on sqrt(2), sqrt(3) or sqrt(6)
+BORDERED_GRID = [
+    (d, b, level)
+    for d in (2, 3, 4, 5, 6, 10)
+    for b in ("0", "1/2", "1", "3/2")
+    for level in range(4 if d <= 5 else 3)
+]
+
+
+def _on_shell_space(d, b, level):
+    b = Fraction(b)
+    p = find_onshell_momentum(2 * (level - b), d).p
+    return LevelSpace(ModelParams(d=d, b=b), p, level)
+
+
+class TestBorderedRoute:
+    @pytest.mark.parametrize("d,b,level", BORDERED_GRID)
+    def test_agrees_with_gram_route(self, d, b, level):
+        space = _on_shell_space(d, b, level)
+        physical = physical_subspace(space)
+        spurious = spurious_subspace(physical, space)
+        radical, signature = gram_route(physical)
+        assert physical_signature(space) == signature
+        assert len(spurious) == len(radical)
+        if radical:
+            coords = [space.coordinates(v) for v in spurious + radical]
+            assert rank(coords) == len(radical)
+
+    def test_one_elimination_per_space(self, monkeypatch):
+        from openstring import spectrum
+
+        calls = []
+        original = spectrum.rref
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(spectrum, "rref", counting)
+        space = _on_shell_space(4, "1", 2)
+        physical = physical_subspace(space)
+        spurious_subspace(physical, space)
+        physical_signature(space)
+        assert len(calls) == 1
+
+    def test_tampered_constraint_rows_fail_the_kernel_certificate(self):
+        space = _on_shell_space(4, "1", 2)
+        rows = [list(row) for row in space.constraints.rows]
+        free = next(c for c in range(space.dim)
+                    if c not in space.constraints.pivots)
+        rows[0][free] += 1
+        space.constraints = space.constraints._replace(rows=rows)
+        with pytest.raises(InvariantError, match="not annihilated"):
+            physical_subspace(space)
+
+    def test_tampered_schur_fails_the_spurious_certificate(self):
+        space = _on_shell_space(4, "1", 2)
+        physical = physical_subspace(space)
+        # S = 0 makes every D^-1 R^dagger y "spurious"; none is physical
+        space.schur = [[Fraction(0)] * len(row) for row in space.schur]
+        with pytest.raises(InvariantError, match="not annihilated"):
+            spurious_subspace(physical, space)
+
+    def test_dependent_spurious_vectors_are_refused(self, monkeypatch):
+        from openstring import spectrum
+
+        space = _on_shell_space(4, "1", 2)
+        physical = physical_subspace(space)
+        original = spectrum.kernel_basis
+
+        def doubled(matrix, ncols=None):
+            basis = original(matrix, ncols)
+            return basis + basis[:1] if matrix is space.schur else basis
+
+        monkeypatch.setattr(spectrum, "kernel_basis", doubled)
+        with pytest.raises(InvariantError, match="linearly dependent"):
+            spurious_subspace(physical, space)
+
+    def test_disagreeing_rank_audit_raises(self, monkeypatch):
+        from openstring import spectrum
+
+        monkeypatch.setattr(spectrum, "rank_fraction_free",
+                            lambda matrix: 0)
+        with pytest.raises(InvariantError, match="disagree"):
+            physical_subspace(_on_shell_space(4, "1", 1))
 
 
 class TestDdfSpan:
