@@ -32,7 +32,7 @@ from .ddf import CalibrationError, DdfContext, calibrate_normalization, \
     constraint_report, ddf_state
 from .exactnum import sqrt_fraction
 from .fiber import Momentum, virasoro_bracket_scan
-from .fock import ModelParams, iter_level_basis
+from .fock import ModelParams, basis_dimension, iter_level_basis
 from .field import QuadratureSpec, SeparationError, locality_check, \
     locality_sweep
 from .spectrum import InvariantError, find_onshell_momentum, noghost_csv, \
@@ -134,6 +134,13 @@ def _model(args) -> ModelParams:
     return ModelParams(d=d, b=b)
 
 
+def _max_level(args, default: int) -> int:
+    level = args.max_level if args.max_level is not None else default
+    if level < 0:
+        raise ConfigError(f"--max-level must be nonnegative, got {level}")
+    return level
+
+
 def _probe_momenta(d: int, seed: int) -> list:
     """Two rational fibers: a fixed transversal one and a seeded one.
 
@@ -159,7 +166,7 @@ def _probe_momenta(d: int, seed: int) -> list:
 
 def cmd_virasoro(args) -> int:
     params = _model(args)
-    max_level = args.max_level if args.max_level is not None else 2
+    max_level = _max_level(args, 2)
     if params.d >= 26 and max_level >= 3 and not args.allow_expensive:
         sys.stderr.write(
             "refused: the bracket grid at d >= 26, level >= 3 is a "
@@ -196,6 +203,10 @@ def cmd_ddf(args) -> int:
         _parse_fraction(k)
         for k in (args.kappa_set or ["1", "1/2", "2"])
     )
+    if not all(candidates):
+        raise ConfigError(
+            "normalization candidate 0 is not usable: kappa = 0 makes the "
+            "null vector k(p), and with it every A^i_n, vanish")
     kappa = calibrate_normalization(params, momenta, candidates=candidates)
     probes = []
     worst = 0
@@ -224,7 +235,7 @@ def cmd_ddf(args) -> int:
 def cmd_noghost(args) -> int:
     d_list = [int(x) for x in str(args.d_list or "10,26").split(",")]
     params_b = _parse_fraction(args.b if args.b is not None else "1")
-    max_level = args.max_level if args.max_level is not None else 2
+    max_level = _max_level(args, 2)
     reports = noghost_scan(d_list, b=params_b, max_level=max_level,
                            timings=bool(args.timings))
     fmt = args.format or "csv"
@@ -426,13 +437,8 @@ def cmd_basis(args) -> int:
     against the actual monomial basis so the table is self-auditing.
     """
     params = _model(args)
-    max_level = args.max_level if args.max_level is not None else 6
-    dims = [1] + [0] * max_level
-    for n in range(1, max_level + 1):
-        # multiply by (1 - q^n)^(-d) via repeated geometric convolution
-        for _ in range(params.d):
-            for k in range(n, max_level + 1):
-                dims[k] += dims[k - n]
+    max_level = _max_level(args, 6)
+    dims = [basis_dimension(params.d, n) for n in range(max_level + 1)]
     audit_cap = min(max_level, 3 if params.d > 8 else 4)
     rows = []
     for level in range(max_level + 1):

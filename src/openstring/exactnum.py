@@ -274,6 +274,4 @@ def is_rational_real(x) -> bool:
 
 def as_complex(x) -> complex:
     """The one bridge from exact scalars to floating point."""
-    if isinstance(x, _RAT):
-        return complex(x)
     return complex(x)

@@ -8,10 +8,10 @@ plainly ``L_m psi = 0`` for ``m >= 0``.  For ``m != 0``,
     L_m = p . alpha_m + (1/2) sum_{n not in {0, m}} :alpha_{m-n} . alpha_n:
 
 with zero modes replaced by the momentum.  Acting on a state of finite level
-only finitely many summands survive, so every operator application here is
-exact; the default mode bound ``level + |m|`` is provably sufficient and the
-``truncate`` argument exists only so tests can widen it and confirm nothing
-changes.
+only finitely many summands survive (modes up to ``level + |m|``), so every
+operator application here is exact.  The oscillator pairs are written once,
+in integers, per monomial; :func:`virasoro_apply` scales them by the ring's
+coefficients and :class:`IntegerBracketScanner` keeps them as integer rows.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
-from .fock import FockVector, ModelParams, apply_oscillator, level_of
+from .fock import FockVector, ModelParams, apply_oscillator, \
+    iter_level_basis, level_of
 
 __all__ = [
     "DEFAULT_MODE_CAP",
@@ -124,51 +126,98 @@ class FiberVector:
         return f"FiberVector(p={self.p!r}, vec={self.vec!r})"
 
 
-def virasoro_apply(m: int, p: Momentum, v: FockVector, params: ModelParams,
-                   truncate: int | None = None,
-                   mode_cap: int = DEFAULT_MODE_CAP) -> FockVector:
-    """Apply the constraint operator L_m at momentum ``p`` to ``v``."""
-    if abs(m) > mode_cap:
-        raise ValueError(f"|m|={abs(m)} exceeds the mode cap {mode_cap}")
+def _osc(mode: int, mu: int, mono):
+    """alpha^mu_mode on a monomial: (new_mono, int factor) or None."""
+    if mode < 0:
+        key = (-mode, mu)
+        pos = bisect_right(mono, key)
+        return mono[:pos] + (key,) + mono[pos:], 1
+    key = (mode, mu)
+    mult = mono.count(key)
+    if not mult:
+        return None
+    pos = mono.index(key)
+    return mono[:pos] + mono[pos + 1:], mult * mode * (-1 if mu == 0 else 1)
+
+
+def _accumulate(out: dict, mono, c) -> None:
+    new = out.get(mono, 0) + c
+    if new:
+        out[mono] = new
+    elif mono in out:
+        del out[mono]
+
+
+def _pair_row(k: int, mono, d: int) -> dict:
+    """sum_{n not in {0, k}} :alpha_{k-n} . alpha_n: on one monomial.
+
+    This is twice the oscillator part of L_k (k != 0), returned as
+    {monomial: int}, and the one place the pair sum is written down.  Each
+    unordered pair {n, k - n} is visited once, with the annihilator alpha_n
+    (2n >= k) applied first; modes beyond ``level + |k|`` cannot contribute.
+    """
+    if abs(k) > DEFAULT_MODE_CAP:
+        raise ValueError(
+            f"|m|={abs(k)} exceeds the mode cap {DEFAULT_MODE_CAP}")
+    ell = level_of(mono)
+    bound = ell + abs(k)
+    out: dict = {}
+    for n in range(-bound, bound + 1):
+        if n == 0 or n == k or 2 * n < k:
+            continue
+        if n > ell:
+            break  # annihilator beyond the top level; larger n only worse
+        base = 1 if 2 * n == k else 2
+        dirs = sorted({mu for mode, mu in mono if mode == n}) if n > 0 \
+            else range(d)
+        for mu in dirs:
+            hit1 = _osc(n, mu, mono)
+            if hit1 is None:
+                continue
+            hit2 = _osc(k - n, mu, hit1[0])
+            if hit2 is None:
+                continue
+            tm = hit2[0]
+            new = out.get(tm, 0) + base * (-1 if mu == 0 else 1) \
+                * hit1[1] * hit2[1]
+            if new:
+                out[tm] = new
+            else:
+                del out[tm]
+    return out
+
+
+def virasoro_apply(m: int, p: Momentum, v: FockVector,
+                   params: ModelParams) -> FockVector:
+    """Apply the constraint operator L_m at momentum ``p`` to ``v``.
+
+    Generic over the coefficient ring: each monomial's integer pair row is
+    scaled by half its coefficient, and p . alpha_m by the momentum.
+    """
     if params.d != p.d:
         raise ValueError(f"momentum has {p.d} components, model has d={params.d}")
     if not v:
         return FockVector.zero()
+    out = FockVector.zero()
     if m == 0:
         half_p2 = p.minkowski_sq() * _HALF
-        out = FockVector.zero()
         for mono, coeff in v.items():
             out.add_term(mono, coeff * (half_p2 + (level_of(mono) - params.b)))
         return out
-
-    level = v.level()
-    bound = level + abs(m) if truncate is None else truncate
-    out = FockVector.zero()
-
-    # zero-mode cross terms: p . alpha_m
-    for mu in range(params.d):
-        if not p[mu]:
-            continue
-        w = apply_oscillator((m, mu), v, params)
-        if w:
-            out += w.scaled(params.eta(mu) * p[mu])
-
-    # oscillator pairs :alpha_{m-n} . alpha_n:, each unordered pair once
-    for n in range(-bound, bound + 1):
-        if n == 0 or n == m or 2 * n < m:
-            continue
-        if n > level:
-            break  # annihilator beyond the top level; larger n only worse
-        a = m - n
-        coeff = _HALF if 2 * n == m else Fraction(1)
-        for mu in range(params.d):
-            w = apply_oscillator((n, mu), v, params)
-            if not w:
-                continue
-            w = apply_oscillator((a, mu), w, params)
-            if not w:
-                continue
-            out += w.scaled(coeff * params.eta(mu))
+    for mono, coeff in v.items():
+        half = coeff * _HALF
+        for tm, c in _pair_row(m, mono, params.d).items():
+            out.add_term(tm, half * c)
+    # zero-mode cross terms: p . alpha_m; an annihilator only sees the
+    # directions present at mode m
+    dirs = range(params.d) if m < 0 else \
+        sorted({mu for mono in v.terms for mode, mu in mono if mode == m})
+    for mu in dirs:
+        c = p.components[mu]
+        if c:
+            scale = -c if mu == 0 else c
+            for tm, w in apply_oscillator((m, mu), v, params).items():
+                out.add_term(tm, w * scale)
     return out
 
 
@@ -187,35 +236,28 @@ def virasoro_bracket_residual(m: int, n: int, p: Momentum, v: FockVector,
 
 
 def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
-                          params: ModelParams, engine: str = "auto"):
+                          params: ModelParams):
     """Bracket residual for every basis monomial of the given level.
 
     Returns a list of (monomial, residual) pairs; the algebra holds iff every
-    residual is the zero vector.
-
-    ``engine`` selects how the residuals are computed.  ``"reference"`` goes
-    through :func:`virasoro_apply` term by term; ``"fast"`` runs the
-    integer-arithmetic kernel below, which is an order of magnitude quicker
-    on large grids but requires integer momentum components and intercept.
-    ``"auto"`` picks the fast kernel whenever it applies.  Both engines
-    produce identical residual vectors (there is a test pinning that), so
-    the choice is purely about runtime.
+    residual is the zero vector.  The residuals come from one
+    :class:`IntegerBracketScanner`, so the momentum and the intercept must
+    be rational (a surd or symbolic fiber raises ``ValueError``; use
+    :func:`virasoro_bracket_residual` there).  As a certificate of the
+    scanner's cleared denominators, its rows for L_m and L_n on the level's
+    first monomial are checked against :func:`virasoro_apply`; a mismatch
+    raises :class:`~openstring.spectrum.InvariantError`.
     """
-    from .fock import iter_level_basis
+    scanner = IntegerBracketScanner(p, params)
+    monos = list(iter_level_basis(params, level))
+    for k in {m, n}:
+        want = virasoro_apply(k, p, FockVector.basis_state(monos[0]), params)
+        if FockVector(scanner.two_l(k, monos[0])) != want.scaled(scanner.scale):
+            from .spectrum import InvariantError
 
-    if engine == "auto":
-        engine = "fast" if _integer_scan_applicable(p, params) else "reference"
-    if engine == "fast":
-        scanner = IntegerBracketScanner(p, params)
-        return [(mono, scanner.residual(m, n, mono))
-                for mono in iter_level_basis(params, level)]
-    if engine != "reference":
-        raise ValueError(f"unknown engine {engine!r}")
-    out = []
-    for mono in iter_level_basis(params, level):
-        v = FockVector.basis_state(mono)
-        out.append((mono, virasoro_bracket_residual(m, n, p, v, params)))
-    return out
+            raise InvariantError(
+                f"integer scanner disagrees with L_{k} on {monos[0]!r}")
+    return [(mono, scanner.residual(m, n, mono)) for mono in monos]
 
 
 def _as_int(value):
@@ -227,109 +269,62 @@ def _as_int(value):
 
 
 def _integer_scan_applicable(p: Momentum, params: ModelParams) -> bool:
+    # Unused by the package since every rational fiber takes the integer
+    # scanner; perfbench/layers.py still calls it to name scan spans.
     if _as_int(params.b) is None:
         return False
     return all(_as_int(c) is not None for c in p.components)
 
 
 class IntegerBracketScanner:
-    """Bracket residuals over an integer fiber, with plain-int arithmetic.
+    """Bracket residuals over a rational fiber, with plain-int arithmetic.
 
-    The half-integer coefficients in L_m are cleared by tracking 2 L_m, so a
-    composed bracket carries an overall factor of 4; residuals are divided
-    back out on conversion to :class:`FockVector`.  Per-monomial operator
-    applications are cached across the whole scan, which is where most of
-    the speedup over the generic path comes from — a raising-raising pair at
-    level 3 revisits the same intermediate monomials thousands of times.
+    With D the lcm of the denominators of the momentum and the intercept,
+    and P = D p, the scanner tracks T_k = 2 D^2 L_k, whose rows are integer:
+    T_k = D^2 (pair row) + 2 D P . alpha_k for k != 0, and
+    T_0 = P . P + 2 D^2 (N - b).  A composed bracket then carries 4 D^4,
+    which residuals divide back out on conversion to :class:`FockVector`.
 
-    The kernel mirrors :func:`virasoro_apply` exactly: same normal-ordered
-    pair decomposition, same metric signs, same mode bounds.  It exists so
-    the full acceptance grid (all mode pairs, every basis state of level
-    <= 3, d = 26) fits in a test-suite runtime budget.
+    The oscillator pairs come from the same function as in
+    :func:`virasoro_apply`; the scanner skips the ring arithmetic, so the
+    full acceptance grid (all mode pairs, every basis state of level <= 3,
+    d = 26) fits in a test-suite runtime budget.  Rows are not cached:
+    intermediate monomials are seldom revisited, and a row cache kept over
+    five level-3 mode pairs at d = 26 grew past 2 GB and made them slower.
     """
 
     def __init__(self, p: Momentum, params: ModelParams):
-        self.p = tuple(_as_int(c) for c in p.components)
-        self.b = _as_int(params.b)
-        if self.b is None or any(c is None for c in self.p):
-            raise ValueError("integer scanner needs integer momentum and b")
-        self.d = params.d
-        if params.d != len(self.p):
+        if params.d != p.d:
             raise ValueError("momentum dimension does not match the model")
+        for mu, c in enumerate(p.components):
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"bracket scan needs a rational fiber; "
+                                 f"momentum component {mu} is {c!r}")
+        den = lcm(params.b.denominator,
+                  *(Fraction(c).denominator for c in p.components))
+        self.d = params.d
+        self.den = den
+        self.scale = 2 * den * den
+        self.p = tuple(int(c * den) for c in p.components)    # P = D p
+        self.b = int(params.b * den)                          # D b
         self.p2 = -self.p[0] * self.p[0] + sum(c * c for c in self.p[1:])
-        self._cache: dict = {}
-
-    # -- single oscillator factor on one monomial --------------------------
-
-    def _osc(self, mode: int, mu: int, mono):
-        """alpha^mu_mode on a monomial: (new_mono, int factor) or None."""
-        if mode < 0:
-            key = (-mode, mu)
-            pos = bisect_right(mono, key)
-            return mono[:pos] + (key,) + mono[pos:], 1
-        key = (mode, mu)
-        mult = mono.count(key)
-        if not mult:
-            return None
-        pos = mono.index(key)
-        return mono[:pos] + mono[pos + 1:], mult * mode * (-1 if mu == 0 else 1)
-
-    # -- 2 L_k on one monomial, cached --------------------------------------
 
     def two_l(self, k: int, mono) -> dict:
-        key = (k, mono)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if abs(k) > DEFAULT_MODE_CAP:
-            raise ValueError(f"|m|={abs(k)} exceeds the mode cap")
-        ell = level_of(mono)
+        """T_k = 2 D^2 L_k on one monomial, as {monomial: int}."""
         if k == 0:
-            out = {mono: self.p2 + 2 * (ell - self.b)}
-            self._cache[key] = out
-            return out
-        out: dict = {}
-        for mu, pc in enumerate(self.p):
-            if not pc:
-                continue
-            hit1 = self._osc(k, mu, mono)
-            if hit1 is None:
-                continue
-            tm, f = hit1
-            c = 2 * (-pc if mu == 0 else pc) * f
-            old = out.get(tm, 0) + c
-            if old:
-                out[tm] = old
-            elif tm in out:
-                del out[tm]
-        bound = ell + abs(k)
-        for n in range(-bound, bound + 1):
-            if n == 0 or n == k or 2 * n < k:
-                continue
-            if n > ell:
-                break
-            a = k - n
-            base = 1 if 2 * n == k else 2
-            if n > 0:
-                dirs = sorted({mu for mode, mu in mono if mode == n})
-            else:
-                dirs = range(self.d)
-            for mu in dirs:
-                hit1 = self._osc(n, mu, mono)
-                if hit1 is None:
-                    continue
-                m1, f1 = hit1
-                hit2 = self._osc(a, mu, m1)
-                if hit2 is None:
-                    continue
-                m2, f2 = hit2
-                c = base * (-1 if mu == 0 else 1) * f1 * f2
-                old = out.get(m2, 0) + c
-                if old:
-                    out[m2] = old
-                elif m2 in out:
-                    del out[m2]
-        self._cache[key] = out
+            t0 = self.p2 + 2 * self.den * (self.den * level_of(mono) - self.b)
+            out = {mono: t0} if t0 else {}
+        else:
+            out = _pair_row(k, mono, self.d)
+            if self.den != 1:
+                sq = self.den * self.den
+                out = {tm: sq * c for tm, c in out.items()}
+            for mu, pc in enumerate(self.p):
+                if pc:
+                    hit1 = _osc(k, mu, mono)
+                    if hit1 is not None:
+                        _accumulate(out, hit1[0], 2 * self.den
+                                    * (-pc if mu == 0 else pc) * hit1[1])
         return out
 
     def two_l_vec(self, k: int, vec: dict) -> dict:
@@ -339,38 +334,25 @@ class IntegerBracketScanner:
                 new = out.get(tm, 0) + c * tc
                 if new:
                     out[tm] = new
-                elif tm in out:
+                else:
                     del out[tm]
         return out
-
-    # -- the residual -------------------------------------------------------
 
     def residual(self, m: int, n: int, mono) -> FockVector:
         """([L_m, L_n] - closure) on a basis monomial, as a FockVector."""
         lhs = self.two_l_vec(m, self.two_l(n, mono))
         for tm, tc in self.two_l_vec(n, self.two_l(m, mono)).items():
-            new = lhs.get(tm, 0) - tc
-            if new:
-                lhs[tm] = new
-            elif tm in lhs:
-                del lhs[tm]
-        scale = 2 * (m - n)
-        rhs = {tm: scale * tc for tm, tc in self.two_l(m + n, mono).items()} \
-            if scale else {}
+            _accumulate(lhs, tm, -tc)
+        scale = self.scale * (m - n)
+        if scale:
+            for tm, tc in self.two_l(m + n, mono).items():
+                _accumulate(lhs, tm, -scale * tc)
         if m + n == 0:
-            anomaly4 = self.d * m * (m * m - 1) // 3 + 8 * self.b * m
-            new = rhs.get(mono, 0) + anomaly4
-            if new:
-                rhs[mono] = new
-            elif mono in rhs:
-                del rhs[mono]
-        for tm, tc in rhs.items():
-            new = lhs.get(tm, 0) - tc
-            if new:
-                lhs[tm] = new
-            elif tm in lhs:
-                del lhs[tm]
-        return FockVector({tm: Fraction(tc, 4) for tm, tc in lhs.items()})
+            # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
+            _accumulate(lhs, mono, -self.den ** 3 * (
+                self.den * (self.d * m * (m * m - 1) // 3) + 8 * m * self.b))
+        return FockVector({tm: Fraction(tc, self.scale * self.scale)
+                           for tm, tc in lhs.items()})
 
 
 def number_apply(v: FockVector, params: ModelParams) -> FockVector:

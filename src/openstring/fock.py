@@ -130,10 +130,6 @@ class FockVector:
         """Highest oscillator level present (0 for the zero vector)."""
         return max((level_of(m) for m in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        levels = {level_of(m) for m in self.terms}
-        return len(levels) <= 1
-
     def add_term(self, mono: Monomial, coeff) -> None:
         """In-place accumulate (internal builder use)."""
         cur = self.terms.get(mono)
@@ -167,12 +163,6 @@ class FockVector:
         return self.scaled(scalar)
 
     __rmul__ = __mul__
-
-    def map_coefficients(self, fn):
-        return FockVector({m: fn(c) for m, c in self.terms.items()})
-
-    def restrict_level(self, n: int):
-        return FockVector({m: c for m, c in self.terms.items() if level_of(m) == n})
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):

@@ -5,7 +5,8 @@ production code: basis sizes by enumerating integer partitions directly,
 inner products by recursively migrating annihilators with the bare
 commutation relation, level dimensions by explicit series multiplication,
 radial transforms by a shell-and-angle double quadrature, the spurious
-radical and the physical signature through the Gram of a physical basis.
+radical and the physical signature through the Gram of a physical basis,
+and L_m by composing single oscillators on whole vectors.
 """
 
 from collections import Counter
@@ -66,6 +67,44 @@ def inner_recursive(u, v, params):
         if val:
             total = total + conjugate(cu) * val
     return total
+
+
+def virasoro_apply_reference(m, p, v, params, truncate=None):
+    """L_m at momentum ``p`` on ``v``, one ``apply_oscillator`` at a time.
+
+    Same conventions as :func:`openstring.fiber.virasoro_apply` (shifted
+    L_0 = p.p/2 + N - b), but each normal-ordered pair alpha_{m-n}.alpha_n
+    is applied to the whole vector direction by direction.  ``truncate``
+    widens the mode bound (default ``level + |m|``) to show that the
+    default already catches every surviving pair.
+    """
+    half = Fraction(1, 2)
+    if m == 0:
+        out = FockVector()
+        for mono, coeff in v.items():
+            level = sum(n for n, _ in mono)
+            out.add_term(mono, coeff * (p.minkowski_sq() * half
+                                        + (level - params.b)))
+        return out
+    level = v.level()
+    bound = level + abs(m) if truncate is None else truncate
+    out = FockVector()
+    for mu in range(params.d):
+        if p[mu]:
+            w = apply_oscillator((m, mu), v, params)
+            if w:
+                out += w.scaled(params.eta(mu) * p[mu])
+    for n in range(-bound, bound + 1):
+        if n == 0 or n == m or 2 * n < m or n > level:
+            continue
+        coeff = half if 2 * n == m else Fraction(1)
+        for mu in range(params.d):
+            w = apply_oscillator((n, mu), v, params)
+            if w:
+                w = apply_oscillator((m - n, mu), w, params)
+            if w:
+                out += w.scaled(coeff * params.eta(mu))
+    return out
 
 
 def random_vector(rng, params, max_level, *, terms=4, span=None):

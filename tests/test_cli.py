@@ -92,6 +92,18 @@ class TestConfig:
         assert "cannot read config" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["virasoro", "--d", "4"],
+    ["noghost", "--d-list", "4"],
+    ["basis"],
+], ids=["virasoro", "noghost", "basis"])
+def test_negative_level_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--max-level", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--max-level" in err
+
+
 class TestBasis:
     # dimensions of prod_n (1 - q^n)^(-d), cross-computed by explicit
     # polynomial multiplication of the truncated Euler factors and, for
@@ -192,6 +204,12 @@ class TestDdf:
         assert code == 3
         assert "calibration failed" in err
         assert "kappa = 3" in err and "kappa = 5" in err
+
+    def test_zero_candidate_is_refused(self, capsys):
+        code, _, err = run(capsys, ["ddf", "--d", "4", "--kappa-set", "0"])
+        assert code == 2
+        assert "candidate 0" in err
+        assert "lightcone" not in err
 
 
 class TestNoGhost:

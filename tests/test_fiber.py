@@ -33,7 +33,10 @@ from openstring.fock import (
     iter_level_basis,
 )
 
-from .oracles import random_vector
+from openstring.poly import sym_momentum
+from openstring.spectrum import InvariantError
+
+from .oracles import random_vector, virasoro_apply_reference
 
 P4 = ModelParams(d=4)
 P26 = ModelParams(d=26)
@@ -167,8 +170,6 @@ class TestAlgebraGrids:
         p = Momentum((Fraction(1), 0, 0, 0))
         with pytest.raises(ValueError):
             virasoro_apply(9, p, FockVector.vacuum(), P4)
-        # configurable, not semantic
-        assert not virasoro_apply(9, p, FockVector.vacuum(), P4, mode_cap=12)
 
 
 class TestScanEngines:
@@ -209,11 +210,20 @@ class TestScanEngines:
                 assert fast == ref, (k, mono)
 
     def test_scan_engines_agree(self):
-        p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
-        for m, n in [(2, -2), (-2, -1), (0, 3), (1, 2)]:
-            ref = virasoro_bracket_scan(m, n, 2, p, P4, engine="reference")
-            fast = virasoro_bracket_scan(m, n, 2, p, P4, engine="fast")
-            assert ref == fast
+        # the scan against the generic residual, on an integral and on a
+        # half-integral fiber with a half-integral intercept
+        cases = [
+            (Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1))), P4),
+            (Momentum((Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))),
+             ModelParams(d=4, b=Fraction(1, 2))),
+        ]
+        for p, params in cases:
+            for m, n in [(2, -2), (-2, -1), (0, 3), (1, 2)]:
+                scan = virasoro_bracket_scan(m, n, 2, p, params)
+                ref = [(mono, virasoro_bracket_residual(
+                            m, n, p, FockVector.basis_state(mono), params))
+                       for mono in iter_level_basis(params, 2)]
+                assert scan == ref
 
     def test_auto_dispatch_requires_integrality(self):
         half = Momentum((Fraction(3, 2), Fraction(1), 0, Fraction(1)))
@@ -225,17 +235,83 @@ class TestScanEngines:
         out = virasoro_bracket_scan(1, -1, 1, half, P4)
         assert all(not res for _, res in out)
 
-    def test_fast_engine_rejects_non_integer(self):
+    def test_scanner_rejects_surd_fiber(self):
         half = Momentum((Fraction(3, 2), Fraction(1), 0, Fraction(1)))
-        with pytest.raises(ValueError):
-            IntegerBracketScanner(half, P4)
-        with pytest.raises(ValueError):
-            virasoro_bracket_scan(1, -1, 1, half, P4, engine="fast")
+        assert IntegerBracketScanner(half, P4).scale == 8
+        assert all(not res for _, res in virasoro_bracket_scan(1, -1, 1, half, P4))
+        surd = Momentum((ExactNum(0, 0, 1, 0, 2), Fraction(1), 0, 0))
+        with pytest.raises(ValueError, match="rational fiber; momentum component 0"):
+            IntegerBracketScanner(surd, P4)
+        with pytest.raises(ValueError, match="rational fiber"):
+            virasoro_bracket_scan(1, -1, 1, surd, P4)
+        with pytest.raises(ValueError, match="rational fiber"):
+            virasoro_bracket_scan(1, -1, 1, sym_momentum(4), P4)
 
-    def test_unknown_engine_rejected(self):
-        p = Momentum((Fraction(1), 0, 0, 0))
-        with pytest.raises(ValueError):
-            virasoro_bracket_scan(1, -1, 0, p, P4, engine="turbo")
+    def test_scan_certifies_scanner_rows(self, monkeypatch):
+        p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
+        real = IntegerBracketScanner.two_l
+
+        def tampered(self, k, mono):
+            row = dict(real(self, k, mono))
+            row[((5, 1),)] = 1
+            return row
+
+        monkeypatch.setattr(IntegerBracketScanner, "two_l", tampered)
+        with pytest.raises(InvariantError, match="disagrees"):
+            virasoro_bracket_scan(1, -1, 1, p, P4)
+
+    def test_scanner_rows_clear_denominators(self):
+        # T_k = 2 D^2 L_k with D = 6 for these halves and thirds; compare
+        # the rows themselves, which are rich nonzero vectors
+        params = ModelParams(d=4, b=Fraction(1, 2))
+        momenta = [
+            Momentum((Fraction(3, 2), Fraction(1, 3), 0, Fraction(-2, 3))),
+            Momentum((Fraction(1, 6), Fraction(2), Fraction(-5, 2), 0)),
+        ]
+        nonzero = 0
+        for p in momenta:
+            scanner = IntegerBracketScanner(p, params)
+            assert scanner.scale == 2 * 6 * 6
+            for level in range(3):
+                for mono in iter_level_basis(params, level):
+                    for k in range(-3, 4):
+                        want = virasoro_apply_reference(
+                            k, p, FockVector.basis_state(mono), params)
+                        nonzero += bool(want)
+                        assert FockVector(scanner.two_l(k, mono)) == \
+                            want.scaled(scanner.scale), (k, mono)
+        assert nonzero > 150  # of the 266 rows compared
+
+
+class TestReferenceOracle:
+    """Production L_m against the oracle that composes single oscillators."""
+
+    @pytest.mark.parametrize("kind", ["fraction", "surd", "symbolic"])
+    def test_agrees_at_d4(self, kind):
+        p = {
+            "fraction": Momentum((Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 2))),
+            "surd": Momentum((ExactNum(0, 0, 1, 0, 2), Fraction(1), 0,
+                              ExactNum(Fraction(1, 2), 0, 3, 0, 2))),
+            "symbolic": sym_momentum(4),
+        }[kind]
+        for b in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            params = ModelParams(d=4, b=b)
+            for level in range(4):
+                for mono in iter_level_basis(params, level):
+                    v = FockVector.basis_state(mono)
+                    for m in range(-3, 4):
+                        assert virasoro_apply(m, p, v, params) == \
+                            virasoro_apply_reference(m, p, v, params), (b, m, mono)
+
+    def test_agrees_at_26(self):
+        rng = random.Random(89)
+        p = Momentum(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           for _ in range(26)))
+        for mono in rng.sample(list(iter_level_basis(P26, 2)), 25):
+            v = FockVector.basis_state(mono)
+            for m in range(-3, 4):
+                assert virasoro_apply(m, p, v, P26) == \
+                    virasoro_apply_reference(m, p, v, P26), (m, mono)
 
 
 class TestMassSquare:
@@ -298,7 +374,8 @@ class TestOperatorIdentities:
         v = random_vector(rng, P4, max_level=3)
         for m in (-3, -1, 1, 2):
             base = virasoro_apply(m, p, v, P4)
-            wide = virasoro_apply(m, p, v, P4, truncate=v.level() + abs(m) + 4)
+            wide = virasoro_apply_reference(
+                m, p, v, P4, truncate=v.level() + abs(m) + 4)
             assert base == wide
 
 
