@@ -19,6 +19,16 @@ with every sum finite on a fixed state (annihilators beyond the top level
 kill everything), so all operators here are exact.  When p^0 + p^{d-1} = 0
 the null vector degenerates and every A^i_n is defined to be zero.
 
+Only the lightcone directions enter the vertex modes: k.alpha_m =
+c l_m with c = k^0 and l_m = -alpha^0_m - alpha^{d-1}_m.  V_n(k) therefore
+acts on the lightcone factors of a monomial and leaves its transverse
+factors alone.  :func:`v_scalar_apply` builds V_n(k) on each lightcone
+part once and keeps it on the null vector; a :class:`DdfContext` holds one
+null vector per n, so those images serve every direction, probe and call
+made through the context, and they go away with it.  The images carry the
+context's ring scalars (U_n(c l) = sum_q c^q U_{n,q}(l), q the number of
+factors), which is why no cache outlives its context.
+
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
 family; see :func:`calibrate_normalization`.  Discrimination does not
@@ -59,8 +69,6 @@ test-function factory.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
 
 from .fiber import Momentum, virasoro_apply
 from .fock import (
@@ -77,7 +85,6 @@ __all__ = [
     "DdfContext",
     "NullVector",
     "calibrate_normalization",
-    "compositions",
     "constraint_report",
     "ddf_apply",
     "ddf_commutator_defect",
@@ -99,18 +106,6 @@ class CalibrationError(RuntimeError):
         self.residuals = residuals
 
 
-@lru_cache(maxsize=None)
-def compositions(n: int) -> tuple:
-    """Ordered tuples of positive integers summing to n."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 class NullVector:
     """The lightlike contraction vector k(p), scaled by the normalization.
 
@@ -118,18 +113,22 @@ class NullVector:
     identically and k.p = -kappa.  ``times(c)`` rescales (the DDF definition
     feeds n * k(p) into V^i_n).  A vanishing lightcone combination
     p^0 + p^{d-1} makes the vector identically zero.
+
+    ``images`` caches V_t(k) on lightcone basis states, keyed by
+    (t, lightcone monomial); see :func:`v_scalar_apply`.  The images carry
+    this vector's ring scalars, so the cache lives and dies with the vector
+    and a rescaled copy from ``times`` starts empty.
     """
 
-    __slots__ = ("p", "kappa", "components")
+    __slots__ = ("p", "kappa", "components", "images")
 
     def __init__(self, p: Momentum, kappa):
         self.p = p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
+        self.images = {}
         w = p.lightcone()
         d = p.d
-        if not w:
-            self.components = (Fraction(0),) * d
-        elif not self.kappa:
+        if not w or not self.kappa:
             self.components = (Fraction(0),) * d
         else:
             k0 = self.kappa / w
@@ -157,24 +156,25 @@ class NullVector:
 
 def _contract_apply(k: NullVector, mode: int, v: FockVector, sign: int,
                     params: ModelParams) -> FockVector:
-    """Apply (sign * k) . alpha_mode to v."""
-    out = FockVector.zero()
-    for mu, comp in enumerate(k.components):
-        if not comp:
-            continue
-        w = apply_oscillator((mode, mu), v, params)
-        if w:
-            out += w.scaled(params.eta(mu) * comp * sign)
-    return out
+    """Apply (sign * k) . alpha_mode = -sign k^0 (alpha^0 + alpha^{d-1})_mode
+    to v: eta^{00} k^0 and eta^{d-1,d-1} k^{d-1} are both -k^0."""
+    k0 = k.components[0]
+    if not k0:
+        return FockVector.zero()
+    w = apply_oscillator((mode, 0), v, params)
+    w += apply_oscillator((mode, len(k.components) - 1), v, params)
+    return w.scaled(-k0 if sign == 1 else k0)
 
 
 def u_op_apply(n: int, k: NullVector, v: FockVector, params: ModelParams,
                sign: int = 1, dagger: bool = False) -> FockVector:
     """Apply U_n(sign * k) — or its adjoint with ``dagger`` — to ``v``.
 
-    Composition enumeration with the 1/(q! n_1..n_q) weights, taken
-    literally; the partition form with multiplicity factorials is kept in
-    the test suite as an independent oracle, not assumed here.
+    U_n is the z^n coefficient of exp(sum_m (k.alpha_m) z^m / m).  The
+    k.alpha_m commute, so n U_n = sum_{m=1}^{n} (k.alpha_m) U_{n-m}; that
+    recurrence runs here (the adjoint uses alpha_{-m}), and the composition
+    and partition forms are oracles in the test suite.  Each part of a
+    composition carries one factor of k^0, so U_n(c k) is not c^n U_n(k).
     """
     if n < 0:
         raise ValueError("U_n is defined for n >= 0")
@@ -184,36 +184,53 @@ def u_op_apply(n: int, k: NullVector, v: FockVector, params: ModelParams,
         return v + FockVector.zero()
     if not v or (not dagger and n > v.level()):
         return FockVector.zero()
-    out = FockVector.zero()
-    for comp in compositions(n):
-        q = len(comp)
-        denom = factorial(q)
-        for nj in comp:
-            denom *= nj
-        w = v
-        for nj in comp:
-            w = _contract_apply(k, -nj if dagger else nj, w, sign, params)
-            if not w:
-                break
-        else:
-            out += w.scaled(Fraction(1, denom))
-    return out
+    steps = [v]
+    for j in range(1, n + 1):
+        w = FockVector.zero()
+        for m in range(1, j + 1):
+            if steps[j - m]:
+                w += _contract_apply(k, -m if dagger else m, steps[j - m],
+                                     sign, params)
+        steps.append(w.scaled(Fraction(1, j)) if j > 1 else w)
+    return steps[n]
 
 
 def v_scalar_apply(n: int, k: NullVector, v: FockVector,
                    params: ModelParams) -> FockVector:
     """Apply V_n(k) = sum_p U_{p-n}(-k)^dagger U_p(k); lowers level by n.
 
-    The p-sum runs over max(0, n) <= p <= level(v); every omitted term
-    annihilates v, so the truncation is exact, not approximate.
+    V_n(k) acts on each monomial's lightcone factors; the transverse ones
+    ride along.  The image of a lightcone part, the p-sum up to its level
+    (every omitted term annihilates it), is built by :func:`u_op_apply` on
+    first use and kept in ``k.images`` under (n, lightcone part), where
+    every later call with the same ``k`` finds it.
     """
+    last = len(k.components) - 1
+    images = k.images
     out = FockVector.zero()
-    for idx in range(max(0, n), v.level() + 1):
-        w = u_op_apply(idx, k, v, params, sign=1)
-        if not w:
+    for mono, c in v.items():
+        lc = tuple(f for f in mono if f[1] == 0 or f[1] == last)
+        image = images.get((n, lc))
+        if image is None:
+            image = images[(n, lc)] = _lightcone_image(n, k, lc, params)
+        if len(lc) == len(mono):
+            for img, a in image.items():
+                out.add_term(img, a * c)
             continue
-        w = u_op_apply(idx - n, k, w, params, sign=-1, dagger=True)
-        out += w
+        spectators = tuple(f for f in mono if 0 < f[1] < last)
+        for img, a in image.items():
+            out.add_term(tuple(sorted(img + spectators)), a * c)
+    return out
+
+
+def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVector:
+    """V_n(k) on the lightcone basis state ``lc``: the literal p-sum."""
+    v = FockVector({lc: Fraction(1)})
+    out = FockVector.zero()
+    for idx in range(max(0, n), level_of(lc) + 1):
+        w = u_op_apply(idx, k, v, params, sign=1)
+        if w:
+            out += u_op_apply(idx - n, k, w, params, sign=-1, dagger=True)
     return out
 
 
@@ -237,9 +254,14 @@ def v_vector_apply(mu: int, n: int, k: NullVector, p: Momentum, v: FockVector,
 
 
 class DdfContext:
-    """Bundle of model, fiber momentum, and calibrated normalization."""
+    """Bundle of model, fiber momentum, and calibrated normalization.
 
-    __slots__ = ("params", "p", "kappa", "m_max", "null")
+    The scaled null vectors n*k(p) are built once per n (:meth:`null_at`),
+    so every operator applied through this context shares their cached
+    V_t images; the cache lives as long as the context.
+    """
+
+    __slots__ = ("params", "p", "kappa", "m_max", "null", "_scaled")
 
     def __init__(self, params: ModelParams, p: Momentum, kappa=Fraction(1),
                  m_max: int = 3):
@@ -250,6 +272,14 @@ class DdfContext:
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
         self.m_max = m_max
         self.null = NullVector(p, self.kappa)
+        self._scaled = {1: self.null}
+
+    def null_at(self, n: int) -> NullVector:
+        """n*k(p), the null vector that A^i_n feeds into V_t."""
+        k = self._scaled.get(n)
+        if k is None:
+            k = self._scaled[n] = self.null.times(n)
+        return k
 
     @property
     def degenerate(self) -> bool:
@@ -272,7 +302,7 @@ def ddf_apply(i: int, n: int, v: FockVector, ctx: DdfContext) -> FockVector:
         )
     if ctx.degenerate:
         return FockVector.zero()
-    return v_vector_apply(i, n, ctx.null.times(n), ctx.p, v, ctx.params)
+    return v_vector_apply(i, n, ctx.null_at(n), ctx.p, v, ctx.params)
 
 
 def ddf_state(word, ctx: DdfContext) -> FockVector:
@@ -309,10 +339,16 @@ def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
 def ddf_commutator_residual(m: int, i: int, n: int, v: FockVector,
                             ctx: DdfContext) -> FockVector:
     """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else 0)."""
-    res = virasoro_apply(m, ctx.p, ddf_apply(i, n, v, ctx), ctx.params)
-    res -= ddf_apply(i, n, virasoro_apply(m, ctx.p, v, ctx.params), ctx)
+    return _residual(m, i, n, v, virasoro_apply(m, ctx.p, v, ctx.params), ctx)
+
+
+def _residual(m, i, n, v, lv, ctx):
+    """:func:`ddf_commutator_residual` given ``lv`` = L_m v."""
+    w = ddf_apply(i, n, v, ctx)
+    res = virasoro_apply(m, ctx.p, w, ctx.params)
+    res -= ddf_apply(i, n, lv, ctx)
     if m == 0:
-        res += ddf_apply(i, n, v, ctx).scaled(n)
+        res += w.scaled(n)
     return res
 
 
@@ -363,7 +399,7 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
     if ctx.null.kappa != 1:
         raise ValueError("closed form derived for the calibrated kappa = 1")
     params, p, k = ctx.params, ctx.p, ctx.null
-    nk = k.times(n)
+    nk = ctx.null_at(n)
     level = v.level()
     out = FockVector.zero()
     for s in range(m + n - level, level + 1):
@@ -419,9 +455,8 @@ def calibrate_normalization(params: ModelParams, momenta,
         raise ValueError("calibration needs at least one momentum")
     dirs = list(directions) if directions is not None else list(range(1, params.d - 1))
     probes = [
-        FockVector.basis_state(mono)
+        [FockVector.basis_state(mono) for mono in iter_level_basis(params, level)]
         for level in range(level_cap + 1)
-        for mono in iter_level_basis(params, level)
     ]
     failures = {}
     for kappa in candidates:
@@ -438,28 +473,36 @@ def calibrate_normalization(params: ModelParams, momenta,
 
 
 def _first_calibration_failure(params, momenta, kappa, probes, dirs, mode_cap):
+    """The first nonzero residual in (momentum, i, n, m, probe) order.
+
+    ``probes[level]`` lists the probes of that level.  L_m v does not depend
+    on the direction, so it is computed once per (momentum, m, probe).
+    """
     for p in momenta:
         ctx = DdfContext(params, p, kappa)
         if ctx.degenerate:
             raise ValueError(
                 f"calibration momentum {p!r} has vanishing lightcone combination"
             )
+        lowered = {}
         for i in dirs:
             for n in range(-mode_cap, mode_cap + 1):
                 for m in range(-mode_cap, mode_cap + 1):
                     if m == 0:
                         continue
-                    threshold = defect_threshold(m, n)
-                    for v in probes:
-                        if v.level() >= threshold:
-                            continue
-                        res = ddf_commutator_residual(m, i, n, v, ctx)
-                        if res:
-                            return {
-                                "momentum": repr(p.components),
-                                "i": i,
-                                "n": n,
-                                "m": m,
-                                "residual_terms": len(res),
-                            }
+                    for level in range(min(defect_threshold(m, n), len(probes))):
+                        for j, v in enumerate(probes[level]):
+                            lv = lowered.get((m, level, j))
+                            if lv is None:
+                                lv = lowered[(m, level, j)] = virasoro_apply(
+                                    m, p, v, params)
+                            res = _residual(m, i, n, v, lv, ctx)
+                            if res:
+                                return {
+                                    "momentum": repr(p.components),
+                                    "i": i,
+                                    "n": n,
+                                    "m": m,
+                                    "residual_terms": len(res),
+                                }
     return None

@@ -27,6 +27,8 @@ The two structural rewrites used by the verification layers:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 __all__ = ["LcRational", "Poly", "sym_momentum"]
 
@@ -121,7 +123,7 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, Fraction(0)) + c1 * c2
                 if s:
                     out[e] = s
@@ -194,24 +196,26 @@ class Poly:
 
     def substitute_lightcone_zero(self) -> "Poly":
         """The remainder of division by w: substitute p^0 -> -p^{d-1}."""
-        out = Poly(self.d)
+        out = {}
         last = self.d - 1
         for exps, c in self.terms.items():
             e0 = exps[0]
-            sign = -1 if e0 % 2 else 1
             new = (0,) + exps[1:last] + (exps[last] + e0,)
-            out = out + Poly(self.d, {new: sign * c})
-        return out
+            out[new] = out.get(new, 0) + (-c if e0 % 2 else c)
+        return Poly(self.d, out)
 
     def divide_lightcone(self):
         """Exact quotient by w = p^0 + p^{d-1}, or None if not divisible.
 
         Synthetic division in p^0 with coefficients in the remaining
         variables: writing q = sum_j c_j (p^0)^j, the quotient satisfies
-        h_{j-1} = c_j - p^{d-1} h_j downward from the top degree.
+        h_{j-1} = c_j - p^{d-1} h_j downward from the top degree.  A nonzero
+        remainder is found first, without dividing.
         """
         if not self:
             return Poly(self.d)
+        if self.substitute_lightcone_zero():
+            return None
         top = self.degree_in(0)
         # collect c_j as polynomials with a zero p^0 exponent slot
         cs = [Poly(self.d) for _ in range(top + 1)]
@@ -225,9 +229,6 @@ class Poly:
             hj = cs[j] - y * carry if j < top else cs[j]
             h[j - 1] = hj
             carry = hj
-        remainder = cs[0] - y * carry if top >= 1 else cs[0]
-        if remainder:
-            return None
         out = Poly(self.d)
         for j, hj in enumerate(h):
             for exps, c in hj.terms.items():
@@ -266,6 +267,13 @@ class LcRational:
         self.gamma = gamma
 
     @classmethod
+    def _reduced(cls, num: Poly, gamma: int) -> "LcRational":
+        """num / w^gamma, already in lowest terms: no reduction is tried."""
+        out = cls.__new__(cls)
+        out.num, out.gamma = num, gamma
+        return out
+
+    @classmethod
     def from_scalar(cls, d: int, c) -> "LcRational":
         return cls(Poly.const(d, c))
 
@@ -301,11 +309,13 @@ class LcRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        g = max(self.gamma, o.gamma)
-        w = Poly.lightcone(self.d)
-        a = self.num * w ** (g - self.gamma)
-        b = o.num * w ** (g - o.gamma)
-        return LcRational(a + b, g)
+        if self.gamma == o.gamma:
+            return LcRational(self.num + o.num, self.gamma)
+        # the numerator with the larger gamma is reduced and the other
+        # carries a factor w, so the sum is not divisible by w
+        hi, lo = (self, o) if self.gamma > o.gamma else (o, self)
+        w = _lightcone_power(self.d, hi.gamma - lo.gamma)
+        return LcRational._reduced(hi.num + lo.num * w, hi.gamma)
 
     __radd__ = __add__
 
@@ -319,9 +329,16 @@ class LcRational:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational factor cannot make a reduced numerator divisible by w
+            return LcRational._reduced(self.num * other,
+                                       self.gamma if other else 0)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.gamma and o.gamma:
+            # both numerators are reduced and w is prime: so is the product
+            return LcRational._reduced(self.num * o.num, self.gamma + o.gamma)
         return LcRational(self.num * o.num, self.gamma + o.gamma)
 
     __rmul__ = __mul__
@@ -346,7 +363,7 @@ class LcRational:
         c = _as_fraction(other) / const
         e = self.gamma - drop
         if e >= 0:
-            return LcRational(Poly.const(self.d, c) * Poly.lightcone(self.d) ** e)
+            return LcRational(Poly.const(self.d, c) * _lightcone_power(self.d, e))
         return LcRational(Poly.const(self.d, c), -e)
 
     def evaluate(self, point):
@@ -365,12 +382,18 @@ class LcRational:
             raise ValueError(
                 f"prefactor power {gamma} below denominator power {self.gamma}"
             )
-        return self.num * Poly.lightcone(self.d) ** (gamma - self.gamma)
+        return self.num * _lightcone_power(self.d, gamma - self.gamma)
 
     def __repr__(self):
         if self.gamma:
             return f"LcRational({self.num!r}, w^-{self.gamma})"
         return f"LcRational({self.num!r})"
+
+
+@lru_cache(maxsize=128)
+def _lightcone_power(d: int, e: int) -> Poly:
+    """w^e for w = p^0 + p^{d-1} (Poly is immutable, so powers are shared)."""
+    return Poly.lightcone(d) ** e
 
 
 def sym_momentum(d: int):

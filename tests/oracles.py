@@ -6,11 +6,13 @@ inner products by recursively migrating annihilators with the bare
 commutation relation, level dimensions by explicit series multiplication,
 radial transforms by a shell-and-angle double quadrature, the spurious
 radical and the physical signature through the Gram of a physical basis,
-and L_m by composing single oscillators on whole vectors.
+L_m by composing single oscillators on whole vectors, U_n by enumerating
+compositions and partitions, and V_t by running U_n over the whole vector.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gamma, pi
 
 import numpy as np
@@ -125,6 +127,34 @@ def random_vector(rng, params, max_level, *, terms=4, span=None):
     return out
 
 
+@lru_cache(maxsize=None)
+def compositions(n):
+    """Ordered tuples of positive integers summing to n."""
+    if n == 0:
+        return ((),)
+    out = []
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def u_composition_apply(n, k, v, params, sign=1, dagger=False):
+    """Composition-form oracle for the exponential modes: one chain of
+    contractions per ordered composition of n, weighted 1/(q! n_1..n_q)."""
+    from openstring.ddf import _contract_apply
+
+    out = FockVector()
+    for comp in compositions(n):
+        denom = factorial(len(comp))
+        w = v
+        for nj in comp:
+            denom *= nj
+            w = _contract_apply(k, -nj if dagger else nj, w, sign, params)
+        out += w.scaled(Fraction(1, denom))
+    return out
+
+
 def u_exponential_partition_apply(n, k, v, params, sign=1, dagger=False):
     """Partition-form oracle for the exponential modes.
 
@@ -151,6 +181,22 @@ def u_exponential_partition_apply(n, k, v, params, sign=1, dagger=False):
                 break
         if w:
             out += w
+    return out
+
+
+def v_scalar_apply_reference(t, k, v, params):
+    """V_t(k) = sum_p U_{p-t}(-k)^dagger U_p(k) run on the whole vector.
+
+    No lightcone split and no cache: each p-term of the sum goes through
+    ``u_op_apply`` on all of ``v``.  Every omitted p annihilates v.
+    """
+    from openstring.ddf import u_op_apply
+
+    out = FockVector()
+    for idx in range(max(0, t), v.level() + 1):
+        w = u_op_apply(idx, k, v, params, sign=1)
+        if w:
+            out += u_op_apply(idx - t, k, w, params, sign=-1, dagger=True)
     return out
 
 

@@ -20,7 +20,6 @@ from openstring.ddf import (
     DdfContext,
     NullVector,
     calibrate_normalization,
-    compositions,
     constraint_report,
     ddf_apply,
     ddf_commutator_defect,
@@ -31,6 +30,9 @@ from openstring.ddf import (
     u_op_apply,
     v_scalar_apply,
 )
+import openstring.ddf as ddf_module
+from openstring.cli import _probe_momenta
+from openstring.exactnum import ExactNum
 from openstring.fiber import Momentum, mass_square_apply, virasoro_apply
 from openstring.fock import (
     FockVector,
@@ -39,9 +41,17 @@ from openstring.fock import (
     apply_oscillator,
     inner_indefinite,
     iter_level_basis,
+    level_of,
 )
+from openstring.poly import sym_momentum
 
-from .oracles import random_vector, u_exponential_partition_apply
+from .oracles import (
+    compositions,
+    random_vector,
+    u_composition_apply,
+    u_exponential_partition_apply,
+    v_scalar_apply_reference,
+)
 
 P4 = ModelParams(d=4)
 P4B0 = ModelParams(d=4, b=0)
@@ -113,7 +123,7 @@ class TestNullVector:
 
 
 class TestExponentialModes:
-    """The U_n building blocks: composition expansion, truncation, dagger."""
+    """The U_n building blocks: mode recurrence, truncation, dagger."""
 
     def test_u0_is_identity(self):
         v = FockVector.basis_state(((1, 1), (2, 0)))
@@ -172,6 +182,19 @@ class TestExponentialModes:
             )
             assert vec_eq(fast_d, slow_d)
 
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_matches_composition_oracle(self, n):
+        rng = random.Random(40 + n)
+        k = NullVector(MOME4[0], Fraction(2))
+        for _ in range(3):
+            v = random_vector(rng, P4, max_level=3)
+            for sign in (1, -1):
+                for dagger in (False, True):
+                    assert vec_eq(
+                        u_op_apply(n, k, v, P4, sign=sign, dagger=dagger),
+                        u_composition_apply(n, k, v, P4, sign=sign,
+                                            dagger=dagger))
+
 
 class TestScalarVertexModes:
     def test_v0_on_vacuum(self):
@@ -212,6 +235,90 @@ class TestScalarVertexModes:
                         continue
                     wide += u_op_apply(idx - t, k, w, P4, sign=-1, dagger=True)
                 assert vec_eq(out, wide)
+
+
+# one momentum per coefficient ring, all with p^0 + p^{d-1} != 0
+RING_MOMENTA = {
+    "fraction": Momentum((Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 2))),
+    "surd": Momentum((ExactNum(0, 0, 1, 0, 2), Fraction(1), 0,
+                      ExactNum(Fraction(1, 2), 0, 3, 0, 2))),
+    "symbolic": sym_momentum(4),
+}
+
+
+def mixed_vectors(seed, count):
+    """Random vectors of level <= 3, each with a monomial that carries
+    both lightcone and transverse factors."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        v = random_vector(rng, P4, max_level=3, terms=5)
+        if any({mu in (0, 3) for _, mu in mono} == {True, False}
+               for mono, _ in v.items()):
+            out.append(v)
+    return out
+
+
+def ddf_apply_reference(i, n, v, p, nk):
+    """A^i_n = sum_s alpha^i_s V_{n-s}(n k) with alpha^i_0 = p^i, every
+    V_t run on the whole vector; s reaches one step past either bound."""
+    level = v.level()
+    out = FockVector.zero()
+    for s in range(n - level - 1, level + 2):
+        w = v_scalar_apply_reference(n - s, nk, v, P4)
+        if s == 0:
+            out += w.scaled(p[i])
+        elif w:
+            out += apply_oscillator((s, i), w, P4)
+    return out
+
+
+class TestLightconeImages:
+    """V_t from cached lightcone images against V_t run on whole vectors."""
+
+    @pytest.mark.parametrize("ring", sorted(RING_MOMENTA))
+    def test_v_scalar_matches_reference(self, ring):
+        ctx = DdfContext(P4, RING_MOMENTA[ring])
+        vectors = mixed_vectors(61, 3)
+        for n in (1, -1, 2, -2):
+            k = ctx.null_at(n)
+            for v in vectors:
+                for t in range(-3, 4):
+                    assert v_scalar_apply(t, k, v, P4) == \
+                        v_scalar_apply_reference(t, k, v, P4), (n, t)
+
+    @pytest.mark.parametrize("ring", sorted(RING_MOMENTA))
+    def test_ddf_apply_matches_reference(self, ring):
+        p = RING_MOMENTA[ring]
+        ctx = DdfContext(P4, p)
+        for n, i in ((1, 1), (-1, 2), (2, 2), (-2, 1)):
+            nk = NullVector(p, Fraction(n))
+            for v in mixed_vectors(62, 2):
+                assert ddf_apply(i, n, v, ctx) == \
+                    ddf_apply_reference(i, n, v, p, nk), (n, i)
+
+    def test_interleaved_contexts_keep_their_own_images(self):
+        a, b = DdfContext(P4, MOME4[0]), DdfContext(P4, MOME4[1])
+        assert a.null_at(1) is a.null_at(1)
+        assert a.null_at(1) is not b.null_at(1)
+        for v in mixed_vectors(63, 3):
+            for n in (1, -1, 2, -2):
+                for ctx in (a, b, a):
+                    want = ddf_apply_reference(
+                        1, n, v, ctx.p, NullVector(ctx.p, Fraction(n)))
+                    assert ddf_apply(1, n, v, ctx) == want, (ctx, n)
+
+    def test_degenerate_fiber_gives_zero(self):
+        ctx = DdfContext(P4, mom(1, 0, 0, -1))
+        assert ctx.degenerate
+        for v in mixed_vectors(64, 2):
+            for n in (1, -1, 2, -2):
+                assert not ddf_apply(1, n, v, ctx)
+                # V_t at the zero null vector is the identity at t = 0
+                k = ctx.null_at(n)
+                for t in range(-3, 4):
+                    assert v_scalar_apply(t, k, v, P4) == \
+                        (v if t == 0 else FockVector.zero())
 
 
 class TestVertexNormalForm:
@@ -438,6 +545,24 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_normalization(P4, [])
 
+    def test_witnesses_frozen_on_cli_momenta(self):
+        # the CLI's seed-0 momenta: the fixed (2, 1, 0, .., 0, 1) and a
+        # seeded one; both candidates fail first on [L_1, A^1_{-2}] vac
+        fixed, seeded = _probe_momenta(26, 0)
+        fixed_repr = ("(Fraction(2, 1), Fraction(1, 1), "
+                      + "Fraction(0, 1), " * 23 + "Fraction(1, 1))")
+        assert repr(fixed.components) == fixed_repr
+        witness = {"i": 1, "n": -2, "m": 1, "residual_terms": 3}
+        for momenta, where in (([fixed, seeded], fixed_repr),
+                               ([seeded], repr(seeded.components))):
+            with pytest.raises(CalibrationError) as exc:
+                calibrate_normalization(
+                    P26, momenta, candidates=(Fraction(1, 2), Fraction(2)))
+            assert exc.value.residuals == {
+                "1/2": {"momentum": where, **witness},
+                "2": {"momentum": where, **witness},
+            }
+
     def test_plane_momenta_still_discriminate(self):
         # even without transverse momentum components the zero-mode pairing
         # k.alpha_0 = k.p = -kappa exposes a wrong candidate:
@@ -587,3 +712,25 @@ class TestTwentySixDimensions:
         assert calibrate_normalization(
             P26, [self.P], directions=(1, 2), level_cap=1
         ) == 1
+
+    def test_calibration_builds_each_image_once(self, monkeypatch):
+        """U_n runs only on cache misses: at most 2(L + 1) calls for each
+        distinct (n k, t, lightcone part of level L) that V_t is asked for."""
+        calls = 0
+        keys = set()
+        real_u, real_v = ddf_module.u_op_apply, ddf_module.v_scalar_apply
+
+        def counting_u(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_u(*args, **kwargs)
+
+        def recording_v(t, k, v, params):
+            for mono, _ in v.items():
+                keys.add((k.kappa, t, tuple(f for f in mono if f[1] in (0, 25))))
+            return real_v(t, k, v, params)
+
+        monkeypatch.setattr(ddf_module, "u_op_apply", counting_u)
+        monkeypatch.setattr(ddf_module, "v_scalar_apply", recording_v)
+        assert calibrate_normalization(P26, [self.P]) == 1
+        assert 0 < calls <= sum(2 * (level_of(lc) + 1) for _, _, lc in keys)

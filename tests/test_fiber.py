@@ -231,7 +231,8 @@ class TestScanEngines:
         assert _integer_scan_applicable(whole, P4)
         assert not _integer_scan_applicable(half, P4)
         assert not _integer_scan_applicable(whole, ModelParams(d=4, b=Fraction(1, 2)))
-        # the non-integer fiber still scans fine through the generic path
+        # the half-integral fiber runs on the integer scanner too, with its
+        # denominators cleared
         out = virasoro_bracket_scan(1, -1, 1, half, P4)
         assert all(not res for _, res in out)
 
