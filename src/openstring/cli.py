@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -141,6 +142,21 @@ def _max_level(args, default: int) -> int:
     return level
 
 
+def _grid(args, default: int) -> int:
+    grid = args.grid if args.grid is not None else default
+    if grid <= 0:
+        raise ConfigError(f"--grid must be positive, got {grid}")
+    return grid
+
+
+def _tol(args, default: float) -> float:
+    tol = args.tol if args.tol is not None else default
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(
+            f"--tol must be a finite positive number, got {tol}")
+    return tol
+
+
 def _probe_momenta(d: int, seed: int) -> list:
     """Two rational fibers: a fixed transversal one and a seeded one.
 
@@ -236,8 +252,7 @@ def cmd_noghost(args) -> int:
     d_list = [int(x) for x in str(args.d_list or "10,26").split(",")]
     params_b = _parse_fraction(args.b if args.b is not None else "1")
     max_level = _max_level(args, 2)
-    reports = noghost_scan(d_list, b=params_b, max_level=max_level,
-                           timings=bool(args.timings))
+    reports = noghost_scan(d_list, b=params_b, max_level=max_level)
     fmt = args.format or "csv"
     if fmt == "csv":
         _emit(noghost_csv(reports, timings=bool(args.timings)), args.out)
@@ -323,11 +338,11 @@ def _onshell_samples(tf, count=3):
 
 def cmd_testfn(args) -> int:
     params = _model(args)
+    grid = _grid(args, 1024)
+    tol = _tol(args, 1e-3)
     tf = _build_real_testfunction(args, params)
     samples = _onshell_samples(tf)
     constraints = verify_constraints_pointwise(tf, samples)
-    grid = args.grid if args.grid is not None else 1024
-    tol = args.tol if args.tol is not None else 1e-3
     axes = tuple(range(min(params.d, 4)))
     support = verify_support(tf, grid=grid, tol=tol, axes=axes)
     payload = {
@@ -384,10 +399,10 @@ def _quadrature(args, tf) -> QuadratureSpec:
 
 def cmd_locality(args) -> int:
     params = _model(args)
+    tol = _tol(args, 1e-6)
     tf = _build_real_testfunction(args, params)
     radius = tf.profile.R
     spec = _quadrature(args, tf)
-    tol = args.tol if args.tol is not None else 1e-6
     if args.sweep:
         seps = [_parse_vector(s) for s in str(args.sweep).split(";")]
         _emit(locality_sweep(tf, tf, seps, spec, tol=tol), args.out)
@@ -405,12 +420,12 @@ def cmd_observable(args) -> int:
     samples, numeric support certification, then the smeared-commutator
     locality check against a translated copy with its timelike control."""
     params = _model(args)
+    tol = _tol(args, 1e-6)
     tf = _build_real_testfunction(args, params)
     radius = tf.profile.R
     spec = _quadrature(args, tf)
     constraints = verify_constraints_pointwise(tf, _onshell_samples(tf))
     support = verify_support(tf, grid=1024, axes=tuple(range(min(params.d, 4))))
-    tol = args.tol if args.tol is not None else 1e-6
     sep = (radius / 2, 4 * radius) + (Fraction(0),) * (spec.d_q - 1)
     loc = locality_check(tf, tf, sep, spec, tol=tol)
     payload = {

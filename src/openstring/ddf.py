@@ -402,26 +402,21 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
     nk = ctx.null_at(n)
     level = v.level()
     out = FockVector.zero()
-    for s in range(m + n - level, level + 1):
-        t = m + n - s
-        if t > level:
-            continue
+    # one pass over (t, s) with a = m+n-t-s covers both sums; t <= level
+    # and a <= level bound the index set, and each V_t v is built once
+    for t in range(m + n - 2 * level, level + 1):
         w = v_scalar_apply(t, nk, v, params)
         if not w:
             continue
-        w = _alpha_apply(i, s, p, w, params)
-        out += w.scaled(m + n - s)
-    for s in range(m + n - 2 * level, level + 1):
-        for a in range(m + n - s - level, level + 1):
-            if a == 0 or m + n - a - s > level:
+        for s in range(m + n - t - level, level + 1):
+            x = _alpha_apply(i, s, p, w, params)
+            if not x:
                 continue
-            w = v_scalar_apply(m + n - a - s, nk, v, params)
-            if not w:
-                continue
-            w = _alpha_apply(i, s, p, w, params)
-            if not w:
-                continue
-            out += _contract_apply(k, a, w, 1, params).scaled(-n)
+            a = m + n - t - s
+            if a == 0:
+                out += x.scaled(t)
+            else:
+                out += _contract_apply(k, a, x, 1, params).scaled(-n)
     w = ddf_apply(i, n, v, ctx)
     if w:
         out += _contract_apply(k, m, w, 1, params).scaled(n)

@@ -33,7 +33,6 @@ from .fock import FockVector, ModelParams, apply_oscillator, \
 
 __all__ = [
     "DEFAULT_MODE_CAP",
-    "FiberVector",
     "IntegerBracketScanner",
     "LorentzMatrix",
     "Momentum",
@@ -97,33 +96,6 @@ class Momentum:
 
     def __repr__(self):
         return f"Momentum{self.components!r}"
-
-
-class FiberVector:
-    """A state ``vec`` living in the Fock fiber over momentum ``p``."""
-
-    __slots__ = ("p", "vec")
-
-    def __init__(self, p: Momentum, vec: FockVector):
-        self.p = p
-        self.vec = vec
-
-    def virasoro(self, m: int, params: ModelParams) -> "FiberVector":
-        return FiberVector(self.p, virasoro_apply(m, self.p, self.vec, params))
-
-    def mass_square(self, params: ModelParams) -> "FiberVector":
-        return FiberVector(self.p, mass_square_apply(self.vec, params))
-
-    def number(self, params: ModelParams) -> "FiberVector":
-        return FiberVector(self.p, number_apply(self.vec, params))
-
-    def __eq__(self, other):
-        if isinstance(other, FiberVector):
-            return self.p == other.p and self.vec == other.vec
-        return NotImplemented
-
-    def __repr__(self):
-        return f"FiberVector(p={self.p!r}, vec={self.vec!r})"
 
 
 def _osc(mode: int, mu: int, mono):

@@ -106,9 +106,6 @@ class QuadratureSpec:
         ax = self.axes()
         return np.meshgrid(*([ax] * self.d_q), indexing="ij")
 
-    def compatible(self, other: "QuadratureSpec") -> bool:
-        return self == other
-
 
 def _poly_on_grid(q: Poly, comps):
     """Evaluate a momentum polynomial on broadcast grid components."""
@@ -171,7 +168,7 @@ class SmearedState:
         })
 
     def __add__(self, other: "SmearedState") -> "SmearedState":
-        if not self.spec.compatible(other.spec):
+        if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         out = dict(self.levels)
         for r, (monos, vals, gram) in other.levels.items():
@@ -192,7 +189,7 @@ class SmearedState:
 
     def inner(self, other: "SmearedState") -> complex:
         """<self, other> = sum_r integral conj(f) . Gram . g / (2 omega)."""
-        if not self.spec.compatible(other.spec):
+        if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         total = 0.0 + 0.0j
         grids = self.spec.grids()
@@ -297,7 +294,7 @@ class MultiParticleVector:
         )
 
     def __add__(self, other: "MultiParticleVector") -> "MultiParticleVector":
-        if not self.spec.compatible(other.spec):
+        if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         return MultiParticleVector(self.spec, self.terms + other.terms)
 
@@ -322,7 +319,7 @@ class MultiParticleVector:
         return (created + killed).scaled(1.0 / sqrt(2.0))
 
     def inner(self, other: "MultiParticleVector") -> complex:
-        if not self.spec.compatible(other.spec):
+        if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         total = 0.0 + 0.0j
         for c1, s1 in self.terms:

@@ -22,8 +22,10 @@ inertia on ker R is (n_plus(D) + n_minus(S) - r, n_minus(D) + n_plus(S) - r,
 n_null(S)).  At d = 26, level 2, S is 27 x 27 where the physical Gram is
 350 x 350.  The results carry cheap certificates instead of second
 eliminations: the constraint rank is audited by the fraction-free route,
-A annihilates both bases, the physical basis is the identity on the free
-columns, and the spurious basis has Gram signature (0, 0, k).
+A annihilates both bases, and the spurious basis has Gram signature
+(0, 0, k).  The physical basis is read straight off R, one vector
+e_f - sum_i R[i][f] e_pivot(i) per free column f, so it is the identity on
+the free columns by construction.
 
 The no-ghost scan drives this pipeline over a (d, level) grid and reports
 one row per point; the headline structure is n_minus = 0 with the null
@@ -169,12 +171,7 @@ class LevelSpace:
         The row echelon rank is audited by the fraction-free route.  L_m
         with m >= 1 does not involve the intercept, so neither does this.
         """
-        matrix = _stacked_constraint_matrix(self, self.params)
-        columns = [[] for _ in range(self.dim)]
-        for i, row in enumerate(matrix):
-            for j, a in enumerate(row):
-                if a:
-                    columns[j].append((i, a))
+        matrix, columns = _stacked_constraint_matrix(self)
         if not matrix:
             return Constraints(columns, [], [])
         rows, pivots = rref(matrix)
@@ -187,18 +184,22 @@ class LevelSpace:
         return Constraints(columns, rows[:len(pivots)], pivots)
 
     @cached_property
+    def reduced_columns(self) -> list:
+        """R's nonzeros by column, [(row, entry), ...] per basis index."""
+        out = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.constraints.rows):
+            for k, a in enumerate(row):
+                if a:
+                    out[k].append((i, a))
+        return out
+
+    @cached_property
     def schur(self) -> list:
         """S = R D^-1 R^dagger, r x r; -S is the Schur complement of D in
         the bordered matrix [[D, R^dagger], [R, 0]]."""
-        rows = self.constraints.rows
-        by_column = {}
-        for i, row in enumerate(rows):
-            for k, a in enumerate(row):
-                if a:
-                    by_column.setdefault(k, []).append((i, a))
-        out = [[Fraction(0)] * len(rows) for _ in rows]
-        for k, entries in by_column.items():
-            norm = self.norms[k]
+        r = len(self.constraints.rows)
+        out = [[Fraction(0)] * r for _ in range(r)]
+        for entries, norm in zip(self.reduced_columns, self.norms):
             for i, a in entries:
                 scaled = a / norm
                 for j, b in entries:
@@ -219,7 +220,7 @@ class PhysicalReport:
     signature: tuple
     physical: list = field(repr=False)
     spurious: list = field(repr=False)
-    elapsed_ms: float | None = None
+    elapsed_ms: float
 
     def invariant_violations(self):
         """Audit the report against itself: the signature must sum to the
@@ -337,31 +338,25 @@ def find_onshell_momentum(r, d: int, search_bound: int = 6) -> OnShellMomentum:
 # -- constraint kernels and Gram structure -----------------------------------
 
 
-def _stacked_constraint_matrix(space: LevelSpace, params: ModelParams):
+def _stacked_constraint_matrix(space: LevelSpace):
     """Rows of the stacked maps L_1..L_N in the fixed bases, column per
-    level-N basis monomial."""
-    n = space.level
-    lower = {m: list(iter_level_basis(params, n - m)) for m in range(1, n + 1)}
-    lower_index = {
-        m: {mono: i for i, mono in enumerate(monos)} for m, monos in lower.items()
-    }
-    rows = [
-        [Fraction(0)] * space.dim
-        for m in range(1, n + 1)
-        for _ in lower[m]
-    ]
-    offsets = {}
-    acc = 0
-    for m in range(1, n + 1):
-        offsets[m] = acc
-        acc += len(lower[m])
+    level-N basis monomial, and the same entries as sparse columns
+    [(row, entry), ...], filled in one pass.  L_m lands on level N - m, so
+    a target monomial alone fixes its row."""
+    row_of = {}
+    for m in range(1, space.level + 1):
+        for mono in iter_level_basis(space.params, space.level - m):
+            row_of[mono] = len(row_of)
+    rows = [[Fraction(0)] * space.dim for _ in row_of]
+    columns = [[] for _ in space.basis]
     for j, mono in enumerate(space.basis):
         state = FockVector.basis_state(mono)
-        for m in range(1, n + 1):
-            image = virasoro_apply(m, space.p, state, params)
-            for target, c in image.items():
-                rows[offsets[m] + lower_index[m][target]][j] = c
-    return rows
+        for m in range(1, space.level + 1):
+            for target, c in virasoro_apply(m, space.p, state,
+                                            space.params).items():
+                rows[row_of[target]][j] = c
+                columns[j].append((row_of[target], c))
+    return rows, columns
 
 
 def _certify_annihilated(space: LevelSpace, vectors, what: str) -> None:
@@ -379,7 +374,7 @@ def _certify_annihilated(space: LevelSpace, vectors, what: str) -> None:
             )
 
 
-def physical_subspace(space: LevelSpace, b=None):
+def physical_subspace(space: LevelSpace):
     """Exact basis of the constraint kernel at the space's level.
 
     The mass-shell part of the physical-state condition holds identically
@@ -387,15 +382,13 @@ def physical_subspace(space: LevelSpace, b=None):
     empty, which is reported through :class:`OffShellWarning` together with
     an empty basis.
 
-    The basis is read off the space's one elimination and certified: every
-    vector is annihilated by the stacked constraints (A K = 0), and on the
-    free columns the vectors form the identity, so they are independent;
-    with the rank audited by two routes, they span the kernel.
+    The basis is read off the space's one elimination: for each free
+    column f of R, the vector e_f - sum_i R[i][f] e_pivot(i).  These are
+    the identity on the free columns, so they are independent, and with
+    the rank audited by two routes they span the kernel once the stacked
+    constraints are certified to annihilate them (A K = 0).
     """
-    params = space.params
-    if b is not None and b != params.b:
-        params = ModelParams(d=params.d, b=b)
-    shell = space.p.minkowski_sq() + 2 * (space.level - params.b)
+    shell = space.p.minkowski_sq() + 2 * (space.level - space.params.b)
     if shell != 0:
         warnings.warn(
             f"momentum {space.p!r} is off the r=2(N-b) shell at level "
@@ -405,19 +398,12 @@ def physical_subspace(space: LevelSpace, b=None):
         )
         return []
     pivots = space.constraints.pivots
-    coords = kernel_basis(space.constraints.rows, ncols=space.dim)
     pivot_set = set(pivots)
-    free = [c for c in range(space.dim) if c not in pivot_set]
-    if len(coords) != len(free):
-        raise InvariantError(
-            f"kernel has {len(coords)} vectors, expected {len(free)}"
-        )
-    vectors = [[(j, c) for j, c in enumerate(vec) if c] for vec in coords]
-    for t, (fc, entries) in enumerate(zip(free, vectors)):
-        if [(j, c) for j, c in entries if j not in pivot_set] != [(fc, 1)]:
-            raise InvariantError(
-                f"physical vector {t} is not the identity on the free columns"
-            )
+    vectors = [
+        sorted([(fc, Fraction(1))]
+               + [(pivots[i], -a) for i, a in space.reduced_columns[fc]])
+        for fc in range(space.dim) if fc not in pivot_set
+    ]
     _certify_annihilated(space, vectors, "physical")
     return [space.vector(entries) for entries in vectors]
 
@@ -443,17 +429,19 @@ def spurious_subspace(physical, space: LevelSpace):
     """
     if not physical:
         return []
-    rows = space.constraints.rows
-    vectors = []
-    for y in kernel_basis(space.schur, ncols=len(rows)):
-        x = {}
-        for yi, row in zip(y, rows):
+    ys = kernel_basis(space.schur, ncols=len(space.constraints.rows))
+    by_row = {}
+    for t, y in enumerate(ys):
+        for i, yi in enumerate(y):
             if yi:
-                for k, a in enumerate(row):
-                    if a:
-                        x[k] = x.get(k, 0) + conjugate(a) * yi
-        vectors.append([(k, c / space.norms[k])
-                        for k, c in sorted(x.items()) if c])
+                by_row.setdefault(i, []).append((t, yi))
+    images = [{} for _ in ys]
+    for k, entries in enumerate(space.reduced_columns):
+        for i, a in entries:
+            for t, yi in by_row.get(i, ()):
+                images[t][k] = images[t].get(k, 0) + conjugate(a) * yi
+    vectors = [[(k, c / space.norms[k]) for k, c in x.items() if c]
+               for x in images]
     _certify_annihilated(space, vectors, "spurious")
     out = [space.vector(entries) for entries in vectors]
     try:
@@ -493,30 +481,25 @@ def gram_signature(vectors):
     """
     if not vectors:
         return (0, 0, 0)
-    monos = sorted({mono for v in vectors for mono in dict(v.items())})
-    index = {mono: j for j, mono in enumerate(monos)}
-    coord_rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(monos)
-        for mono, c in v.items():
-            row[index[mono]] = c
-        coord_rows.append(row)
-    independence_check(coord_rows)
+    monos = sorted({mono for v in vectors for mono in v.terms})
+    zero = Fraction(0)
+    independence_check([[v.terms.get(mono, zero) for mono in monos]
+                        for v in vectors])
     return hermitian_signature(_gram(vectors))
 
 
 # -- the scan -----------------------------------------------------------------
 
 
-def noghost_scan(d_list, b=Fraction(1), max_level: int = 2, *,
-                 timings: bool = False, search_bound: int = 6):
+def noghost_scan(d_list, b=Fraction(1), max_level: int = 2):
     """One :class:`PhysicalReport` per (d, level) grid point.
 
     Produces, for each dimension and truncation level, the exact dimensions
     and the exact inertia of the form on the physical subspace, read off
     the bordered constraint matrix (see the module docstring); the Gram of
-    the physical basis is never built.  Level 3 at d = 26 is a 377 -> 3978
-    jump in dimension, with 404 constraint rows; that row took about 8 s
+    the physical basis is never built.  Each report records its wall time
+    in ``elapsed_ms``.  Level 3 at d = 26 is a 377 -> 3978 jump in
+    dimension, with 404 constraint rows; that row takes about 5 s
     (against 0.06 s for level 2) on a shared 2-core machine.
     """
     b = Fraction(b)
@@ -524,21 +507,19 @@ def noghost_scan(d_list, b=Fraction(1), max_level: int = 2, *,
     for d in d_list:
         params = ModelParams(d=d, b=b)
         for level in range(max_level + 1):
-            start = time.perf_counter() if timings else None
+            start = time.perf_counter()
             r = 2 * (level - b)
-            shell = find_onshell_momentum(r, d, search_bound)
+            shell = find_onshell_momentum(r, d)
             space = LevelSpace(params, shell.p, level)
             physical = physical_subspace(space)
             spurious = spurious_subspace(physical, space)
             sig = physical_signature(space)
-            elapsed = (
-                (time.perf_counter() - start) * 1000.0 if timings else None
-            )
             reports.append(PhysicalReport(
                 d=d, b=b, level=level, r=r, momentum=shell.p,
                 dim_total=space.dim, dim_physical=len(physical),
                 dim_spurious=len(spurious), signature=sig,
-                physical=physical, spurious=spurious, elapsed_ms=elapsed,
+                physical=physical, spurious=spurious,
+                elapsed_ms=(time.perf_counter() - start) * 1000.0,
             ))
     return reports
 
@@ -550,9 +531,7 @@ def noghost_csv(reports, *, timings: bool = False) -> str:
     writer.writerow(CSV_FIELDS)
     for rep in reports:
         n_plus, n_minus, n_zero = rep.signature
-        elapsed = ""
-        if timings and rep.elapsed_ms is not None:
-            elapsed = f"{rep.elapsed_ms:.1f}"
+        elapsed = f"{rep.elapsed_ms:.1f}" if timings else ""
         writer.writerow([
             rep.d, rep.b, rep.level, rep.r, rep.dim_total,
             rep.dim_physical, rep.dim_spurious,

@@ -104,6 +104,19 @@ def test_negative_level_is_a_config_error(capsys, argv):
     assert "--max-level" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["testfn", "--grid", "0"], "--grid"),
+    (["testfn", "--tol", "-1"], "--tol"),
+    (["locality", "--tol", "0"], "--tol"),
+    (["observable", "--tol", "inf"], "--tol"),
+], ids=["testfn-grid", "testfn-tol", "locality-tol", "observable-tol"])
+def test_unusable_grid_or_tol_is_a_config_error(capsys, argv, flag):
+    code, out, err = run(capsys, argv + ["--d", "4"])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 class TestBasis:
     # dimensions of prod_n (1 - q^n)^(-d), cross-computed by explicit
     # polynomial multiplication of the truncated Euler factors and, for

@@ -517,6 +517,27 @@ class TestVirasoroCommutators:
         with pytest.raises(ValueError):
             ddf_commutator_defect(1, 1, 1, FockVector.vacuum(), ctx_half)
 
+    def test_defect_builds_each_vertex_image_once(self, monkeypatch):
+        # both closed-form sums read V_t(n k) v; each t is built once per
+        # call.  The third term, A^i_n v, is stubbed out so that only the
+        # defect's own calls are counted.
+        calls = []
+        original = ddf_module.v_scalar_apply
+
+        def counting(t, k, v, params):
+            calls.append(t)
+            return original(t, k, v, params)
+
+        monkeypatch.setattr(ddf_module, "v_scalar_apply", counting)
+        monkeypatch.setattr(ddf_module, "ddf_apply",
+                            lambda i, n, v, ctx: FockVector.zero())
+        ctx = DdfContext(P4, MOME4[0])
+        for m, n in [(-2, -2), (2, 2), (1, -1)]:
+            for v in basis_upto(P4, 2):
+                calls.clear()
+                ddf_commutator_defect(m, 1, n, v, ctx)
+                assert len(calls) == len(set(calls)), (m, n, v)
+
 
 class TestCalibration:
     def test_selects_unit_normalization(self):

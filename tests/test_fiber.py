@@ -11,7 +11,6 @@ import pytest
 
 from openstring.exactnum import ExactNum
 from openstring.fiber import (
-    FiberVector,
     IntegerBracketScanner,
     LorentzMatrix,
     Momentum,
@@ -323,17 +322,6 @@ class TestMassSquare:
         assert not mass_square_apply(one, P4)
         three = FockVector.basis_state(((1, 2), (2, 1)))
         assert mass_square_apply(three, P4) == three.scaled(4)
-
-
-class TestFiberVector:
-    def test_carrier_roundtrip(self):
-        p = Momentum((Fraction(1), 0, 0, 0))
-        fv = FiberVector(p, FockVector.vacuum())
-        out = fv.virasoro(0, P4)
-        assert out.p == p
-        assert out.vec == FockVector.vacuum().scaled(Fraction(-3, 2))
-        assert fv.mass_square(P4).vec == FockVector.vacuum().scaled(-2)
-        assert not fv.number(P4).vec
 
 
 class TestOperatorIdentities:

@@ -94,12 +94,6 @@ class TestQuadratureSpec:
         assert spec.step == 0.5
         assert spec.weight == 0.5
 
-    def test_compatibility_is_equality(self):
-        assert SPEC.compatible(QuadratureSpec(d_q=2, extent=24.0, n=128,
-                                              levels=(0, 2)))
-        assert not SPEC.compatible(QuadratureSpec(d_q=2, extent=24.0, n=256,
-                                                  levels=(0, 2)))
-
 
 class TestProjection:
     def test_tachyon_body_projects_to_empty(self, profile4):

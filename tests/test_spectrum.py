@@ -8,6 +8,7 @@ against the radical dimension, and n_minus = 0 against the no-ghost
 statement for every d <= 26 probed.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -158,8 +159,8 @@ class TestPhysicalSubspace:
     def test_b_override_changes_the_shell(self):
         # the same level-1 space is on-shell for b=0 at r=2
         p = find_onshell_momentum(2, 4).p
-        space = LevelSpace(P4, p, 1)
-        basis = physical_subspace(space, b=0)
+        space = LevelSpace(ModelParams(d=4, b=0), p, 1)
+        basis = physical_subspace(space)
         assert len(basis) == 3
 
 
@@ -266,6 +267,15 @@ class TestNoGhostScan:
         ]
         assert all(not r.invariant_violations() for r in reps)
 
+    def test_d26_level_three_row(self):
+        # n_plus is p_24(3), the q^3 coefficient of prod (1-q^n)^-24:
+        # 24 colors of mode 3, 24 x 24 of modes 2 + 1, C(26, 3) of 1 + 1 + 1
+        assert 24 + 24 * 24 + math.comb(26, 3) == 3200
+        rep = noghost_scan([26], max_level=3)[3]
+        assert (rep.dim_total, rep.dim_physical, rep.dim_spurious,
+                rep.signature) == (3978, 3575, 375, (3200, 0, 375))
+        assert not rep.invariant_violations()
+
     def test_no_negative_norms_below_critical_dimension(self):
         for rep in noghost_scan([4, 10], max_level=2):
             assert rep.signature[1] == 0
@@ -294,7 +304,7 @@ class TestNoGhostScan:
         )
 
     def test_csv_timings_opt_in(self):
-        reps = noghost_scan([4], max_level=0, timings=True)
+        reps = noghost_scan([4], max_level=0)
         out = noghost_csv(reps, timings=True)
         last_field = out.splitlines()[1].split(",")[-1]
         assert last_field and float(last_field) >= 0.0
