@@ -1,32 +1,32 @@
-"""Exact scalar arithmetic over Q(i, sqrt(s)).
+"""Exact real scalar arithmetic over Q(sqrt(s)).
 
 Every coefficient that enters the operator algebra is either a plain
 :class:`fractions.Fraction` (the common, fast case) or an :class:`ExactNum`,
 which represents
 
-    a + b*i + (c + d*i)*sqrt(s)
+    a + c*sqrt(s)
 
-with rational a, b, c, d and a fixed nonnegative integer radicand s.  The
+with rational a, c and a fixed nonnegative integer radicand s.  The
 radicand is squarefree after normalisation, so the representation is unique;
 s = 0 means no radical part.  Two ExactNums with different nonzero radicands
 cannot be combined -- the radicand is fixed per computation context.
 
+The field is real on purpose: the local observables are smeared with real
+test functions, and the no-ghost step needs only the inertia of a real
+symmetric form, so no exact i is ever needed.
+
 Plain Fractions interoperate transparently: Fraction + ExactNum promotes via
-the reflected dunder methods, and all helpers below (``conjugate``,
-``real_sign``, ``as_complex``...) accept either type.  No floating point
-enters any of the exact routines; ``as_complex`` is the single bridge to
-numerics.
+the reflected dunder methods, and the helpers below (``real_sign``,
+``is_rational_real``) accept either type.  No floating point enters any of
+the exact routines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 __all__ = [
     "ExactNum",
-    "as_complex",
-    "conjugate",
     "is_rational_real",
     "real_sign",
     "sqrt_fraction",
@@ -50,31 +50,29 @@ def _squarefree(n: int) -> tuple[int, int]:
 
 
 class ExactNum:
-    """Element a + b*i + (c + d*i)*sqrt(s) of Q(i, sqrt(s))."""
+    """Element a + c*sqrt(s) of Q(sqrt(s))."""
 
-    __slots__ = ("a", "b", "c", "d", "s")
+    __slots__ = ("a", "c", "s")
 
-    def __init__(self, a=0, b=0, c=0, d=0, s=0):
-        a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    def __init__(self, a=0, c=0, s=0):
+        a, c = Fraction(a), Fraction(c)
         s = int(s)
-        if c == 0 and d == 0:
+        if c == 0:
             s = 0
         elif s == 0:
-            c = d = Fraction(0)
+            c = Fraction(0)
         else:
             k, m = _squarefree(s)
             if m <= 1:
                 # sqrt(s) is the integer k (m==1) or 0; fold into the
                 # rational part.
                 a += c * k * m
-                b += d * k * m
-                c = d = Fraction(0)
+                c = Fraction(0)
                 s = 0
             else:
                 c *= k
-                d *= k
                 s = m
-        self.a, self.b, self.c, self.d, self.s = a, b, c, d, s
+        self.a, self.c, self.s = a, c, s
 
     # -- helpers ---------------------------------------------------------
 
@@ -102,12 +100,12 @@ class ExactNum:
         if o is None:
             return NotImplemented
         s = self._join(o)
-        return ExactNum(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d, s)
+        return ExactNum(self.a + o.a, self.c + o.c, s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactNum(-self.a, -self.b, -self.c, -self.d, self.s)
+        return ExactNum(-self.a, -self.c, self.s)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -126,30 +124,19 @@ class ExactNum:
         if o is None:
             return NotImplemented
         s = self._join(o)
-        # (z1 + w1*r)(z2 + w2*r) = z1*z2 + s*w1*w2 + (z1*w2 + w1*z2)*r
-        # with Gaussian parts z = (a, b), w = (c, d).
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        ra = a1 * a2 - b1 * b2 + s * (c1 * c2 - d1 * d2)
-        rb = a1 * b2 + b1 * a2 + s * (c1 * d2 + d1 * c2)
-        rc = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-        rd = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return ExactNum(ra, rb, rc, rd, s)
+        # (a1 + c1*r)(a2 + c2*r) = a1*a2 + s*c1*c2 + (a1*c2 + c1*a2)*r
+        return ExactNum(self.a * o.a + s * self.c * o.c,
+                        self.a * o.c + self.c * o.a, s)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactNum":
         if not self:
             raise ZeroDivisionError("ExactNum division by zero")
-        # x = z + w*sqrt(s); x * (z - w*sqrt(s)) = z^2 - s*w^2 (Gaussian).
-        z = ExactNum(self.a, self.b)
-        w = ExactNum(self.c, self.d)
-        u = z * z - self.s * w * w
-        # Gaussian inverse of u = ua + ub*i.
-        n = u.a * u.a + u.b * u.b
-        uinv = ExactNum(u.a / n, -u.b / n)
-        flip = ExactNum(self.a, self.b, -self.c, -self.d, self.s)
-        return flip * uinv
+        # (a + c*sqrt(s)) (a - c*sqrt(s)) = a^2 - s*c^2, a nonzero rational
+        # because sqrt(s) is irrational whenever c != 0.
+        n = self.a * self.a - self.s * self.c * self.c
+        return ExactNum(self.a / n, -self.c / n, self.s)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -165,16 +152,9 @@ class ExactNum:
 
     # -- structure -------------------------------------------------------
 
-    def conjugate(self) -> "ExactNum":
-        return ExactNum(self.a, -self.b, self.c, -self.d, self.s)
-
-    @property
-    def is_real(self) -> bool:
-        return self.b == 0 and self.d == 0
-
     @property
     def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.d == 0
+        return self.c == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
@@ -182,9 +162,7 @@ class ExactNum:
         return self.a
 
     def real_sign(self) -> int:
-        """Exact sign of a real element a + c*sqrt(s)."""
-        if not self.is_real:
-            raise ValueError(f"sign of non-real element {self!r}")
+        """Exact sign of a + c*sqrt(s)."""
         a, c, s = self.a, self.c, self.s
         if c == 0:
             return (a > 0) - (a < 0)
@@ -202,7 +180,7 @@ class ExactNum:
         return (1 if a > 0 else -1) if big_is_a else (1 if c > 0 else -1)
 
     def __bool__(self):
-        return bool(self.a or self.b or self.c or self.d)
+        return bool(self.a or self.c)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -210,27 +188,19 @@ class ExactNum:
             return NotImplemented
         if self.s and o.s and self.s != o.s:
             return False
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+        return (self.a, self.c) == (o.a, o.c)
 
     def __hash__(self):
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d, self.s))
-
-    def __complex__(self):
-        r = self.s ** 0.5
-        return complex(self.a + self.c * r, self.b + self.d * r)
+        return hash((self.a, self.c, self.s))
 
     def __repr__(self):
         parts = []
         if self.a or not self:
             parts.append(str(self.a))
-        if self.b:
-            parts.append(f"{self.b}*i")
         if self.c:
             parts.append(f"{self.c}*sqrt({self.s})")
-        if self.d:
-            parts.append(f"{self.d}*i*sqrt({self.s})")
         return " + ".join(parts)
 
 
@@ -249,18 +219,11 @@ def sqrt_fraction(q) -> Fraction | ExactNum:
     k, m = _squarefree(n)
     if m == 1:
         return Fraction(k, q.denominator)
-    return ExactNum(0, 0, Fraction(k, q.denominator), 0, m)
-
-
-def conjugate(x):
-    """Complex conjugate for Fraction | int | ExactNum."""
-    if isinstance(x, _RAT):
-        return x
-    return x.conjugate()
+    return ExactNum(0, Fraction(k, q.denominator), m)
 
 
 def real_sign(x) -> int:
-    """Exact sign of a real scalar (Fraction | int | real ExactNum)."""
+    """Exact sign of a scalar (Fraction | int | ExactNum)."""
     if isinstance(x, _RAT):
         return (x > 0) - (x < 0)
     return x.real_sign()
@@ -270,8 +233,3 @@ def is_rational_real(x) -> bool:
     if isinstance(x, _RAT):
         return True
     return x.is_rational
-
-
-def as_complex(x) -> complex:
-    """The one bridge from exact scalars to floating point."""
-    return complex(x)

@@ -1,12 +1,13 @@
 """Smeared field operators, commutator kernels, and the locality demo.
 
 The one-particle space is a tower of mass shells: level r carries fiber
-vectors over the shell omega = sqrt(|p|^2 + r), paired by the exact fiber
-Gram matrix and the measure d^dq(p) / (2 omega).  Projecting a test
-function multiplies its polynomial body by sqrt(2 pi) and the radial
-profile transform, restricted to the shell matching the body's word level
-— negative-mass-squared levels are excluded from the tower, so a
-tachyon-shell body projects to the empty state.
+vectors over the shell omega = sqrt(|p|^2 + r), paired by the fiber form
+and the measure d^dq(p) / (2 omega).  The monomial basis is orthogonal, so
+the fiber form weights each common monomial by its integer norm.
+Projecting a test function multiplies its polynomial body by sqrt(2 pi)
+and the radial profile transform, restricted to the shell matching the
+body's word level — negative-mass-squared levels are excluded from the
+tower, so a tachyon-shell body projects to the empty state.
 
 The field acts on the symmetric Fock space over that one-particle space
 as Phi(F) = (a_dag(Pi F) + a(Pi F)) / sqrt(2), so the commutator of two
@@ -34,7 +35,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class QuadratureSpec:
             raise ValueError("need at least one quadrature dimension")
         if self.n < 8 or self.n % 2:
             raise ValueError("grid size must be even and at least 8")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if not (isfinite(self.extent) and self.extent > 0):
+            raise ValueError("extent must be finite and positive")
         if any(r < 0 for r in self.levels):
             raise ValueError("tower levels are mass-squared values >= 0")
         if list(self.levels) != sorted(set(self.levels)):
@@ -105,6 +106,11 @@ class QuadratureSpec:
     def grids(self):
         ax = self.axes()
         return np.meshgrid(*([ax] * self.d_q), indexing="ij")
+
+    def shell(self, r):
+        """The momentum grids and omega = sqrt(|p|^2 + r) on them."""
+        grids = self.grids()
+        return grids, np.sqrt(sum(g * g for g in grids) + float(r))
 
 
 def _poly_on_grid(q: Poly, comps):
@@ -131,7 +137,7 @@ class SmearedState:
 
     def __init__(self, spec: QuadratureSpec, levels: dict):
         self.spec = spec
-        # r -> (monos tuple, values (n_monos, *grid) complex, gram float)
+        # r -> (sorted monos tuple, values (n_monos, *grid) complex)
         self.levels = levels
 
     @classmethod
@@ -151,59 +157,49 @@ class SmearedState:
                 "translations must lie in the reduced spacetime "
                 f"(first {1 + self.spec.d_q} components)"
             )
-        grids = self.spec.grids()
         out = {}
-        for r, (monos, vals, gram) in self.levels.items():
-            omega = np.sqrt(sum(g * g for g in grids) + float(r))
+        for r, (monos, vals) in self.levels.items():
+            grids, omega = self.spec.shell(r)
             # p.a with lowered metric: -omega a0 + p.a_spatial
             pa = -omega * a[0]
             for j, g in enumerate(grids):
                 pa = pa + g * a[1 + j]
-            out[r] = (monos, vals * np.exp(-1j * pa), gram)
+            out[r] = (monos, vals * np.exp(-1j * pa))
         return SmearedState(self.spec, out)
 
     def scaled(self, c) -> "SmearedState":
         return SmearedState(self.spec, {
-            r: (m, v * c, g) for r, (m, v, g) in self.levels.items()
+            r: (m, v * c) for r, (m, v) in self.levels.items()
         })
 
     def __add__(self, other: "SmearedState") -> "SmearedState":
         if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         out = dict(self.levels)
-        for r, (monos, vals, gram) in other.levels.items():
-            if r not in out:
-                out[r] = (monos, vals, gram)
-                continue
-            m0, v0, _ = out[r]
-            union = sorted(set(m0) | set(monos))
-            shape = (len(union),) + v0.shape[1:]
-            merged = np.zeros(shape, dtype=complex)
-            for i, m in enumerate(union):
-                if m in m0:
-                    merged[i] += v0[m0.index(m)]
-                if m in monos:
-                    merged[i] += vals[monos.index(m)]
-            out[r] = (tuple(union), merged, _fiber_gram(union))
+        for r, (monos, vals) in other.levels.items():
+            merged = dict(zip(*out[r])) if r in out else {}
+            for m, v in zip(monos, vals):
+                merged[m] = merged[m] + v if m in merged else v
+            union = tuple(sorted(merged))
+            out[r] = (union, np.stack([merged[m] for m in union]))
         return SmearedState(self.spec, out)
 
     def inner(self, other: "SmearedState") -> complex:
-        """<self, other> = sum_r integral conj(f) . Gram . g / (2 omega)."""
+        """<self, other> = sum_r integral conj(f) . D . g / (2 omega), where
+        the diagonal fiber form D weights each common monomial by its norm."""
         if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         total = 0.0 + 0.0j
-        grids = self.spec.grids()
-        p2 = sum(g * g for g in grids)
-        for r, (monos, vals, _) in self.levels.items():
+        for r, (monos, vals) in self.levels.items():
             if r not in other.levels:
                 continue
-            o_monos, o_vals, _ = other.levels[r]
-            union = sorted(set(monos) | set(o_monos))
-            gram = _fiber_gram(union)
-            omega = np.sqrt(p2 + float(r))
-            mine = _aligned(vals, monos, union)
-            theirs = _aligned(o_vals, o_monos, union)
-            dens = np.einsum("i...,ij,j...->...", np.conj(mine), gram, theirs)
+            theirs = dict(zip(*other.levels[r]))
+            common = [(m, v) for m, v in zip(monos, vals) if m in theirs]
+            if not common:
+                continue
+            dens = sum(np.conj(v) * float(monomial_norm(m)) * theirs[m]
+                       for m, v in common)
+            _, omega = self.spec.shell(r)
             total += complex(np.sum(dens / (2.0 * omega)))
         return total * self.spec.weight
 
@@ -217,33 +213,22 @@ class SmearedState:
         return self.scaled(1.0 / n)
 
 
-def _aligned(vals, monos, union):
-    shape = (len(union),) + vals.shape[1:]
-    out = np.zeros(shape, dtype=vals.dtype)
-    for i, m in enumerate(union):
-        if m in monos:
-            out[i] = vals[monos.index(m)]
-    return out
-
-
-def _fiber_gram(monos):
-    """Fiber Gram of oscillator monomials, as a float matrix; the
-    canonical basis is orthogonal, so it is diagonal."""
-    return np.diag([float(monomial_norm(m)) for m in monos])
-
-
 def project_pi(tf: TestFunction, spec: QuadratureSpec) -> SmearedState:
     """(Pi F)_r = sqrt(2 pi) P_r F_hat, sampled on the quadrature shell.
 
     A factory body is homogeneous of one word level, so it populates
     exactly one r = 2(level - b); if that value is negative (the tachyon
-    for b = 1) or outside the tower, the result is the empty state.
+    for b = 1) or outside the tower, the result is the empty state.  The
+    quadrature slice must fit in the d - 1 spatial directions.
     """
+    if spec.d_q > tf.params.d - 1:
+        raise ValueError(
+            f"quadrature dimension {spec.d_q} exceeds the "
+            f"{tf.params.d - 1} spatial directions at d = {tf.params.d}")
     r = tf.shell
     if r < 0 or r not in spec.levels:
         return SmearedState.empty(spec)
-    grids = spec.grids()
-    omega = np.sqrt(sum(g * g for g in grids) + float(r))
+    grids, omega = spec.shell(r)
     rho = np.sqrt(omega * omega + sum(g * g for g in grids))
     prof = tf.profile.radial_fourier(rho)
     comps = [omega] + list(grids) + [None] * (tf.params.d - 1 - spec.d_q)
@@ -259,7 +244,7 @@ def project_pi(tf: TestFunction, spec: QuadratureSpec) -> SmearedState:
         return SmearedState.empty(spec)
     monos = tuple(monos[i] for i in keep)
     return SmearedState(spec, {
-        int(r): (monos, vals[keep], _fiber_gram(monos)),
+        int(r): (monos, vals[keep]),
     })
 
 

@@ -14,7 +14,8 @@ alpha^mu_m |0> = 0 for m > 0.  The adjoint is (alpha^mu_m)^dagger =
 alpha^mu_{-m}, which makes the induced inner product indefinite: timelike
 excitations carry negative norm.
 
-Coefficients are plain Fractions or :class:`openstring.exactnum.ExactNum`;
+Coefficients are plain Fractions or real surds
+:class:`openstring.exactnum.ExactNum`, so the form is symmetric bilinear;
 the same vector container also hosts polynomial coefficients for the
 momentum-symbolic pipelines, so all arithmetic here is written against the
 generic ring protocol (+, *, unary -, truthiness for zero tests).
@@ -29,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 import json
 
-from .exactnum import ExactNum, conjugate
+from .exactnum import ExactNum
 
 __all__ = [
     "FockVector",
@@ -240,8 +241,9 @@ def monomial_norm(mono: Monomial) -> int:
 
 
 def inner_indefinite(u: FockVector, v: FockVector):
-    """Indefinite product <u, v>, antilinear in the first argument.
+    """Indefinite product <u, v>, symmetric and bilinear.
 
+    The coefficient field is real, so the form needs no conjugation.
     <vac, vac> = 1 and (alpha^mu_n)^dagger = alpha^mu_{-n}; on the canonical
     basis the form is diagonal with integer norms.  The recursive
     normal-ordering evaluation is kept in the test suite as an independent
@@ -254,7 +256,7 @@ def inner_indefinite(u: FockVector, v: FockVector):
         cv = v.terms.get(mono)
         if cu is None or cv is None:
             continue
-        total = total + conjugate(cu) * cv * monomial_norm(mono)
+        total = total + cu * cv * monomial_norm(mono)
     return total
 
 
@@ -335,9 +337,8 @@ def basis_dimension(d: int, n: int) -> int:
 
 def _coeff_fields(c):
     if isinstance(c, ExactNum):
-        return c.a, c.b, c.c, c.d, c.s
-    f = Fraction(c)
-    return f, Fraction(0), Fraction(0), Fraction(0), 0
+        return c.a, c.c, c.s
+    return Fraction(c), Fraction(0), 0
 
 
 def vector_to_json(v: FockVector) -> str:
@@ -345,33 +346,31 @@ def vector_to_json(v: FockVector) -> str:
     s_global = 0
     terms = []
     for mono, c in sorted(v.terms.items()):
-        a, b, cc, dd, s = _coeff_fields(c)
+        a, cc, s = _coeff_fields(c)
         if s:
             s_global = s
         terms.append(
             {
                 "monomial": [[-n, mu] for n, mu in mono],
                 "re": str(a),
-                "im": str(b),
                 "rad": str(cc),
-                "irad": str(dd),
             }
         )
     return json.dumps({"terms": terms, "s": s_global}, sort_keys=True)
 
 
 def vector_from_json(text: str) -> FockVector:
+    """Inverse of :func:`vector_to_json`.  Coefficients are real, so a term
+    with a nonzero ``im`` or ``irad`` part is refused rather than dropped."""
     data = json.loads(text)
     s = int(data.get("s", 0))
     out = FockVector()
     for t in data["terms"]:
         mono = tuple(sorted((-m, mu) for m, mu in t["monomial"]))
+        if Fraction(t.get("im", "0")) or Fraction(t.get("irad", "0")):
+            raise ValueError(f"term {t['monomial']} has an imaginary part; "
+                             "coefficients are real")
         a = Fraction(t["re"])
-        b = Fraction(t.get("im", "0"))
         c = Fraction(t.get("rad", "0"))
-        d = Fraction(t.get("irad", "0"))
-        if b == 0 and c == 0 and d == 0:
-            out.add_term(mono, a)
-        else:
-            out.add_term(mono, ExactNum(a, b, c, d, s))
+        out.add_term(mono, ExactNum(a, c, s) if c else a)
     return out

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q, Q(i) and Q(i, sqrt(s)).
+"""Exact dense linear algebra over Q and Q(sqrt(s)).
 
 Matrices are plain lists of lists whose entries are Fractions or ExactNums.
 Two elimination routes are provided on purpose: straightforward row echelon
@@ -7,13 +7,15 @@ intermediate entries are minors of the input.  Rank computations in the
 package are cross-checked between the two.  The Bareiss route has an
 integer lane for all-rational input: each row is scaled by the lcm of its
 denominators, which leaves the rank alone, and the elimination then runs
-on Python ints with exact floor division.  Surd or complex entries take
-the generic field lane.
+on Python ints with exact floor division.  Surd entries take the generic
+field lane.
 
 ``hermitian_signature`` computes the inertia (n_plus, n_minus, n_null) of a
-Hermitian form by symmetric elimination with diagonal pivoting, a hyperbolic
-fallback when the diagonal vanishes, and an integer Bareiss lane for the
-common all-rational case.
+real symmetric form by symmetric elimination with diagonal pivoting, a
+hyperbolic fallback when the diagonal vanishes, and an integer Bareiss lane
+for the common all-rational case.  The entries are real, so the form is
+Hermitian exactly when it is symmetric, and its inertia is that of its
+Hermitian complexification.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import ExactNum, conjugate, is_rational_real, real_sign
+from .exactnum import is_rational_real, real_sign
 
 __all__ = [
     "DependencyError",
@@ -46,20 +48,11 @@ class DependencyError(ValueError):
         self.witness = witness
 
 
-def _is_zero_row(row):
-    return not any(row)
-
-
-def rref(matrix, track=False):
-    """Reduced row echelon form by field division.
-
-    Returns (rows, pivot_columns) or, with ``track``, (rows, pivot_columns,
-    transform) where transform @ input == rows.
-    """
+def rref(matrix):
+    """Reduced row echelon form by field division: (rows, pivot_columns)."""
     rows = [list(r) for r in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    trans = [[Fraction(i == j) for j in range(nrows)] for i in range(nrows)] if track else None
     pivots = []
     r = 0
     for c in range(ncols):
@@ -67,26 +60,18 @@ def rref(matrix, track=False):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        if trans:
-            trans[r], trans[pr] = trans[pr], trans[r]
         if rows[r][c] != 1:
             inv = Fraction(1) / rows[r][c] if isinstance(rows[r][c], (int, Fraction)) else rows[r][c].inverse()
             rows[r] = [x * inv if x else x for x in rows[r]]
-            if trans:
-                trans[r] = [x * inv if x else x for x in trans[r]]
         # zero entries of the pivot row leave the other rows alone
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-                if trans:
-                    trans[i] = [a - f * b if b else a for a, b in zip(trans[i], trans[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if track:
-        return rows, pivots, trans
     return rows, pivots
 
 
@@ -200,18 +185,22 @@ def matrix_inverse(matrix):
 
 
 def independence_check(vectors):
-    """Raise DependencyError (with witness coefficients) unless independent."""
+    """Raise DependencyError (with witness coefficients) unless independent.
+
+    A vanishing combination of the rows is a kernel vector of their
+    transpose, so the witness is the first vector of that kernel.
+    """
     if not vectors:
         return
-    rows, pivots, trans = rref(vectors, track=True)
-    for i, row in enumerate(rows):
-        if _is_zero_row(row) and any(trans[i]):
-            raise DependencyError(
-                "input vectors are linearly dependent", witness=trans[i]
-            )
+    transpose = [list(col) for col in zip(*vectors)]
+    kernel = kernel_basis(transpose, ncols=len(vectors))
+    if kernel:
+        raise DependencyError(
+            "input vectors are linearly dependent", witness=kernel[0]
+        )
 
 
-# -- Hermitian signature ---------------------------------------------------
+# -- signature of a symmetric form -----------------------------------------
 
 
 def _row_is_zero(m, i):
@@ -219,7 +208,7 @@ def _row_is_zero(m, i):
 
 
 def _sig_generic(m):
-    """Inertia of a Hermitian matrix with exact field entries."""
+    """Inertia of a symmetric matrix with exact field entries."""
     pos = neg = nul = 0
     while m:
         n = len(m)
@@ -232,16 +221,14 @@ def _sig_generic(m):
         pi = next((i for i in range(n) if m[i][i]), None)
         if pi is None:
             # Wholly isotropic diagonal: make a pivot with a hyperbolic pair.
-            i, j, a = next(
-                (i, j, m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]
             )
-            two_re = a + conjugate(a)
-            c = Fraction(1) if two_re else ExactNum(0, 1)
-            # v_i <- v_i + c v_j :  row update then column update.
-            cc = conjugate(c)
-            m[i] = [x + cc * y for x, y in zip(m[i], m[j])]
+            # v_i <- v_i + v_j makes the new diagonal entry 2 m[i][j],
+            # which is nonzero for real entries: row update, then column.
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
             for k in range(n):
-                m[k][i] = m[k][i] + c * m[k][j]
+                m[k][i] = m[k][i] + m[k][j]
             continue
         piv = m[pi][pi]
         s = real_sign(piv)
@@ -302,18 +289,18 @@ def _sig_rational(g):
 
 
 def hermitian_signature(gram):
-    """Inertia (n_plus, n_minus, n_null) of a Hermitian matrix.
+    """Inertia (n_plus, n_minus, n_null) of a real symmetric matrix.
 
-    The matrix must be Hermitian with real diagonal; this is checked.  A
-    congruence transform never changes the result (Sylvester).
+    Symmetry is checked.  A congruence transform never changes the result
+    (Sylvester).  The entries are real, so symmetric is Hermitian.
     """
     n = len(gram)
     if n == 0:
         return (0, 0, 0)
     for i in range(n):
         for j in range(i, n):
-            if gram[i][j] != conjugate(gram[j][i]):
-                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
+            if gram[i][j] != gram[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i},{j})")
     if all(is_rational_real(gram[i][j]) for i in range(n) for j in range(n)):
         return _sig_rational(gram)
     return _sig_generic([list(r) for r in gram])

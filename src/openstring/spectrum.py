@@ -15,9 +15,9 @@ All three come from one elimination per :class:`LevelSpace`.  The monomial
 basis is orthogonal, so the form is D = diag(<m, m>) with nonzero integer
 entries.  One row reduction of the stacked L_1..L_N matrix A gives its r
 independent rows R, and the physical subspace is ker R.  Everything else
-follows from the r x r Schur complement S = R D^-1 R^dagger of D in the
-bordered matrix [[D, R^dagger], [R, 0]] (Haynsworth inertia additivity;
-Chabrillac–Crouzeix 1984): the radical is D^-1 R^dagger ker S, and the
+follows from the r x r Schur complement S = R D^-1 R^T of D in the
+bordered matrix [[D, R^T], [R, 0]] (Haynsworth inertia additivity;
+Chabrillac–Crouzeix 1984): the radical is D^-1 R^T ker S, and the
 inertia on ker R is (n_plus(D) + n_minus(S) - r, n_minus(D) + n_plus(S) - r,
 n_null(S)).  At d = 26, level 2, S is 27 x 27 where the physical Gram is
 350 x 350.  The results carry cheap certificates instead of second
@@ -54,7 +54,7 @@ from functools import cached_property
 from math import isqrt
 
 from .ddf import DdfContext, ddf_state
-from .exactnum import conjugate, real_sign, sqrt_fraction
+from .exactnum import real_sign, sqrt_fraction
 from .fiber import Momentum, virasoro_apply
 from .fock import (
     FockVector,
@@ -195,15 +195,15 @@ class LevelSpace:
 
     @cached_property
     def schur(self) -> list:
-        """S = R D^-1 R^dagger, r x r; -S is the Schur complement of D in
-        the bordered matrix [[D, R^dagger], [R, 0]]."""
+        """S = R D^-1 R^T, r x r; -S is the Schur complement of D in
+        the bordered matrix [[D, R^T], [R, 0]]."""
         r = len(self.constraints.rows)
         out = [[Fraction(0)] * r for _ in range(r)]
         for entries, norm in zip(self.reduced_columns, self.norms):
             for i, a in entries:
                 scaled = a / norm
                 for j, b in entries:
-                    out[i][j] += scaled * conjugate(b)
+                    out[i][j] += scaled * b
         return out
 
 
@@ -422,8 +422,8 @@ def spurious_subspace(physical, space: LevelSpace):
 
     With D the diagonal form on the monomial basis and R the independent
     constraint rows, x is in the radical iff D x lies in the row space of
-    R and R x = 0, i.e. x = D^-1 R^dagger y with S y = 0 for the small
-    Schur complement S = R D^-1 R^dagger.  The result is certified: the
+    R and R x = 0, i.e. x = D^-1 R^T y with S y = 0 for the small
+    Schur complement S = R D^-1 R^T.  The result is certified: the
     constraints annihilate it, and its own Gram signature is (0, 0, k),
     which also proves it independent.
     """
@@ -439,7 +439,7 @@ def spurious_subspace(physical, space: LevelSpace):
     for k, entries in enumerate(space.reduced_columns):
         for i, a in entries:
             for t, yi in by_row.get(i, ()):
-                images[t][k] = images[t].get(k, 0) + conjugate(a) * yi
+                images[t][k] = images[t].get(k, 0) + a * yi
     vectors = [[(k, c / space.norms[k]) for k, c in x.items() if c]
                for x in images]
     _certify_annihilated(space, vectors, "spurious")
@@ -455,11 +455,11 @@ def spurious_subspace(physical, space: LevelSpace):
 
 def physical_signature(space: LevelSpace):
     """Exact inertia (n_plus, n_minus, n_null) of the form on the
-    constraint kernel, from the bordered matrix [[D, R^dagger], [R, 0]].
+    constraint kernel, from the bordered matrix [[D, R^T], [R, 0]].
 
     R has full row rank r, so the bordered inertia is the kernel's plus
     (r, r, 0) (Chabrillac–Crouzeix 1984); by Haynsworth additivity it is
-    also In(D) + In(-S) with S = R D^-1 R^dagger.  Hence the kernel has
+    also In(D) + In(-S) with S = R D^-1 R^T.  Hence the kernel has
     (n_plus(D) + n_minus(S) - r, n_minus(D) + n_plus(S) - r, n_null(S)),
     and only the r x r matrix S is ever eliminated.
     """

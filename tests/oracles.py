@@ -17,7 +17,6 @@ from math import factorial, gamma, pi
 
 import numpy as np
 
-from openstring.exactnum import conjugate
 from openstring.fock import FockVector, apply_oscillator
 
 
@@ -67,7 +66,7 @@ def inner_recursive(u, v, params):
                 break
         val = w.terms.get((), Fraction(0)) if w else Fraction(0)
         if val:
-            total = total + conjugate(cu) * val
+            total = total + cu * val
     return total
 
 

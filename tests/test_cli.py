@@ -340,6 +340,15 @@ class TestLocality:
         assert len(lines) == 3
         assert lines[2].startswith("0,1;0,False")
 
+    @pytest.mark.parametrize("extent", ["nan", "inf"])
+    def test_non_finite_extent_is_a_config_error(self, capsys, extent):
+        code, out, err = run(
+            capsys, ["locality", "--d", "4", "--grid", "8",
+                     "--extent", extent])
+        assert code == 2
+        assert out == ""
+        assert "extent must be finite" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code = main(["locality", "--d", "4", "--grid", "64",
@@ -367,6 +376,15 @@ class TestObservable:
         assert code == 2
         assert out == ""
         assert "direction 3" in err and "--dq 2" in err
+
+    def test_slice_wider_than_space_is_a_config_error(self, capsys):
+        # d = 4 has three spatial directions, so --dq 4 cannot be sliced
+        code, out, err = run(
+            capsys, ["observable", "--d", "4", "--radius", "1", "--dq", "4",
+                     "--grid", "8"])
+        assert code == 2
+        assert out == ""
+        assert "spatial directions" in err
 
     def test_level_two_word_off_the_slice_still_runs(self, capsys):
         # a level-two body along direction 3 keeps terms in p^0 alone, so

@@ -240,8 +240,8 @@ class TestScalarVertexModes:
 # one momentum per coefficient ring, all with p^0 + p^{d-1} != 0
 RING_MOMENTA = {
     "fraction": Momentum((Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 2))),
-    "surd": Momentum((ExactNum(0, 0, 1, 0, 2), Fraction(1), 0,
-                      ExactNum(Fraction(1, 2), 0, 3, 0, 2))),
+    "surd": Momentum((ExactNum(0, 1, 2), Fraction(1), 0,
+                      ExactNum(Fraction(1, 2), 3, 2))),
     "symbolic": sym_momentum(4),
 }
 

@@ -1,12 +1,11 @@
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from openstring.exactnum import (
     ExactNum,
-    as_complex,
-    conjugate,
     real_sign,
     sqrt_fraction,
 )
@@ -15,39 +14,34 @@ rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 def exact(s):
-    return st.builds(lambda a, b, c, d: ExactNum(a, b, c, d, s), rats, rats, rats, rats)
+    return st.builds(lambda a, c: ExactNum(a, c, s), rats, rats)
 
 
 class TestRing:
-    def test_i_squares_to_minus_one(self):
-        i = ExactNum(0, 1)
-        assert i * i == Fraction(-1)
-        assert i * i == -1
-
     def test_sqrt_squares_to_radicand(self):
-        r = ExactNum(0, 0, 1, 0, 5)
+        r = ExactNum(0, 1, 5)
         assert r * r == 5
 
     def test_perfect_square_radicand_folds(self):
-        x = ExactNum(1, 0, 2, 0, 9)  # 1 + 2*sqrt(9) = 7
+        x = ExactNum(1, 2, 9)  # 1 + 2*sqrt(9) = 7
         assert x == 7
         assert x.s == 0
 
     def test_square_part_extracted(self):
-        x = ExactNum(0, 0, 1, 0, 12)  # sqrt(12) = 2*sqrt(3)
+        x = ExactNum(0, 1, 12)  # sqrt(12) = 2*sqrt(3)
         assert x.s == 3
         assert x.c == 2
 
     def test_fraction_interop(self):
-        x = ExactNum(Fraction(1, 2), 1)
+        x = ExactNum(Fraction(1, 2), 1, 3)
         y = Fraction(3, 2) + x
-        assert y == ExactNum(2, 1)
-        assert Fraction(2) * x == ExactNum(1, 2)
-        assert x - Fraction(1, 2) == ExactNum(0, 1)
+        assert y == ExactNum(2, 1, 3)
+        assert Fraction(2) * x == ExactNum(1, 2, 3)
+        assert x - Fraction(1, 2) == ExactNum(0, 1, 3)
 
     def test_incompatible_radicands(self):
         with pytest.raises(ValueError):
-            ExactNum(0, 0, 1, 0, 2) + ExactNum(0, 0, 1, 0, 3)
+            ExactNum(0, 1, 2) + ExactNum(0, 1, 3)
 
     @given(exact(3), exact(3), exact(3))
     def test_mul_distributes(self, x, y, z):
@@ -62,34 +56,21 @@ class TestRing:
         if x:
             assert x * x.inverse() == 1
 
-    @given(exact(5))
-    def test_conj_is_involution(self, x):
-        assert conjugate(conjugate(x)) == x
-
-    @given(exact(5), exact(5))
-    def test_conj_multiplicative(self, x, y):
-        assert conjugate(x * y) == conjugate(x) * conjugate(y)
-
 
 class TestSigns:
     def test_real_sign_cases(self):
         # 1 - sqrt(2) < 0 although both pieces look "close"
-        assert real_sign(ExactNum(1, 0, -1, 0, 2)) == -1
-        assert real_sign(ExactNum(3, 0, -2, 0, 2)) == 1  # 3 > 2*sqrt(2)
-        assert real_sign(ExactNum(2, 0, -2, 0, 2)) == -1  # 2 < 2*sqrt(2)
+        assert real_sign(ExactNum(1, -1, 2)) == -1
+        assert real_sign(ExactNum(3, -2, 2)) == 1  # 3 > 2*sqrt(2)
+        assert real_sign(ExactNum(2, -2, 2)) == -1  # 2 < 2*sqrt(2)
         assert real_sign(Fraction(-3, 7)) == -1
         assert real_sign(Fraction(0)) == 0
 
-    def test_sign_rejects_complex(self):
-        with pytest.raises(ValueError):
-            real_sign(ExactNum(0, 1))
-
     @given(exact(3))
     def test_sign_matches_float(self, x):
-        if x.is_real:
-            z = as_complex(x).real
-            if abs(z) > 1e-9:
-                assert real_sign(x) == (1 if z > 0 else -1)
+        z = float(x.a) + float(x.c) * sqrt(3)
+        if abs(z) > 1e-9:
+            assert real_sign(x) == (1 if z > 0 else -1)
 
 
 class TestSqrtFraction:

@@ -19,7 +19,6 @@ from openstring.field import (
     QuadratureSpec,
     SeparationError,
     SmearedState,
-    _fiber_gram,
     commutator_kernel,
     field_equation_check,
     field_matrix_element,
@@ -79,6 +78,7 @@ def sh(h_level2):
 class TestQuadratureSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(n=127), dict(n=4), dict(extent=0.0), dict(extent=-1.0),
+        dict(extent=float("nan")), dict(extent=float("inf")),
         dict(levels=(-2, 0)), dict(levels=(2, 0)), dict(levels=(0, 0)),
         dict(d_q=0),
     ])
@@ -109,14 +109,14 @@ class TestProjection:
         # on the d_q=2 grid p^3 = 0, so only the a^3_{-1} component survives
         state = project_pi(f_level1, SPEC)
         assert list(state.levels) == [0]
-        monos, vals, gram = state.levels[0]
+        monos, vals = state.levels[0]
         assert monos == (((1, 3),),)
-        assert gram.shape == (1, 1) and gram[0, 0] == 1.0
+        assert vals.shape == (1, 128, 128)
 
     def test_projected_values_spot_checked(self, f_level1):
         spec = QuadratureSpec(d_q=2, extent=4.0, n=8, levels=(0,))
         state = project_pi(f_level1, spec)
-        _, vals, _ = state.levels[0]
+        _, vals = state.levels[0]
         ax = spec.axes()
         i, j = 5, 2
         p1, p2 = ax[i], ax[j]
@@ -129,6 +129,12 @@ class TestProjection:
     def test_level_two_body_populates_level_two(self, h_level2):
         state = project_pi(h_level2, SPEC)
         assert list(state.levels) == [2]
+
+    def test_slice_wider_than_space_is_refused(self, f_level1):
+        # d = 4 has three spatial directions
+        spec = QuadratureSpec(d_q=4, extent=4.0, n=8, levels=(0,))
+        with pytest.raises(ValueError, match="spatial directions"):
+            project_pi(f_level1, spec)
 
 
 class TestSmearedState:
@@ -180,17 +186,23 @@ class TestSmearedState:
 
     def test_fiber_gram_is_the_exact_pairing(self):
         # every pairing <m_i, m_j> through level 2, timelike (negative)
-        # norms and repeated oscillators included
+        # norms and repeated oscillators included, as SmearedState.inner
+        # weights it: a monomial carried by the same profile on both sides
+        # pairs to <m_i, m_j> times the vacuum's pairing
+        spec = QuadratureSpec(d_q=1, extent=4.0, n=8, levels=(0,))
+        profile = np.ones((1, spec.n), dtype=complex)
+
+        def carried(m):
+            return SmearedState(spec, {0: ((m,), profile)})
+
+        vacuum = carried(()).inner(carried(()))
         monos = [m for n in range(3) for m in level_basis(P4, n)]
-        units = []
-        for m in monos:
-            v = FockVector()
-            v.add_term(m, Fraction(1))
-            units.append(v)
-        want = np.array([[float(inner_indefinite(u, v)) for v in units]
-                         for u in units])
-        assert np.array_equal(_fiber_gram(monos), want)
-        assert np.any(want < 0)
+        units = [FockVector.basis_state(m) for m in monos]
+        want = [[float(inner_indefinite(u, v)) for v in units] for u in units]
+        got = [[carried(m).inner(carried(n)) for n in monos] for m in monos]
+        assert got == [[pytest.approx(w * vacuum, rel=1e-14) for w in row]
+                       for row in want]
+        assert any(w < 0 for row in want for w in row)
 
 
 class TestMultiParticle:

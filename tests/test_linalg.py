@@ -1,4 +1,4 @@
-"""Exact elimination and Hermitian signature tests.
+"""Exact elimination and symmetric signature tests.
 
 The signature routine is the backbone of the spectrum scans, so both lanes
 (integer Bareiss and generic field elimination) are exercised against each
@@ -59,7 +59,7 @@ class TestEchelon:
         # the same rank-deficient matrix over Q(sqrt 2) and over Q: the
         # first takes the field lane, the second the integer lane
         rng = random.Random(13)
-        root2 = ExactNum(0, 0, 1, 0, 2)
+        root2 = ExactNum(0, 1, 2)
         for _ in range(15):
             nrows, ncols = rng.randint(2, 5), rng.randint(2, 6)
             inner = rng.randint(1, min(nrows, ncols) - 1)
@@ -144,16 +144,11 @@ class TestSignature:
         g = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
         assert hermitian_signature(g) == (1, 1, 0)
 
-    def test_hyperbolic_imaginary_offdiagonal(self):
-        # forces the v_i + i*v_j branch
-        a = ExactNum(0, 1)
-        g = [[Fraction(0), a], [-a, Fraction(0)]]
-        assert hermitian_signature(g) == (1, 1, 0)
-
-    def test_hyperbolic_complex_offdiagonal(self):
-        a = ExactNum(1, 1)
-        g = [[Fraction(0), a], [a.conjugate(), Fraction(0)]]
-        assert hermitian_signature(g) == (1, 1, 0)
+    def test_hyperbolic_surd_offdiagonal(self):
+        # the generic lane's v_i + v_j step on a surd entry
+        a = ExactNum(1, -1, 2)
+        g = [[Fraction(0), a, 0], [a, Fraction(0), 0], [0, 0, Fraction(0)]]
+        assert hermitian_signature(g) == (1, 1, 1)
 
     def test_radical_block(self):
         g = [
@@ -165,7 +160,7 @@ class TestSignature:
         assert hermitian_signature(g) == (1, 1, 1)
 
     def test_surd_entries(self):
-        root2 = ExactNum(0, 0, 1, 0, 2)
+        root2 = ExactNum(0, 1, 2)
         g = [
             [root2, Fraction(0), 0],
             [Fraction(0), 1 - root2, 0],
@@ -176,8 +171,6 @@ class TestSignature:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_signature([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
-        with pytest.raises(ValueError):
-            hermitian_signature([[ExactNum(0, 1)]])
 
     def test_congruence_invariance(self):
         rng = random.Random(23)
@@ -191,16 +184,17 @@ class TestSignature:
             )
             while True:
                 s = [
-                    [ExactNum(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(n)]
+                    [ExactNum(rng.randint(-3, 3), rng.randint(-2, 2), 2)
+                     for _ in range(n)]
                     for _ in range(n)
                 ]
                 if rank(s) == n:
                     break
-            # g = s^dagger diag s
+            # g = s^T diag s over Q(sqrt 2)
             ds = [[diag[i] * s[i][j] for j in range(n)] for i in range(n)]
             g = [
                 [
-                    sum(s[k][i].conjugate() * ds[k][j] for k in range(n))
+                    sum(s[k][i] * ds[k][j] for k in range(n))
                     for j in range(n)
                 ]
                 for i in range(n)
