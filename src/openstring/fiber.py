@@ -10,8 +10,9 @@ plainly ``L_m psi = 0`` for ``m >= 0``.  For ``m != 0``,
 with zero modes replaced by the momentum.  Acting on a state of finite level
 only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
-in integers, per monomial; :func:`virasoro_apply` scales them by the ring's
-coefficients and :class:`IntegerBracketScanner` keeps them as integer rows.
+in integers, and added per monomial straight into an output dict;
+:func:`virasoro_apply` scales them by the ring's coefficients, and
+:class:`IntegerBracketScanner` accumulates whole residuals in integers.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -98,20 +99,6 @@ class Momentum:
         return f"Momentum{self.components!r}"
 
 
-def _osc(mode: int, mu: int, mono):
-    """alpha^mu_mode on a monomial: (new_mono, int factor) or None."""
-    if mode < 0:
-        key = (-mode, mu)
-        pos = bisect_right(mono, key)
-        return mono[:pos] + (key,) + mono[pos:], 1
-    key = (mode, mu)
-    mult = mono.count(key)
-    if not mult:
-        return None
-    pos = mono.index(key)
-    return mono[:pos] + mono[pos + 1:], mult * mode * (-1 if mu == 0 else 1)
-
-
 def _accumulate(out: dict, mono, c) -> None:
     new = out.get(mono, 0) + c
     if new:
@@ -120,42 +107,47 @@ def _accumulate(out: dict, mono, c) -> None:
         del out[mono]
 
 
-def _pair_row(k: int, mono, d: int) -> dict:
-    """sum_{n not in {0, k}} :alpha_{k-n} . alpha_n: on one monomial.
+def _pair_into(out: dict, k: int, mono, d: int, scale: int) -> dict:
+    """Add scale * sum_{n not in {0, k}} :alpha_{k-n} . alpha_n: on ``mono``.
 
-    This is twice the oscillator part of L_k (k != 0), returned as
-    {monomial: int}, and the one place the pair sum is written down.  Each
-    unordered pair {n, k - n} is visited once, with the annihilator alpha_n
-    (2n >= k) applied first; modes beyond ``level + |k|`` cannot contribute.
+    The sum is twice the oscillator part of L_k (k != 0), added into the
+    {monomial: int} dict ``out`` (``scale`` a nonzero int) and returned; it
+    is written down nowhere else.  Each pair {n, k - n} is taken once, with
+    alpha_n (2n >= k) first.  Annihilators come from one walk over the
+    factors, so no mode beyond ``level + |k|`` is visited, and creator
+    pairs are inserted directly.
     """
     if abs(k) > DEFAULT_MODE_CAP:
         raise ValueError(
             f"|m|={abs(k)} exceeds the mode cap {DEFAULT_MODE_CAP}")
-    ell = level_of(mono)
-    bound = ell + abs(k)
-    out: dict = {}
-    for n in range(-bound, bound + 1):
-        if n == 0 or n == k or 2 * n < k:
-            continue
-        if n > ell:
-            break  # annihilator beyond the top level; larger n only worse
-        base = 1 if 2 * n == k else 2
-        dirs = sorted({mu for mode, mu in mono if mode == n}) if n > 0 \
-            else range(d)
-        for mu in dirs:
-            hit1 = _osc(n, mu, mono)
-            if hit1 is None:
-                continue
-            hit2 = _osc(k - n, mu, hit1[0])
-            if hit2 is None:
-                continue
-            tm = hit2[0]
-            new = out.get(tm, 0) + base * (-1 if mu == 0 else 1) \
-                * hit1[1] * hit2[1]
+    # two creators (k < 0, k/2 <= n < 0) add (-n, mu) <= (n - k, mu)
+    for n in range(-(-k // 2), 0):
+        base = scale if 2 * n == k else 2 * scale
+        for mu in range(d):
+            lo, hi = (-n, mu), (n - k, mu)
+            grown = list(mono)
+            grown.insert(bisect_right(mono, hi), hi)
+            grown.insert(bisect_right(mono, lo), lo)
+            tm = tuple(grown)
+            new = out.get(tm, 0) + (-base if mu == 0 else base)
             if new:
                 out[tm] = new
             else:
                 del out[tm]
+    # alpha_n on a factor (n, mu) gives mult * n * eta, then alpha_{k-n}
+    for pos, key in enumerate(mono):
+        n, mu = key
+        if n == k or (pos and mono[pos - 1] == key):
+            continue
+        rest = mono[:pos] + mono[pos + 1:]
+        c, other = scale * mono.count(key) * n, (abs(k - n), mu)
+        if k < n:       # a creator; the two metric signs cancel
+            i = bisect_right(rest, other)
+            _accumulate(out, rest[:i] + (other,) + rest[i:], 2 * c)
+        elif k - n <= n and other in rest:  # a second annihilator, once
+            c *= rest.count(other) * (k - n) * (1 if 2 * n == k else 2)
+            i = rest.index(other)
+            _accumulate(out, rest[:i] + rest[i + 1:], -c if mu == 0 else c)
     return out
 
 
@@ -178,7 +170,7 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
         return out
     for mono, coeff in v.items():
         half = coeff * _HALF
-        for tm, c in _pair_row(m, mono, params.d).items():
+        for tm, c in _pair_into({}, m, mono, params.d, 1).items():
             out.add_term(tm, half * c)
     # zero-mode cross terms: p . alpha_m; an annihilator only sees the
     # directions present at mode m
@@ -216,13 +208,14 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     :class:`IntegerBracketScanner`, so the momentum and the intercept must
     be rational (a surd or symbolic fiber raises ``ValueError``; use
     :func:`virasoro_bracket_residual` there).  As a certificate of the
-    scanner's cleared denominators, its rows for L_m and L_n on the level's
-    first monomial are checked against :func:`virasoro_apply`; a mismatch
-    raises :class:`~openstring.spectrum.InvariantError`.
+    scanner's cleared denominators, the rows it uses (L_m, L_n and, off the
+    diagonal, the closure row L_{m+n}) on the level's first monomial are
+    checked against :func:`virasoro_apply`; a mismatch raises
+    :class:`~openstring.spectrum.InvariantError`.
     """
     scanner = IntegerBracketScanner(p, params)
     monos = list(iter_level_basis(params, level))
-    for k in {m, n}:
+    for k in ({m} if m == n else {m, n, m + n}):
         want = virasoro_apply(k, p, FockVector.basis_state(monos[0]), params)
         if FockVector(scanner.two_l(k, monos[0])) != want.scaled(scanner.scale):
             from .spectrum import InvariantError
@@ -258,11 +251,15 @@ class IntegerBracketScanner:
     which residuals divide back out on conversion to :class:`FockVector`.
 
     The oscillator pairs come from the same function as in
-    :func:`virasoro_apply`; the scanner skips the ring arithmetic, so the
-    full acceptance grid (all mode pairs, every basis state of level <= 3,
-    d = 26) fits in a test-suite runtime budget.  Rows are not cached:
-    intermediate monomials are seldom revisited, and a row cache kept over
-    five level-3 mode pairs at d = 26 grew past 2 GB and made them slower.
+    :func:`virasoro_apply`, without ring arithmetic: a residual adds c T_k X
+    for each term c X of the inner row straight into one output dict
+    (:meth:`add_two_l`), and a diagonal cell (m, m) is zero without
+    composing.  So the full acceptance grid (all mode pairs, every state of
+    level <= 3, d = 26) fits in a test-suite runtime budget.  Rows are not
+    cached: intermediate monomials are seldom revisited, and a row cache
+    over five level-3 pairs at d = 26 grew past 2 GB and was slower.
+    :func:`virasoro_bracket_scan` certifies the rows a residual uses (T_m,
+    T_n, the closure row T_{m+n}) against :func:`virasoro_apply`.
     """
 
     def __init__(self, p: Momentum, params: ModelParams):
@@ -283,48 +280,51 @@ class IntegerBracketScanner:
 
     def two_l(self, k: int, mono) -> dict:
         """T_k = 2 D^2 L_k on one monomial, as {monomial: int}."""
+        return self.add_two_l({}, k, mono, 1)
+
+    def add_two_l(self, out: dict, k: int, mono, c: int) -> dict:
+        """Add c T_k on one monomial into ``out`` (c != 0); returns ``out``."""
         if k == 0:
-            t0 = self.p2 + 2 * self.den * (self.den * level_of(mono) - self.b)
-            out = {mono: t0} if t0 else {}
-        else:
-            out = _pair_row(k, mono, self.d)
-            if self.den != 1:
-                sq = self.den * self.den
-                out = {tm: sq * c for tm, c in out.items()}
+            _accumulate(out, mono, c * (self.p2 + 2 * self.den * (
+                self.den * level_of(mono) - self.b)))
+            return out
+        _pair_into(out, k, mono, self.d, c * self.den * self.den)
+        c *= 2 * self.den      # the cross term 2 D P . alpha_k
+        if k < 0:
             for mu, pc in enumerate(self.p):
                 if pc:
-                    hit1 = _osc(k, mu, mono)
-                    if hit1 is not None:
-                        _accumulate(out, hit1[0], 2 * self.den
-                                    * (-pc if mu == 0 else pc) * hit1[1])
-        return out
-
-    def two_l_vec(self, k: int, vec: dict) -> dict:
-        out: dict = {}
-        for mono, c in vec.items():
-            for tm, tc in self.two_l(k, mono).items():
-                new = out.get(tm, 0) + c * tc
-                if new:
-                    out[tm] = new
-                else:
-                    del out[tm]
+                    key = (-k, mu)
+                    i = bisect_right(mono, key)
+                    _accumulate(out, mono[:i] + (key,) + mono[i:],
+                                -c * pc if mu == 0 else c * pc)
+        else:
+            for pos, key in enumerate(mono):
+                if key[0] == k and self.p[key[1]] and \
+                        not (pos and mono[pos - 1] == key):
+                    _accumulate(out, mono[:pos] + mono[pos + 1:],
+                                c * self.p[key[1]] * mono.count(key) * k)
         return out
 
     def residual(self, m: int, n: int, mono) -> FockVector:
-        """([L_m, L_n] - closure) on a basis monomial, as a FockVector."""
-        lhs = self.two_l_vec(m, self.two_l(n, mono))
-        for tm, tc in self.two_l_vec(n, self.two_l(m, mono)).items():
-            _accumulate(lhs, tm, -tc)
-        scale = self.scale * (m - n)
-        if scale:
-            for tm, tc in self.two_l(m + n, mono).items():
-                _accumulate(lhs, tm, -scale * tc)
+        """([L_m, L_n] - closure) on a basis monomial, as a FockVector.
+
+        For m = n the closure and central coefficients vanish and both
+        compositions are the same computation, so the residual is zero.
+        """
+        if m == n:
+            return FockVector()
+        out: dict = {}
+        for tm, tc in self.two_l(n, mono).items():
+            self.add_two_l(out, m, tm, tc)
+        for tm, tc in self.two_l(m, mono).items():
+            self.add_two_l(out, n, tm, -tc)
+        self.add_two_l(out, m + n, mono, -self.scale * (m - n))
         if m + n == 0:
             # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
-            _accumulate(lhs, mono, -self.den ** 3 * (
+            _accumulate(out, mono, -self.den ** 3 * (
                 self.den * (self.d * m * (m * m - 1) // 3) + 8 * m * self.b))
         return FockVector({tm: Fraction(tc, self.scale * self.scale)
-                           for tm, tc in lhs.items()})
+                           for tm, tc in out.items()})
 
 
 def number_apply(v: FockVector, params: ModelParams) -> FockVector:

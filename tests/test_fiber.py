@@ -224,6 +224,81 @@ class TestScanEngines:
                        for mono in iter_level_basis(params, 2)]
                 assert scan == ref
 
+    def test_scan_agrees_with_generic_route_on_every_pair(self):
+        # all 28 cells |m|, |n| <= 3, the 7 diagonal ones included: the scan
+        # returns those without composing, the generic route composes
+        cases = [
+            (Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1))), P4),
+            (Momentum((Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))),
+             ModelParams(d=4, b=Fraction(1, 2))),
+        ]
+        pairs = [(m, n) for m in range(-3, 4) for n in range(m, 4)]
+        assert len(pairs) == 28
+        for p, params in cases:
+            for m, n in pairs:
+                for level in range(3):
+                    scan = virasoro_bracket_scan(m, n, level, p, params)
+                    ref = [(mono, virasoro_bracket_residual(
+                                m, n, p, FockVector.basis_state(mono), params))
+                           for mono in iter_level_basis(params, level)]
+                    assert scan == ref, (m, n, level)
+
+    def test_rows_out_to_six_at_26(self):
+        # the closure row reaches |m + n| = 6; a rational probe with 22
+        # nonzero components, like the CLI's seeded ones
+        rng = random.Random(61)
+        zeros = set(rng.sample(range(1, 25), 4))
+        p = Momentum(tuple(
+            Fraction(0) if mu in zeros else
+            Fraction(rng.choice((-2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for mu in range(26)))
+        assert sum(1 for c in p if c) == 22
+        scanner = IntegerBracketScanner(p, P26)
+        monos = [mono for level in range(3) for mono in iter_level_basis(P26, level)]
+        nonzero = 0
+        for mono in rng.sample(monos, 25):
+            for k in range(-6, 7):
+                want = virasoro_apply_reference(
+                    k, p, FockVector.basis_state(mono), P26)
+                nonzero += bool(want)
+                assert FockVector(scanner.two_l(k, mono)) == \
+                    want.scaled(scanner.scale), (k, mono)
+        assert nonzero >= 190  # 198 of the 325 rows compared
+
+    def test_scan_certifies_closure_row(self, monkeypatch):
+        # only T_{m+n} is wrong; the compositions never use it
+        p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
+        real = IntegerBracketScanner.add_two_l
+
+        def tampered(self, out, k, mono, c):
+            real(self, out, k, mono, c)
+            if k == 3:
+                out[((5, 1),)] = out.get(((5, 1),), 0) + c
+            return out
+
+        monkeypatch.setattr(IntegerBracketScanner, "add_two_l", tampered)
+        mono = next(iter(iter_level_basis(P4, 1)))
+        assert IntegerBracketScanner(p, P4).residual(1, 2, mono)
+        assert not IntegerBracketScanner(p, P4).residual(1, 1, mono)
+        with pytest.raises(InvariantError, match="L_3"):
+            virasoro_bracket_scan(1, 2, 1, p, P4)
+
+    def test_shifted_mass_is_caught_by_the_central_pairs(self):
+        # raising P.P by one breaks L_0 only, which the scan reaches through
+        # the closure row of m = -n != 0; every other cell stays zero
+        p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
+        scanner = IntegerBracketScanner(p, P4)
+        scanner.p2 += 1
+        monos = [mono for level in range(3) for mono in iter_level_basis(P4, level)]
+        assert len(monos) == 19
+        hits = {}
+        for m in range(-3, 4):
+            for n in range(m, 4):
+                count = sum(1 for mono in monos if scanner.residual(m, n, mono))
+                if count:
+                    hits[m, n] = count
+        assert hits == {(-3, 3): 19, (-2, 2): 19, (-1, 1): 19}
+
     def test_auto_dispatch_requires_integrality(self):
         half = Momentum((Fraction(3, 2), Fraction(1), 0, Fraction(1)))
         whole = Momentum((Fraction(2), Fraction(1), 0, Fraction(1)))
