@@ -1,10 +1,13 @@
 """Time the [L_m, L_n] bracket grid and ``openstring virasoro`` at its defaults.
 
-Two measurements, each repeated ``--repeat`` times:
+Three measurements, each repeated ``--repeat`` times:
 
 * the level-2 grid at d = 26: ``virasoro_bracket_scan`` on every one of
-  the 28 pairs m <= n, |m|, |n| <= 3, over all 377 level-2 states at the
-  CLI's fixed integral probe (2, 1, 0, ..., 0, 1), timed pair by pair;
+  the 28 pairs m <= n, |m|, |n| <= 3, over all 377 level-2 states, timed
+  pair by pair, at the CLI's two probes: the fixed integral one
+  (2, 1, 0, ..., 0, 1) and the seeded rational one at the default seed,
+  whose 20 nonzero components make the cross terms, and so the creator
+  parts of L_m, largest;
 * ``openstring virasoro`` with no arguments, in a fresh interpreter, so the
   time includes interpreter start; the SHA-256 of its report is recorded,
   so two checkouts can be compared for byte-identical output.
@@ -14,7 +17,7 @@ so a copy of the script placed in another checkout times that checkout.
 The result, with machine metadata (Python, numpy, core count, load
 average), is written as JSON:
 
-    python3 scripts/bench_bracket_grid.py --out BENCH_10.json
+    python3 scripts/bench_bracket_grid.py --out BENCH_11.json
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ import statistics
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from openstring.fiber import Momentum, virasoro_bracket_scan  # noqa: E402
+from openstring.cli import _probe_momenta  # noqa: E402
+from openstring.fiber import virasoro_bracket_scan  # noqa: E402
 from openstring.fock import ModelParams  # noqa: E402
 
 D = 26
@@ -49,12 +52,9 @@ def _pairs():
             for n in range(m, BOUND + 1)]
 
 
-def time_grid() -> dict:
+def time_grid(p) -> dict:
     """Seconds per mode pair, plus the number of states and of residuals."""
     params = ModelParams(d=D)
-    comps = [Fraction(0)] * D
-    comps[0], comps[1], comps[-1] = Fraction(2), Fraction(1), Fraction(1)
-    p = Momentum(comps)
     per_pair, states, nonzero = {}, 0, 0
     for m, n in _pairs():
         t0 = time.perf_counter()
@@ -63,6 +63,23 @@ def time_grid() -> dict:
         states += len(out)
         nonzero += sum(1 for _, res in out if res)
     return {"per_pair_s": per_pair, "states": states, "nonzero": nonzero}
+
+
+def _summary(p, grids: list) -> dict:
+    """Totals and per-pair medians of repeated runs of one probe's grid."""
+    totals = [sum(g["per_pair_s"].values()) for g in grids]
+    per_pair = {key: statistics.median(g["per_pair_s"][key] for g in grids)
+                for key in grids[0]["per_pair_s"]}
+    return {
+        "d": D, "level": LEVEL, "pairs": len(per_pair),
+        "momentum": [str(c) for c in p],
+        "nonzero_components": sum(1 for c in p if c),
+        "states": grids[0]["states"],
+        "nonzero_residuals": sum(g["nonzero"] for g in grids),
+        "total_s": totals,
+        "total_median_s": statistics.median(totals),
+        "per_pair_median_s": per_pair,
+    }
 
 
 def time_cli() -> dict:
@@ -107,34 +124,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="runs of the grid and of the CLI (default 3)")
-    ap.add_argument("--out", default="BENCH_10.json",
+    ap.add_argument("--out", default="BENCH_11.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 
     machine = _machine()
-    grids, clis = [], []
+    probes = dict(zip(("grid", "grid_seeded"), _probe_momenta(D, 0)))
+    grids = {name: [] for name in probes}
+    clis = []
     for _ in range(args.repeat):
-        grids.append(time_grid())
+        for name, p in probes.items():
+            grids[name].append(time_grid(p))
         clis.append(time_cli())
-    totals = [sum(g["per_pair_s"].values()) for g in grids]
-    per_pair = {key: statistics.median(g["per_pair_s"][key] for g in grids)
-                for key in grids[0]["per_pair_s"]}
     cli_walls = [c["wall_s"] for c in clis]
     result = {
         "commit": _git_head(),
         "machine": machine,
         "loadavg_after": list(os.getloadavg()),
         "repeat": args.repeat,
-        "grid": {
-            "d": D, "level": LEVEL, "pairs": len(per_pair),
-            "states": grids[0]["states"],
-            "nonzero_residuals": sum(g["nonzero"] for g in grids),
-            "total_s": totals,
-            "total_median_s": statistics.median(totals),
-            "per_pair_median_s": per_pair,
-        },
+        **{name: _summary(p, grids[name]) for name, p in probes.items()},
         "cli_virasoro": {
             "wall_s": cli_walls,
             "wall_median_s": statistics.median(cli_walls),
@@ -145,10 +155,11 @@ def main(argv=None) -> int:
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps({"grid_total_median_s": result["grid"]["total_median_s"],
-                      "cli_wall_median_s":
-                          result["cli_virasoro"]["wall_median_s"]}))
-    bad = result["grid"]["nonzero_residuals"] or \
+    print(json.dumps({
+        **{f"{name}_total_median_s": result[name]["total_median_s"]
+           for name in probes},
+        "cli_wall_median_s": result["cli_virasoro"]["wall_median_s"]}))
+    bad = any(result[name]["nonzero_residuals"] for name in probes) or \
         result["cli_virasoro"]["exit_codes"] != [0]
     return 1 if bad else 0
 

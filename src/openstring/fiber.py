@@ -10,9 +10,9 @@ plainly ``L_m psi = 0`` for ``m >= 0``.  For ``m != 0``,
 with zero modes replaced by the momentum.  Acting on a state of finite level
 only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
-in integers, and added per monomial straight into an output dict;
-:func:`virasoro_apply` scales them by the ring's coefficients, and
-:class:`IntegerBracketScanner` accumulates whole residuals in integers.
+in integers, and added per monomial into an output dict; :func:`virasoro_apply`
+scales them by the ring's coefficients, and :class:`IntegerBracketScanner`
+sums whole residuals in integers without composing the commuting creators.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -26,6 +26,7 @@ factory, as long as they support ring arithmetic with Fraction.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -107,20 +108,15 @@ def _accumulate(out: dict, mono, c) -> None:
         del out[mono]
 
 
-def _pair_into(out: dict, k: int, mono, d: int, scale: int) -> dict:
-    """Add scale * sum_{n not in {0, k}} :alpha_{k-n} . alpha_n: on ``mono``.
+def _creator_pairs_into(out: dict, k: int, mono, d: int, scale: int) -> dict:
+    """Add scale * the two-creator pairs of :alpha_{k-n} . alpha_n: on ``mono``.
 
-    The sum is twice the oscillator part of L_k (k != 0), added into the
-    {monomial: int} dict ``out`` (``scale`` a nonzero int) and returned; it
-    is written down nowhere else.  Each pair {n, k - n} is taken once, with
-    alpha_n (2n >= k) first.  Annihilators come from one walk over the
-    factors, so no mode beyond ``level + |k|`` is visited, and creator
-    pairs are inserted directly.
+    With :func:`_contractions_into` this is the pair sum over n not in
+    {0, k}, twice the oscillator part of L_k (k != 0), written nowhere
+    else; both add into the {monomial: int} dict ``out`` (``scale`` a
+    nonzero int) and return it.  Both modes here create (k < 0,
+    k/2 <= n < 0), so each pair (-n, mu) <= (n - k, mu) is inserted directly.
     """
-    if abs(k) > DEFAULT_MODE_CAP:
-        raise ValueError(
-            f"|m|={abs(k)} exceeds the mode cap {DEFAULT_MODE_CAP}")
-    # two creators (k < 0, k/2 <= n < 0) add (-n, mu) <= (n - k, mu)
     for n in range(-(-k // 2), 0):
         base = scale if 2 * n == k else 2 * scale
         for mu in range(d):
@@ -134,6 +130,20 @@ def _pair_into(out: dict, k: int, mono, d: int, scale: int) -> dict:
                 out[tm] = new
             else:
                 del out[tm]
+    return out
+
+
+def _contractions_into(out: dict, k: int, mono, scale: int) -> dict:
+    """Add scale * the pairs of :alpha_{k-n} . alpha_n: holding an annihilator.
+
+    The other half of :func:`_creator_pairs_into`, and the home of the
+    mode-cap guard.  Each pair {n, k - n} is taken once, alpha_n (2n >= k)
+    first, from one walk over the factors, so no mode beyond ``level + |k|``
+    is visited.
+    """
+    if abs(k) > DEFAULT_MODE_CAP:
+        raise ValueError(
+            f"|m|={abs(k)} exceeds the mode cap {DEFAULT_MODE_CAP}")
     # alpha_n on a factor (n, mu) gives mult * n * eta, then alpha_{k-n}
     for pos, key in enumerate(mono):
         n, mu = key
@@ -170,7 +180,8 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
         return out
     for mono, coeff in v.items():
         half = coeff * _HALF
-        for tm, c in _pair_into({}, m, mono, params.d, 1).items():
+        row = _creator_pairs_into({}, m, mono, params.d, 1)
+        for tm, c in _contractions_into(row, m, mono, 1).items():
             out.add_term(tm, half * c)
     # zero-mode cross terms: p . alpha_m; an annihilator only sees the
     # directions present at mode m
@@ -207,21 +218,30 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     residual is the zero vector.  The residuals come from one
     :class:`IntegerBracketScanner`, so the momentum and the intercept must
     be rational (a surd or symbolic fiber raises ``ValueError``; use
-    :func:`virasoro_bracket_residual` there).  As a certificate of the
-    scanner's cleared denominators, the rows it uses (L_m, L_n and, off the
-    diagonal, the closure row L_{m+n}) on the level's first monomial are
-    checked against :func:`virasoro_apply`; a mismatch raises
-    :class:`~openstring.spectrum.InvariantError`.
+    :func:`virasoro_bracket_residual` there).  On the level's first
+    monomial, the scanner's rows (L_m, L_n and, off the diagonal, the
+    closure row L_{m+n}) are checked against :func:`virasoro_apply`, and
+    its creator parts C_m, C_n (whose commutator it drops) must only insert
+    factors: each output contains the monomial, |k| levels higher.  A
+    failure raises :class:`~openstring.spectrum.InvariantError`.
     """
+    from .spectrum import InvariantError
+
     scanner = IntegerBracketScanner(p, params)
     monos = list(iter_level_basis(params, level))
+    first = monos[0]
     for k in ({m} if m == n else {m, n, m + n}):
-        want = virasoro_apply(k, p, FockVector.basis_state(monos[0]), params)
-        if FockVector(scanner.two_l(k, monos[0])) != want.scaled(scanner.scale):
-            from .spectrum import InvariantError
-
+        want = virasoro_apply(k, p, FockVector.basis_state(first), params)
+        if FockVector(scanner.two_l(k, first)) != want.scaled(scanner.scale):
             raise InvariantError(
-                f"integer scanner disagrees with L_{k} on {monos[0]!r}")
+                f"integer scanner disagrees with L_{k} on {first!r}")
+    factors = Counter(first)
+    for k in {m, n}:
+        for tm in scanner.add_creators({}, k, first, 1):
+            if level_of(tm) != level - k or factors - Counter(tm):
+                raise InvariantError(
+                    f"creator part C_{k} of the integer scanner gives "
+                    f"{tm!r} on {first!r}, not a product with it")
     return [(mono, scanner.residual(m, n, mono)) for mono in monos]
 
 
@@ -250,16 +270,19 @@ class IntegerBracketScanner:
     T_0 = P . P + 2 D^2 (N - b).  A composed bracket then carries 4 D^4,
     which residuals divide back out on conversion to :class:`FockVector`.
 
-    The oscillator pairs come from the same function as in
-    :func:`virasoro_apply`, without ring arithmetic: a residual adds c T_k X
-    for each term c X of the inner row straight into one output dict
-    (:meth:`add_two_l`), and a diagonal cell (m, m) is zero without
-    composing.  So the full acceptance grid (all mode pairs, every state of
-    level <= 3, d = 26) fits in a test-suite runtime budget.  Rows are not
-    cached: intermediate monomials are seldom revisited, and a row cache
-    over five level-3 pairs at d = 26 grew past 2 GB and was slower.
-    :func:`virasoro_bracket_scan` certifies the rows a residual uses (T_m,
-    T_n, the closure row T_{m+n}) against :func:`virasoro_apply`.
+    Each row splits as T_k = C_k + X_k.  The creator part C_k is D^2
+    times the two-creator pairs plus the cross term for k < 0, and zero for
+    k >= 0; X_k is the rest (pairs holding an annihilator, the cross term
+    for k > 0, T_0).  C_k multiplies by creation operators, which commute,
+    so C_m C_n = C_n C_m exactly: :meth:`commutator` composes
+    T_m X_n - T_n X_m + X_m C_n - X_n C_m and never the large C_m C_n.
+    The pairs come from the functions :func:`virasoro_apply` uses, without
+    ring arithmetic, and every term goes straight into one output dict; a
+    diagonal cell (m, m) is zero without composing.  Rows are not cached:
+    intermediate monomials are seldom revisited, and a row cache over five
+    level-3 pairs at d = 26 grew past 2 GB and was slower.
+    :func:`virasoro_bracket_scan` certifies the rows and creator parts a
+    residual uses.
     """
 
     def __init__(self, p: Momentum, params: ModelParams):
@@ -284,20 +307,31 @@ class IntegerBracketScanner:
 
     def add_two_l(self, out: dict, k: int, mono, c: int) -> dict:
         """Add c T_k on one monomial into ``out`` (c != 0); returns ``out``."""
-        if k == 0:
-            _accumulate(out, mono, c * (self.p2 + 2 * self.den * (
-                self.den * level_of(mono) - self.b)))
-            return out
-        _pair_into(out, k, mono, self.d, c * self.den * self.den)
-        c *= 2 * self.den      # the cross term 2 D P . alpha_k
+        self.add_creators(out, k, mono, c)
+        return self.add_contractions(out, k, mono, c)
+
+    def add_creators(self, out: dict, k: int, mono, c: int) -> dict:
+        """Add c C_k, the pure-creator part of T_k, on one monomial."""
         if k < 0:
+            _creator_pairs_into(out, k, mono, self.d, c * self.den * self.den)
+            c *= 2 * self.den      # the cross term 2 D P . alpha_k
             for mu, pc in enumerate(self.p):
                 if pc:
                     key = (-k, mu)
                     i = bisect_right(mono, key)
                     _accumulate(out, mono[:i] + (key,) + mono[i:],
                                 -c * pc if mu == 0 else c * pc)
-        else:
+        return out
+
+    def add_contractions(self, out: dict, k: int, mono, c: int) -> dict:
+        """Add c X_k = c (T_k - C_k) on one monomial; T_0 lies here."""
+        if k == 0:
+            _accumulate(out, mono, c * (self.p2 + 2 * self.den * (
+                self.den * level_of(mono) - self.b)))
+            return out
+        _contractions_into(out, k, mono, c * self.den * self.den)
+        if k > 0:
+            c *= 2 * self.den  # the cross term 2 D P . alpha_k
             for pos, key in enumerate(mono):
                 if key[0] == k and self.p[key[1]] and \
                         not (pos and mono[pos - 1] == key):
@@ -305,19 +339,24 @@ class IntegerBracketScanner:
                                 c * self.p[key[1]] * mono.count(key) * k)
         return out
 
-    def residual(self, m: int, n: int, mono) -> FockVector:
-        """([L_m, L_n] - closure) on a basis monomial, as a FockVector.
-
-        For m = n the closure and central coefficients vanish and both
-        compositions are the same computation, so the residual is zero.
-        """
-        if m == n:
-            return FockVector()
+    def commutator(self, m: int, n: int, mono) -> dict:
+        """[T_m, T_n] = 4 D^4 [L_m, L_n] on one monomial, as {monomial: int}."""
         out: dict = {}
-        for tm, tc in self.two_l(n, mono).items():
+        for tm, tc in self.add_contractions({}, n, mono, 1).items():
             self.add_two_l(out, m, tm, tc)
-        for tm, tc in self.two_l(m, mono).items():
+        for tm, tc in self.add_contractions({}, m, mono, 1).items():
             self.add_two_l(out, n, tm, -tc)
+        for tm, tc in self.add_creators({}, n, mono, 1).items():
+            self.add_contractions(out, m, tm, tc)
+        for tm, tc in self.add_creators({}, m, mono, 1).items():
+            self.add_contractions(out, n, tm, -tc)
+        return out
+
+    def residual(self, m: int, n: int, mono) -> FockVector:
+        """([L_m, L_n] - closure) on a basis monomial, as a FockVector."""
+        if m == n:      # the closure and central coefficients vanish
+            return FockVector()
+        out = self.commutator(m, n, mono)
         self.add_two_l(out, m + n, mono, -self.scale * (m - n))
         if m + n == 0:
             # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
@@ -359,10 +398,8 @@ class LorentzMatrix:
         self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
         for i in range(d):
             for j in range(i, d):
-                got = sum(
-                    self.rows[k][i] * params.eta(k) * self.rows[k][j]
-                    for k in range(d)
-                )
+                got = sum(self.rows[k][i] * params.eta(k) * self.rows[k][j]
+                          for k in range(d))
                 want = params.eta(i) if i == j else 0
                 if got != want:
                     raise ValueError("matrix does not preserve the metric")
@@ -402,24 +439,15 @@ def cayley_lorentz(seed, params: ModelParams) -> LorentzMatrix:
     i_minus = [[Fraction(i == j) - x[i][j] for j in range(d)] for i in range(d)]
     i_plus = [[Fraction(i == j) + x[i][j] for j in range(d)] for i in range(d)]
     inv = matrix_inverse(i_plus)
-    lam = [
-        [sum(i_minus[i][k] * inv[k][j] for k in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
-    return LorentzMatrix(lam, params)
-
-
-def _as_lorentz(lam, params: ModelParams) -> LorentzMatrix:
-    if isinstance(lam, LorentzMatrix):
-        return lam
+    lam = [[sum(i_minus[i][k] * inv[k][j] for k in range(d))
+            for j in range(d)] for i in range(d)]
     return LorentzMatrix(lam, params)
 
 
 def lorentz_momentum(lam, p: Momentum) -> Momentum:
     d = p.d
-    return Momentum(
-        tuple(sum(lam[nu][mu] * p[mu] for mu in range(d)) for nu in range(d))
-    )
+    return Momentum(tuple(sum(lam[nu][mu] * p[mu] for mu in range(d))
+                          for nu in range(d)))
 
 
 def lorentz_apply(lam, v: FockVector, params: ModelParams) -> FockVector:
@@ -433,7 +461,8 @@ def lorentz_apply(lam, v: FockVector, params: ModelParams) -> FockVector:
     Non-Lorentz matrices are rejected (the metric check runs on construction
     of :class:`LorentzMatrix`; raw rows are validated here).
     """
-    lam = _as_lorentz(lam, params)
+    if not isinstance(lam, LorentzMatrix):
+        lam = LorentzMatrix(lam, params)
     d = params.d
     out = FockVector.zero()
     for mono, coeff in v.items():

@@ -101,9 +101,10 @@ class TestBracketAlgebra:
       mode zero, or m+n = 0); at d=4 both intercepts get the full grid
       anyway, since it is cheap.
 
-    The central coefficient is additionally extracted explicitly (and
-    through the generic evaluation path, independent of the fast scan
-    kernel) in the companion test below.
+    The central coefficient is additionally extracted explicitly, through
+    the generic evaluation path, in the companion test below.  That path,
+    ``virasoro_apply``, shares its oscillator-pair kernel with the scanner;
+    the independent route is ``tests/oracles.py:virasoro_apply_reference``.
     """
 
     OFFDIAG = [(m, n) for m in range(-3, 4) for n in range(m + 1, 4)]

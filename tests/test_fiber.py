@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from openstring import cli
 from openstring.exactnum import ExactNum
 from openstring.fiber import (
     IntegerBracketScanner,
@@ -282,6 +283,56 @@ class TestScanEngines:
         assert not IntegerBracketScanner(p, P4).residual(1, 1, mono)
         with pytest.raises(InvariantError, match="L_3"):
             virasoro_bracket_scan(1, 2, 1, p, P4)
+
+    def test_scan_certifies_creator_parts(self, monkeypatch):
+        # move the contractions of T_{-1} into its creator part: the row
+        # T_{-1} is unchanged, but C_{-1} no longer commutes with C_{-2}
+        p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
+        creators = IntegerBracketScanner.add_creators
+        contractions = IntegerBracketScanner.add_contractions
+
+        def tampered_creators(self, out, k, mono, c):
+            creators(self, out, k, mono, c)
+            return contractions(self, out, k, mono, c) if k == -1 else out
+
+        def tampered_contractions(self, out, k, mono, c):
+            return out if k == -1 else contractions(self, out, k, mono, c)
+
+        mono = next(iter(iter_level_basis(P4, 1)))
+        want = IntegerBracketScanner(p, P4).two_l(-1, mono)
+        monkeypatch.setattr(IntegerBracketScanner, "add_creators",
+                            tampered_creators)
+        monkeypatch.setattr(IntegerBracketScanner, "add_contractions",
+                            tampered_contractions)
+        scanner = IntegerBracketScanner(p, P4)
+        assert scanner.two_l(-1, mono) == want
+        assert scanner.residual(-2, -1, mono)
+        with pytest.raises(InvariantError, match="creator part C_-1"):
+            virasoro_bracket_scan(-2, -1, 1, p, P4)
+
+    def test_split_commutator_matches_reference_at_26(self):
+        # the CLI's seeded rational probe for --seed 2; the scanner never
+        # composes C_m C_n, so compare its commutator (a rich nonzero
+        # vector) and its residual with compositions of the reference L_m
+        p = cli._probe_momenta(26, 2)[1]
+        assert sum(1 for c in p if c) == 22
+        assert sum(1 for c in p if c.denominator != 1) == 11
+        scanner = IntegerBracketScanner(p, P26)
+        rng = random.Random(71)
+        monos = rng.sample(list(iter_level_basis(P26, 2)), 20)
+
+        def ref(k, v):
+            return virasoro_apply_reference(k, p, v, P26)
+
+        for m, n in [(-3, -2), (-3, -1), (-2, -1), (-3, 2)]:
+            for mono in monos:
+                v = FockVector.basis_state(mono)
+                bracket = ref(m, ref(n, v)) - ref(n, ref(m, v))
+                assert bracket
+                assert FockVector(scanner.commutator(m, n, mono)) == \
+                    bracket.scaled(scanner.scale ** 2), (m, n, mono)
+                assert scanner.residual(m, n, mono) == \
+                    bracket - ref(m + n, v).scaled(m - n), (m, n, mono)
 
     def test_shifted_mass_is_caught_by_the_central_pairs(self):
         # raising P.P by one breaks L_0 only, which the scan reaches through
