@@ -82,12 +82,13 @@ def _summary(p, grids: list) -> dict:
     }
 
 
-def time_cli() -> dict:
-    """Wall time and report digest of ``openstring virasoro`` at defaults."""
+def time_cli(*argv) -> dict:
+    """Wall time, exit code and report digest of ``openstring *argv`` run in
+    a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-c",
            "import sys; from openstring.cli import main; sys.exit(main())",
-           "virasoro"]
+           *argv]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
     wall = time.perf_counter() - t0
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
     for _ in range(args.repeat):
         for name, p in probes.items():
             grids[name].append(time_grid(p))
-        clis.append(time_cli())
+        clis.append(time_cli("virasoro"))
     cli_walls = [c["wall_s"] for c in clis]
     result = {
         "commit": _git_head(),

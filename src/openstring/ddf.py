@@ -27,7 +27,9 @@ part once and keeps it on the null vector; a :class:`DdfContext` holds one
 null vector per n, so those images serve every direction, probe and call
 made through the context, and they go away with it.  The images carry the
 context's ring scalars (U_n(c l) = sum_q c^q U_{n,q}(l), q the number of
-factors), which is why no cache outlives its context.
+factors), which is why no cache outlives its context.  As k^i = 0,
+[V_t(k), alpha^i_s] = 0: the images V_{n+q} v behind alpha^i_{-q} in A^i_n
+do not depend on i, and the calibration shares them across directions.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
@@ -237,19 +239,32 @@ def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVect
 def v_vector_apply(mu: int, n: int, k: NullVector, p: Momentum, v: FockVector,
                    params: ModelParams) -> FockVector:
     """Apply V^mu_n = sum_{q>0}[alpha^mu_{-q} V_{n+q} + V_{n-q} alpha^mu_q]
-    + p^mu V_n, with level-bound truncations q <= level - n and q <= level."""
-    level = v.level()
+    + p^mu V_n, with level-bound truncations q <= level - n and q <= level.
+
+    For transverse mu, k^mu = 0 gives [V_t(k), alpha^mu_s] = 0: only
+    :func:`_assemble` depends on mu, not the :func:`_vertex_images` of v.
+    """
+    return _assemble(mu, n, k, p, v, _vertex_images(n, k, v, params), params)
+
+
+def _vertex_images(n: int, k: NullVector, v: FockVector,
+                   params: ModelParams) -> list:
+    """[(q, V_{n+q}(k) v)] for 0 <= q <= level(v) - n, zero images dropped."""
+    return [(q, w) for q in range(v.level() - n + 1)
+            if (w := v_scalar_apply(n + q, k, v, params))]
+
+
+def _assemble(mu: int, n: int, k: NullVector, p: Momentum, v: FockVector,
+              images: list, params: ModelParams) -> FockVector:
+    """V^mu_n v from ``images`` = :func:`_vertex_images` of v: alpha^mu_{-q}
+    on each image (p^mu at q = 0), plus V_{n-q} alpha^mu_q v for the modes
+    q > 0 of direction mu that occur in v (every other alpha^mu_q kills v)."""
     out = FockVector.zero()
-    for q in range(1, level - n + 1):
-        w = v_scalar_apply(n + q, k, v, params)
-        if w:
-            out += apply_oscillator((-q, mu), w, params)
-    for q in range(1, level + 1):
-        w = apply_oscillator((q, mu), v, params)
-        if w:
-            out += v_scalar_apply(n - q, k, w, params)
-    if p[mu]:
-        out += v_scalar_apply(n, k, v, params).scaled(p[mu])
+    for q, w in images:
+        out += apply_oscillator((-q, mu), w, params) if q else w.scaled(p[mu])
+    for q in sorted({f[0] for mono, _ in v.items() for f in mono if f[1] == mu}):
+        out += v_scalar_apply(n - q, k, apply_oscillator((q, mu), v, params),
+                              params)
     return out
 
 
@@ -293,13 +308,16 @@ class DdfContext:
         )
 
 
+def _check_transverse(i: int, params: ModelParams) -> None:
+    if not 1 <= i <= params.d - 2:
+        raise InvalidDirectionError(
+            f"direction {i} is not transverse (need 1..{params.d - 2})"
+        )
+
+
 def ddf_apply(i: int, n: int, v: FockVector, ctx: DdfContext) -> FockVector:
     """Apply the transverse operator A^i_n = V^i_n at null vector n*k(p)."""
-    d = ctx.params.d
-    if not 1 <= i <= d - 2:
-        raise InvalidDirectionError(
-            f"direction {i} is not transverse (need 1..{d - 2})"
-        )
+    _check_transverse(i, ctx.params)
     if ctx.degenerate:
         return FockVector.zero()
     return v_vector_apply(i, n, ctx.null_at(n), ctx.p, v, ctx.params)
@@ -339,14 +357,9 @@ def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
 def ddf_commutator_residual(m: int, i: int, n: int, v: FockVector,
                             ctx: DdfContext) -> FockVector:
     """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else 0)."""
-    return _residual(m, i, n, v, virasoro_apply(m, ctx.p, v, ctx.params), ctx)
-
-
-def _residual(m, i, n, v, lv, ctx):
-    """:func:`ddf_commutator_residual` given ``lv`` = L_m v."""
     w = ddf_apply(i, n, v, ctx)
     res = virasoro_apply(m, ctx.p, w, ctx.params)
-    res -= ddf_apply(i, n, lv, ctx)
+    res -= ddf_apply(i, n, virasoro_apply(m, ctx.p, v, ctx.params), ctx)
     if m == 0:
         res += w.scaled(n)
     return res
@@ -362,14 +375,6 @@ def defect_threshold(m: int, n: int) -> int:
     nonzero for generic momenta.
     """
     return max(0, m) + max(0, n)
-
-
-def _alpha_apply(i: int, s: int, p: Momentum, v: FockVector,
-                 params: ModelParams) -> FockVector:
-    """alpha^i_s with the zero mode acting as the momentum component p^i."""
-    if s == 0:
-        return v.scaled(p[i])
-    return apply_oscillator((s, i), v, params)
 
 
 def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
@@ -409,7 +414,7 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
         if not w:
             continue
         for s in range(m + n - t - level, level + 1):
-            x = _alpha_apply(i, s, p, w, params)
+            x = apply_oscillator((s, i), w, params) if s else w.scaled(p[i])
             if not x:
                 continue
             a = m + n - t - s
@@ -449,15 +454,20 @@ def calibrate_normalization(params: ModelParams, momenta,
     if not momenta:
         raise ValueError("calibration needs at least one momentum")
     dirs = list(directions) if directions is not None else list(range(1, params.d - 1))
+    for i in dirs:
+        _check_transverse(i, params)
     probes = [
         [FockVector.basis_state(mono) for mono in iter_level_basis(params, level)]
         for level in range(level_cap + 1)
     ]
+    cells = [(n, m, level, j, v)
+             for n in range(-mode_cap, mode_cap + 1)
+             for m in range(-mode_cap, mode_cap + 1) if m
+             for level in range(min(defect_threshold(m, n), level_cap + 1))
+             for j, v in enumerate(probes[level])]
     failures = {}
     for kappa in candidates:
-        witness = _first_calibration_failure(
-            params, momenta, kappa, probes, dirs, mode_cap
-        )
+        witness = _first_calibration_failure(params, momenta, kappa, cells, dirs)
         if witness is None:
             return Fraction(kappa)
         failures[str(kappa)] = witness
@@ -467,37 +477,36 @@ def calibrate_normalization(params: ModelParams, momenta,
     )
 
 
-def _first_calibration_failure(params, momenta, kappa, probes, dirs, mode_cap):
+def _first_calibration_failure(params, momenta, kappa, cells, dirs):
     """The first nonzero residual in (momentum, i, n, m, probe) order.
 
-    ``probes[level]`` lists the probes of that level.  L_m v does not depend
-    on the direction, so it is computed once per (momentum, m, probe).
+    ``cells`` lists (n, m, level, j, v) in that order, v being the j-th
+    probe of its level.  Only the last step of A^i_n depends on the
+    direction: L_m v does not, and since k^i = 0 gives [V_t(k), alpha^i_s]
+    = 0, neither do the :func:`_vertex_images` of v and of L_m v.  Each is
+    built once per momentum, keyed (m, level, j) for L_m v, (n, level, j)
+    for the images of v and (n, m, level, j) for those of L_m v.
     """
     for p in momenta:
         ctx = DdfContext(params, p, kappa)
         if ctx.degenerate:
-            raise ValueError(
-                f"calibration momentum {p!r} has vanishing lightcone combination"
-            )
-        lowered = {}
+            raise ValueError(f"calibration momentum {p!r} has vanishing "
+                             "lightcone combination")
+        lowered, images = {}, {}
         for i in dirs:
-            for n in range(-mode_cap, mode_cap + 1):
-                for m in range(-mode_cap, mode_cap + 1):
-                    if m == 0:
-                        continue
-                    for level in range(min(defect_threshold(m, n), len(probes))):
-                        for j, v in enumerate(probes[level]):
-                            lv = lowered.get((m, level, j))
-                            if lv is None:
-                                lv = lowered[(m, level, j)] = virasoro_apply(
-                                    m, p, v, params)
-                            res = _residual(m, i, n, v, lv, ctx)
-                            if res:
-                                return {
-                                    "momentum": repr(p.components),
-                                    "i": i,
-                                    "n": n,
-                                    "m": m,
-                                    "residual_terms": len(res),
-                                }
+            for n, m, level, j, v in cells:
+                nk = ctx.null_at(n)
+                if (lv := lowered.get((m, level, j))) is None:
+                    lv = lowered[m, level, j] = virasoro_apply(m, p, v, params)
+                if (iv := images.get((n, level, j))) is None:
+                    iv = images[n, level, j] = _vertex_images(n, nk, v, params)
+                if (ilv := images.get((n, m, level, j))) is None:
+                    ilv = images[n, m, level, j] = _vertex_images(
+                        n, nk, lv, params)
+                res = virasoro_apply(
+                    m, p, _assemble(i, n, nk, p, v, iv, params), params)
+                res -= _assemble(i, n, nk, p, lv, ilv, params)
+                if res:
+                    return {"momentum": repr(p.components), "i": i,
+                            "n": n, "m": m, "residual_terms": len(res)}
     return None

@@ -7,7 +7,8 @@ commutation relation, level dimensions by explicit series multiplication,
 radial transforms by a shell-and-angle double quadrature, the spurious
 radical and the physical signature through the Gram of a physical basis,
 L_m by composing single oscillators on whole vectors, U_n by enumerating
-compositions and partitions, and V_t by running U_n over the whole vector.
+compositions and partitions, V_t by running U_n over the whole vector,
+and V^mu_n by its two-loop definition on top of that V_t.
 """
 
 from collections import Counter
@@ -196,6 +197,28 @@ def v_scalar_apply_reference(t, k, v, params):
         w = u_op_apply(idx, k, v, params, sign=1)
         if w:
             out += u_op_apply(idx - t, k, w, params, sign=-1, dagger=True)
+    return out
+
+
+def v_vector_apply_reference(mu, n, k, p, v, params):
+    """V^mu_n = sum_{q>0}[alpha^mu_{-q} V_{n+q} + V_{n-q} alpha^mu_q] + p^mu V_n.
+
+    The literal two-loop form, each V_t run on the whole vector by
+    ``v_scalar_apply_reference``; q stops at the level bounds
+    q <= level - n and q <= level, past which every term vanishes.
+    """
+    level = v.level()
+    out = FockVector()
+    for q in range(1, level - n + 1):
+        w = v_scalar_apply_reference(n + q, k, v, params)
+        if w:
+            out += apply_oscillator((-q, mu), w, params)
+    for q in range(1, level + 1):
+        w = apply_oscillator((q, mu), v, params)
+        if w:
+            out += v_scalar_apply_reference(n - q, k, w, params)
+    if p[mu]:
+        out += v_scalar_apply_reference(n, k, v, params).scaled(p[mu])
     return out
 
 

@@ -51,6 +51,7 @@ from .oracles import (
     u_composition_apply,
     u_exponential_partition_apply,
     v_scalar_apply_reference,
+    v_vector_apply_reference,
 )
 
 P4 = ModelParams(d=4)
@@ -321,6 +322,44 @@ class TestLightconeImages:
                         (v if t == 0 else FockVector.zero())
 
 
+# a p^i = 0 direction next to p^i != 0 ones, at d = 4 and at d = 26
+SHARED_IMAGE_CASES = {
+    "d4": (P4, MOME4[0], basis_upto(P4, 2)),
+    "d26": (P26, mom26(2, 1, 0, -1, 1), [
+        FockVector({((1, 0), (1, 1)): Fraction(1), ((2, 25),): Fraction(1, 2),
+                    ((1, 2), (1, 3)): Fraction(-2)}),
+        FockVector({((1, 1), (1, 25)): Fraction(3), ((1, 0),): Fraction(1)}),
+        FockVector.vacuum(),
+    ]),
+}
+
+
+class TestSharedVertexImages:
+    """ddf_apply, which builds the direction-free images V_{n+q}(n k) v once
+    and assembles A^i_n from them, against the literal two-loop form."""
+
+    @pytest.mark.parametrize("case", sorted(SHARED_IMAGE_CASES))
+    def test_ddf_apply_matches_two_loop_reference(self, case):
+        params, p, vectors = SHARED_IMAGE_CASES[case]
+        vectors = vectors + [random_vector(random.Random(seed), params, 2)
+                             for seed in range(3)]
+        seen = set()
+        for kappa in (Fraction(1), Fraction(1, 2), Fraction(2)):
+            ctx = DdfContext(params, p, kappa=kappa)
+            for n in range(-2, 3):
+                nk = NullVector(p, kappa * n)
+                for v in vectors:
+                    for i in range(1, params.d - 1):
+                        want = v_vector_apply_reference(i, n, nk, p, v, params)
+                        assert ddf_apply(i, n, v, ctx) == want, (kappa, n, i, v)
+                        present = any(mu == i for mono, _ in v.items()
+                                      for _, mu in mono)
+                        seen.add((present, bool(p[i])))
+        # directions in v and absent from it, with p^i zero and nonzero
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
 class TestVertexNormalForm:
     """A^i_n = sum_s alpha^i_s V_{n-s}(n k), with alpha^i_0 = p^i.
 
@@ -565,6 +604,43 @@ class TestCalibration:
     def test_needs_momenta(self):
         with pytest.raises(ValueError):
             calibrate_normalization(P4, [])
+
+    def test_directions_share_vertex_image_builds(self, monkeypatch):
+        # k^i = 0, so the images of v and of L_m v serve every direction:
+        # one direction builds them as often as all 24 do
+        builds = []
+        real = ddf_module._vertex_images
+
+        def counting(*args):
+            builds.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(ddf_module, "_vertex_images", counting)
+        counts = []
+        for directions in ((1,), None):
+            builds.clear()
+            assert calibrate_normalization(
+                P26, [mom26(2, 1, 0, 1)], directions=directions) == 1
+            counts.append(len(builds))
+        assert counts[0] == counts[1] > 0
+
+    def test_dropping_the_zero_mode_image_is_caught(self, monkeypatch):
+        # without its q = 0 entry the term p^i V_n v is lost, and the first
+        # direction, where p^1 != 0, exposes it for every candidate
+        real = ddf_module._vertex_images
+        monkeypatch.setattr(ddf_module, "_vertex_images",
+                            lambda *args: [(q, w) for q, w in real(*args) if q])
+        with pytest.raises(CalibrationError) as exc:
+            calibrate_normalization(P4, MOME4[:2])
+        residuals = exc.value.residuals
+        assert set(residuals) == {"1", "1/2", "2"}
+        for witness in residuals.values():
+            assert (witness["i"], witness["n"], witness["m"]) == (1, -2, 1)
+
+    def test_non_transverse_directions_rejected(self):
+        for i in (0, 3):
+            with pytest.raises(InvalidDirectionError):
+                calibrate_normalization(P4, MOME4[:1], directions=(1, i))
 
     def test_witnesses_frozen_on_cli_momenta(self):
         # the CLI's seed-0 momenta: the fixed (2, 1, 0, .., 0, 1) and a
