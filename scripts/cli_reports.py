@@ -1,0 +1,109 @@
+"""Digest the output of a fixed matrix of ``openstring`` invocations.
+
+Each invocation runs in a fresh interpreter, in its own empty working
+directory, with the package imported from ``src/`` of the checkout
+holding this script, so a copy of the script placed in another checkout
+digests that checkout.  Cases that need a config file write it there as
+``run.json`` first, so no temporary path reaches the output.  One JSON
+line per case gives the argv, the config text (if any), the exit code
+and the SHA-256 of stdout and of stderr:
+
+    python3 scripts/cli_reports.py > change.jsonl
+    python3 ../parent/scripts/cli_reports.py > parent.jsonl
+    diff parent.jsonl change.jsonl
+
+Two trees whose lines agree print the same bytes and exit the same way
+on every case.  The matrix took about 25 s on a shared 2-core machine;
+the three ``virasoro`` runs at d = 26 are most of it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# (argv, config file text or None)
+CASES = [
+    (["virasoro"], None),
+    (["virasoro", "--seed", "2"], None),
+    (["virasoro", "--seed", "81"], None),
+    (["virasoro", "--d", "4", "--max-level", "2"], None),
+    (["ddf"], None),
+    (["ddf", "--d", "4", "--kappa-set", "3", "5"], None),
+    (["ddf-state"], None),
+    (["noghost", "--d-list", "10,26", "--max-level", "2"], None),
+    (["noghost", "--d-list", "10,26", "--max-level", "2",
+      "--format", "json"], None),
+    (["basis", "--d", "10", "--max-level", "4"], None),
+    (["basis", "--d", "10", "--max-level", "4", "--format", "json"], None),
+    (["testfn", "--d", "4"], None),
+    (["locality", "--d", "4", "--grid", "64"], None),
+    (["locality", "--d", "4", "--grid", "64", "--sweep", "0,4,0;0,1,0"],
+     None),
+    (["observable", "--radius", "1/10", "--word", "1:1"], None),
+    # the requests tests/test_cli.py expects to be refused with exit 2
+    ([], None),
+    (["frobnicate"], None),
+    (["ddf-state", "--d", "4", "--b", "one"], None),
+    (["ddf-state", "--d", "4", "--word", "11"], None),
+    (["ddf-state", "--d", "4", "--word", "5:1"], None),
+    (["virasoro", "--config", "run.json"], "{broken"),
+    (["virasoro", "--config", "run.json"], '{"levels": 3}'),
+    (["virasoro", "--config", "run.json"], '{"d": "four"}'),
+    (["virasoro", "--config", "run.json"], '{"d": true}'),
+    (["virasoro", "--config", "absent.json"], None),
+    (["virasoro", "--d", "4", "--max-level", "-1"], None),
+    (["noghost", "--d-list", "4", "--max-level", "-1"], None),
+    (["basis", "--max-level", "-1"], None),
+    (["testfn", "--grid", "0", "--d", "4"], None),
+    (["testfn", "--tol", "-1", "--d", "4"], None),
+    (["locality", "--tol", "0", "--d", "4"], None),
+    (["observable", "--tol", "inf", "--d", "4"], None),
+    (["basis", "--d", "4", "--config", "run.json"], '{"format": "xml"}'),
+    (["virasoro", "--d", "26", "--max-level", "3"], None),
+    (["ddf", "--d", "4", "--kappa-set", "0"], None),
+    (["ddf-state", "--d", "4", "--word", "1:1", "--momentum", "1,0,0,-1"],
+     None),
+    (["testfn", "--d", "4", "--radius", "1/100", "--grid", "64"], None),
+    (["locality", "--d", "4", "--separation", "0,2,0"], None),
+    (["locality", "--d", "4", "--grid", "8", "--extent", "nan"], None),
+    (["locality", "--d", "4", "--grid", "8", "--extent", "inf"], None),
+    (["observable", "--d", "6", "--word", "3:1", "--grid", "64"], None),
+    (["locality", "--d", "6", "--word", "3:1", "--grid", "64"], None),
+    (["observable", "--d", "4", "--radius", "1", "--dq", "4", "--grid", "8"],
+     None),
+]
+
+
+def run_case(argv: list, config) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-c",
+           "import sys; from openstring.cli import main; sys.exit(main())",
+           *argv]
+    with tempfile.TemporaryDirectory() as cwd:
+        if config is not None:
+            Path(cwd, "run.json").write_text(config, encoding="utf-8")
+        proc = subprocess.run(cmd, env=env, cwd=cwd, capture_output=True,
+                              check=False)
+    return {"argv": argv, "config": config, "exit": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest()}
+
+
+def main() -> int:
+    if not (SRC / "openstring" / "__init__.py").is_file():
+        raise SystemExit(f"cli_reports.py: no openstring package under {SRC}")
+    for argv, config in CASES:
+        print(json.dumps(run_case(argv, config)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,19 +1,22 @@
 """Command-line front end: algebra checks, scans, and the locality demo.
 
-Every subcommand is a thin shell over the library: it parses flags (with
-an optional JSON config file supplying defaults), runs one verification
-pipeline, writes a deterministic report, and encodes the verdict in the
-exit status —
+Every subcommand is a thin shell over the library: it runs one
+verification pipeline, writes a deterministic report, and encodes the
+verdict in the exit status —
 
     0   every check the command ran passed,
     1   a check ran to completion and failed,
     2   the request itself was unusable (bad flags, bad config, bad
-        geometry, a grid too coarse for the radius, unsupported format,
-        refused cost caps),
+        geometry, a grid too coarse for the radius, refused cost caps),
     3   operator calibration failed (no normalization candidate works;
         the residual evidence is dumped),
     4   internal error: two exact routes disagreed, or a result failed
         its certificate (a fault of the program, not of the request).
+
+Each flag is declared once in ``FLAGS`` and each subcommand once in
+``COMMANDS``, with the flags it reads and their defaults.  A value comes
+from the command line, else the --config JSON file, else the default,
+and is parsed and range-checked the same way on every route.
 
 Reports are byte-stable for a fixed command line and seed: dictionaries
 are emitted with sorted keys, floats are formatted explicitly, and the
@@ -28,6 +31,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .ddf import CalibrationError, DdfContext, calibrate_normalization, \
     constraint_report, ddf_state
@@ -48,7 +52,7 @@ class ConfigError(ValueError):
     """The command line or config file cannot be turned into a run."""
 
 
-# -- plumbing -----------------------------------------------------------------
+# -- flags ----------------------------------------------------------------------
 
 
 def _parse_fraction(text) -> Fraction:
@@ -77,11 +81,53 @@ def _parse_vector(text) -> tuple:
     return tuple(_parse_fraction(c) for c in str(text).split(","))
 
 
-_CONFIG_KEYS = {
-    "d": int, "b": str, "max_level": int, "seed": int, "tol": float,
-    "grid": int, "dq": int, "extent": float, "kappa_set": list,
-    "word": str, "radius": str, "momentum": str, "separation": str,
-    "d_list": str, "format": str, "allow_expensive": bool,
+class Flag(NamedTuple):
+    """``kind`` is the type on the command line and in a config file (bool
+    is a switch, list takes words); ``parse`` makes what the command reads
+    of it, and ``check`` = (predicate, requirement) must then hold."""
+
+    kind: type
+    help: str
+    parse: Callable | None = None
+    check: tuple | None = None
+    choices: tuple | None = None
+    config: bool = True
+
+
+FLAGS = {
+    "d": Flag(int, "spacetime dimension",
+              check=(lambda v: v >= 2, "must be at least 2")),
+    "b": Flag(str, "normal-ordering constant, rational", _parse_fraction),
+    "seed": Flag(int, "seed for the randomized probe momentum"),
+    "max_level": Flag(int, "highest oscillator level",
+                      check=(lambda v: v >= 0, "must be nonnegative")),
+    "allow_expensive": Flag(bool, "lift the cap on d >= 26, level >= 3"),
+    "kappa_set": Flag(list, "normalization candidates to try, rationals",
+                      lambda texts: tuple(map(_parse_fraction, texts)),
+                      (lambda ks: ks and all(ks), "must be nonempty, without "
+                       "candidate 0, which makes k(p) and every A^i_n vanish")),
+    "d_list": Flag(str, "comma-separated dimensions",
+                   lambda text: [int(x) for x in str(text).split(",")]),
+    "format": Flag(str, "report format", choices=("csv", "json")),
+    "timings": Flag(bool, "add each row's wall time to the CSV", config=False),
+    "word": Flag(str, "lowering word i:n,i:n,...", _parse_word),
+    "momentum": Flag(
+        str, "comma-separated rational components (default: on the shell)",
+        lambda text: Momentum(_parse_vector(text)), (lambda p: p.lightcone(),
+        "must be off p^0 + p^{d-1} = 0, where every A^i_n vanishes")),
+    "radius": Flag(str, "support radius, rational", _parse_fraction),
+    "separation": Flag(str, "a0,a1,... (default: R/2, 4R, 0, ...)", _parse_vector),
+    "sweep": Flag(str, "semicolon-separated separation vectors -> CSV",
+                  lambda text: [_parse_vector(s) for s in str(text).split(";")],
+                  config=False),
+    "grid": Flag(int, "grid points per axis",
+                 check=(lambda v: v > 0, "must be positive")),
+    "dq": Flag(int, "spatial dimensions of the quadrature slice"),
+    "extent": Flag(float, "quadrature half-width (default: 24/R)"),
+    "tol": Flag(float, "pass tolerance", check=(
+        lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")),
+    "out": Flag(str, "write the report here", config=False),
+    "config": Flag(str, "JSON file of values for these flags", config=False),
 }
 
 
@@ -96,65 +142,52 @@ def _load_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for key, value in raw.items():
-        want = _CONFIG_KEYS.get(key)
-        if want is None:
+        flag = FLAGS.get(key)
+        if flag is None or not flag.config:
             raise ConfigError(f"unknown config key {key!r}")
+        want = flag.kind
         accept = (int, float) if want is float else want
         if not isinstance(value, accept) or isinstance(value, bool) != (want is bool):
-            raise ConfigError(
-                f"config key {key!r} should be {want.__name__}")
+            raise ConfigError(f"config key {key!r} should be {want.__name__}")
+        if flag.choices and value not in flag.choices:
+            raise ConfigError(f"unsupported {key} {value!r} in config "
+                              f"(choose from {', '.join(flag.choices)})")
     return raw
 
 
-def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill argparse gaps from the config file; explicit flags win."""
+def _merge(args: argparse.Namespace, reads: dict) -> None:
+    """Set each flag the command reads from the command line, else the
+    config file, else the command's default; then parse and check it."""
     cfg = _load_config(args.config) if args.config else {}
-    for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
+    for key, default in reads.items():
+        flag, opt = FLAGS[key], "--" + key.replace("_", "-")
+        raw = getattr(args, key)
+        value = raw = cfg.get(key, default) if raw is None else raw
+        if raw is not None and flag.parse:
+            try:
+                value = flag.parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{opt}: {exc}") from exc
+        if raw is not None and flag.check and not flag.check[0](value):
+            raise ConfigError(f"{opt} {flag.check[1]}, got {raw}")
+        setattr(args, key, value)
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(report, out_path) -> None:
+    """Write CSV text as it is, a dict as sorted, indented JSON."""
+    if isinstance(report, dict):
+        report = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
 
 
-def _dump_json(payload: dict, out_path) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
-
-
-def _model(args) -> ModelParams:
-    d = args.d if args.d is not None else 26
-    b = _parse_fraction(args.b if args.b is not None else "1")
-    if d < 2:
-        raise ConfigError("need at least two spacetime dimensions")
-    return ModelParams(d=d, b=b)
-
-
-def _max_level(args, default: int) -> int:
-    level = args.max_level if args.max_level is not None else default
-    if level < 0:
-        raise ConfigError(f"--max-level must be nonnegative, got {level}")
-    return level
-
-
-def _grid(args, default: int) -> int:
-    grid = args.grid if args.grid is not None else default
-    if grid <= 0:
-        raise ConfigError(f"--grid must be positive, got {grid}")
-    return grid
-
-
-def _tol(args, default: float) -> float:
-    tol = args.tol if args.tol is not None else default
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(
-            f"--tol must be a finite positive number, got {tol}")
-    return tol
+def _report(payload: dict, out_path) -> int:
+    """Write a JSON report; its "pass" field is the verdict."""
+    _emit(payload, out_path)
+    return 0 if payload["pass"] else 1
 
 
 def _probe_momenta(d: int, seed: int) -> list:
@@ -181,83 +214,69 @@ def _probe_momenta(d: int, seed: int) -> list:
 
 
 def cmd_virasoro(args) -> int:
-    params = _model(args)
-    max_level = _max_level(args, 2)
-    if params.d >= 26 and max_level >= 3 and not args.allow_expensive:
+    params = ModelParams(args.d, args.b)
+    if params.d >= 26 and args.max_level >= 3 and not args.allow_expensive:
         sys.stderr.write(
             "refused: the bracket grid at d >= 26, level >= 3 is a "
             "long run; pass --allow-expensive to lift the cap\n")
         return 2
-    momenta = _probe_momenta(params.d, args.seed or 0)
+    momenta = _probe_momenta(params.d, args.seed)
     pairs = checked = bad = 0
     for m in range(-3, 4):
         for n in range(m, 4):
             pairs += 1
-            for level in range(0, max_level + 1):
+            for level in range(0, args.max_level + 1):
                 for p in momenta:
                     for _, res in virasoro_bracket_scan(m, n, level, p, params):
                         checked += 1
                         bad += len(res)
-    payload = {
+    return _report({
         "d": params.d,
         "b": str(params.b),
-        "max_level": max_level,
+        "max_level": args.max_level,
         "momenta": [[str(c) for c in p.components] for p in momenta],
         "mode_pairs": pairs,
         "states_checked": checked,
         "nonzero_residuals": bad,
         "pass": bad == 0,
-    }
-    _dump_json(payload, args.out)
-    return 0 if bad == 0 else 1
+    }, args.out)
+
+
+def _residual_terms(state, ctx) -> int:
+    """Terms left in L_m state for the lowering constraints m >= 1."""
+    return sum(len(v) for m, v in constraint_report(state, ctx).items()
+               if m >= 1)
 
 
 def cmd_ddf(args) -> int:
-    params = _model(args)
-    momenta = _probe_momenta(params.d, args.seed or 0)
-    candidates = tuple(
-        _parse_fraction(k)
-        for k in (args.kappa_set or ["1", "1/2", "2"])
-    )
-    if not all(candidates):
-        raise ConfigError(
-            "normalization candidate 0 is not usable: kappa = 0 makes the "
-            "null vector k(p), and with it every A^i_n, vanish")
-    kappa = calibrate_normalization(params, momenta, candidates=candidates)
+    params = ModelParams(args.d, args.b)
+    momenta = _probe_momenta(params.d, args.seed)
+    kappa = calibrate_normalization(params, momenta, candidates=args.kappa_set)
     probes = []
-    worst = 0
     for p in momenta:
         ctx = DdfContext(params, p, kappa=kappa)
-        state = ddf_state([(1, 1)], ctx)
-        residuals = constraint_report(state, ctx)
-        nonzero = sum(len(v) for m, v in residuals.items() if m >= 1)
-        worst = max(worst, nonzero)
         probes.append({
             "momentum": [str(c) for c in p.components],
             "word": "1:1",
-            "constraint_residual_terms": nonzero,
+            "constraint_residual_terms": _residual_terms(
+                ddf_state([(1, 1)], ctx), ctx),
         })
-    payload = {
+    worst = max(probe["constraint_residual_terms"] for probe in probes)
+    return _report({
         "kappa": str(kappa),
-        "candidates": [str(c) for c in candidates],
+        "candidates": [str(c) for c in args.kappa_set],
         "probes": probes,
         "max_nonzero_residual": str(worst),
         "pass": worst == 0,
-    }
-    _dump_json(payload, args.out)
-    return 0 if worst == 0 else 1
+    }, args.out)
 
 
 def cmd_noghost(args) -> int:
-    d_list = [int(x) for x in str(args.d_list or "10,26").split(",")]
-    params_b = _parse_fraction(args.b if args.b is not None else "1")
-    max_level = _max_level(args, 2)
-    reports = noghost_scan(d_list, b=params_b, max_level=max_level)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        _emit(noghost_csv(reports, timings=bool(args.timings)), args.out)
-    elif fmt == "json":
-        _dump_json({
+    reports = noghost_scan(args.d_list, b=args.b, max_level=args.max_level)
+    if args.format == "csv":
+        _emit(noghost_csv(reports, timings=args.timings), args.out)
+    else:
+        _emit({
             "rows": [
                 {
                     "d": rep.d, "b": str(rep.b), "level": rep.level,
@@ -269,33 +288,22 @@ def cmd_noghost(args) -> int:
                 for rep in reports
             ],
         }, args.out)
-    else:
-        sys.stderr.write(f"unsupported format {fmt!r} for noghost\n")
-        return 2
     critical = [rep for rep in reports if rep.d == 26 and rep.b == 1]
     return 0 if all(rep.signature[1] == 0 for rep in critical) else 1
 
 
 def cmd_ddf_state(args) -> int:
-    params = _model(args)
-    word = _parse_word(args.word if args.word is not None else "1:1")
-    level = sum(n for _, n in word)
-    if args.momentum is not None:
-        p = Momentum(_parse_vector(args.momentum))
-        if p.lightcone() == 0:
-            raise ConfigError(
-                "momentum has p^0 + p^{d-1} = 0: every transverse operator "
-                "vanishes on that fiber, so the state would be zero")
-    else:
-        p = find_onshell_momentum(2 * (level - params.b), params.d).p
+    params = ModelParams(args.d, args.b)
+    level = sum(n for _, n in args.word)
+    p = args.momentum or find_onshell_momentum(
+        2 * (level - params.b), params.d).p
     ctx = DdfContext(params, p)
-    state = ddf_state(word, ctx)
-    residuals = constraint_report(state, ctx)
-    bad = sum(len(v) for m, v in residuals.items() if m >= 1)
-    payload = {
+    state = ddf_state(args.word, ctx)
+    bad = _residual_terms(state, ctx)
+    return _report({
         "d": params.d,
         "b": str(params.b),
-        "word": [list(t) for t in word],
+        "word": [list(t) for t in args.word],
         "momentum": [str(c) for c in p.components],
         "level": level,
         "terms": {
@@ -304,48 +312,34 @@ def cmd_ddf_state(args) -> int:
         },
         "constraint_residual_terms": bad,
         "pass": bad == 0,
-    }
-    _dump_json(payload, args.out)
-    return 0 if bad == 0 else 1
+    }, args.out)
 
 
-def _build_real_testfunction(args, params):
-    word = _parse_word(args.word if args.word is not None else "1:1")
-    radius = _parse_fraction(args.radius if args.radius is not None else "1")
-    profile = BumpProfile(radius, params.d)
-    return realify(make_testfunction(word, profile, params))
+def _testfunction(args):
+    params = ModelParams(args.d, args.b)
+    profile = BumpProfile(args.radius, params.d)
+    return realify(make_testfunction(args.word, profile, params))
 
 
-def _onshell_samples(tf, count=3):
-    """Exact momenta on the body's shell: one searched, the rest scaled
-    lightcone-plane solutions of the same quadric."""
-    base = find_onshell_momentum(tf.shell, tf.params.d)
-    samples = [base.p]
-    r = tf.shell
-    d = tf.params.d
-    # (t, x1) plane solutions: -t^2 + x^2 = -r with x = |scale|
-    for scale in (Fraction(3, 2), Fraction(5, 2)):
-        t_sq = scale * scale + r
-        if t_sq <= 0:
-            continue
-        t = sqrt_fraction(t_sq)
-        comps = [t, scale] + [Fraction(0)] * (d - 2)
-        samples.append(Momentum(tuple(comps)))
-        if len(samples) == count:
-            break
-    return samples
+def _verify_body(tf, grid: int = 1024, tol: float = 1e-3):
+    """Exact constraints at shell momenta, then the numeric support
+    certificate along the first (at most four) axes.  The momenta are one
+    searched on the shell and the (t, x^1) plane solutions of the same
+    quadric, -t^2 + x^2 = -r, at x = 3/2 and 5/2."""
+    samples = [find_onshell_momentum(tf.shell, tf.params.d).p]
+    for x in (Fraction(3, 2), Fraction(5, 2)):
+        if x * x + tf.shell > 0:
+            t = sqrt_fraction(x * x + tf.shell)
+            samples.append(Momentum((t, x) + (Fraction(0),) * (tf.params.d - 2)))
+    constraints = verify_constraints_pointwise(tf, samples)
+    axes = tuple(range(min(tf.params.d, 4)))
+    return constraints, verify_support(tf, grid=grid, tol=tol, axes=axes)
 
 
 def cmd_testfn(args) -> int:
-    params = _model(args)
-    grid = _grid(args, 1024)
-    tol = _tol(args, 1e-3)
-    tf = _build_real_testfunction(args, params)
-    samples = _onshell_samples(tf)
-    constraints = verify_constraints_pointwise(tf, samples)
-    axes = tuple(range(min(params.d, 4)))
-    support = verify_support(tf, grid=grid, tol=tol, axes=axes)
-    payload = {
+    tf = _testfunction(args)
+    constraints, support = _verify_body(tf, args.grid, args.tol)
+    return _report({
         "testfunction": tf.to_json_dict(),
         "constraints": {
             "samples": len(constraints.samples),
@@ -357,13 +351,11 @@ def cmd_testfn(args) -> int:
             "declared_radius": f"{support.declared_radius:.6e}",
             "worst_fraction": f"{support.worst_fraction:.6e}",
             "grid": support.grid,
-            "tol": tol,
+            "tol": args.tol,
             "pass": support.passed,
         },
         "pass": constraints.passed and support.passed,
-    }
-    _dump_json(payload, args.out)
-    return 0 if payload["pass"] else 1
+    }, args.out)
 
 
 def _vanishes_on_slice(tf, dq: int) -> bool:
@@ -380,38 +372,34 @@ def _vanishes_on_slice(tf, dq: int) -> bool:
     return True
 
 
-def _quadrature(args, tf) -> QuadratureSpec:
-    """The momentum grid for the locality check.  A word lowering along
-    directions the slice cannot see may project to the zero state; that
-    is refused here, before any quadrature."""
-    dq = args.dq if args.dq is not None else 2
-    hidden = sorted({i for i, _ in tf.word if i > dq})
-    if hidden and _vanishes_on_slice(tf, dq):
+def _quadrature(args):
+    """The test function, the momentum grid for its locality check, and
+    the default separation (R/2, 4R, 0, ...), spacelike to the support.
+    A word lowering along directions the slice cannot see may project to
+    the zero state; that is refused here, before any quadrature."""
+    tf = _testfunction(args)
+    hidden = sorted({i for i, _ in tf.word if i > args.dq})
+    if hidden and _vanishes_on_slice(tf, args.dq):
         raise ConfigError(
             f"word direction {', '.join(map(str, hidden))} lies outside the "
-            f"--dq {dq} quadrature slice, which projects the test function "
-            f"to zero; raise --dq to {hidden[-1]}")
-    n = args.grid if args.grid is not None else 256
-    extent = args.extent if args.extent is not None \
-        else 24.0 / float(tf.profile.R)
-    return QuadratureSpec(d_q=dq, extent=extent, n=n, levels=(0, 2, 4))
+            f"--dq {args.dq} quadrature slice, which projects the test "
+            f"function to zero; raise --dq to {hidden[-1]}")
+    radius = tf.profile.R
+    extent = 24.0 / float(radius) if args.extent is None else args.extent
+    spec = QuadratureSpec(d_q=args.dq, extent=extent, n=args.grid)
+    return tf, spec, (radius / 2, 4 * radius) + (Fraction(0),) * (args.dq - 1)
 
 
 def cmd_locality(args) -> int:
-    params = _model(args)
-    tol = _tol(args, 1e-6)
-    tf = _build_real_testfunction(args, params)
-    radius = tf.profile.R
-    spec = _quadrature(args, tf)
+    tf, spec, sep = _quadrature(args)
     if args.sweep:
-        seps = [_parse_vector(s) for s in str(args.sweep).split(";")]
-        _emit(locality_sweep(tf, tf, seps, spec, tol=tol), args.out)
-        return 0
-    sep = _parse_vector(args.separation) if args.separation is not None \
-        else (radius / 2, 4 * radius) + (Fraction(0),) * (spec.d_q - 1)
-    report = locality_check(tf, tf, sep, spec, tol=tol)
-    _dump_json(report.to_json_dict(), args.out)
-    return 0 if (report.passed and report.control_passed) else 1
+        text = locality_sweep(tf, tf, args.sweep, spec, tol=args.tol)
+        _emit(text, args.out)
+        # columns a0, a_space, spacelike, kernel_abs, pass
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        return 0 if all(r[4] == "True" for r in rows if r[2] == "True") else 1
+    loc = locality_check(tf, tf, args.separation or sep, spec, tol=args.tol)
+    return _report(loc.to_json_dict(), args.out)
 
 
 def cmd_observable(args) -> int:
@@ -419,17 +407,11 @@ def cmd_observable(args) -> int:
     test function, verified end to end — exact constraints at shell
     samples, numeric support certification, then the smeared-commutator
     locality check against a translated copy with its timelike control."""
-    params = _model(args)
-    tol = _tol(args, 1e-6)
-    tf = _build_real_testfunction(args, params)
-    radius = tf.profile.R
-    spec = _quadrature(args, tf)
-    constraints = verify_constraints_pointwise(tf, _onshell_samples(tf))
-    support = verify_support(tf, grid=1024, axes=tuple(range(min(params.d, 4))))
-    sep = (radius / 2, 4 * radius) + (Fraction(0),) * (spec.d_q - 1)
-    loc = locality_check(tf, tf, sep, spec, tol=tol)
-    payload = {
-        "radius": str(radius),
+    tf, spec, sep = _quadrature(args)
+    constraints, support = _verify_body(tf)
+    loc = locality_check(tf, tf, sep, spec, tol=args.tol)
+    return _report({
+        "radius": str(tf.profile.R),
         "word": [list(t) for t in tf.word],
         "c1_real": bool(is_c1_real(tf.body)),
         "constraint_samples": len(constraints.samples),
@@ -439,9 +421,7 @@ def cmd_observable(args) -> int:
         "locality": loc.to_json_dict(),
         "pass": bool(constraints.passed and support.passed
                      and loc.passed and loc.control_passed),
-    }
-    _dump_json(payload, args.out)
-    return 0 if payload["pass"] else 1
+    }, args.out)
 
 
 def cmd_basis(args) -> int:
@@ -451,49 +431,60 @@ def cmd_basis(args) -> int:
     arithmetic; levels small enough to enumerate are cross-checked
     against the actual monomial basis so the table is self-auditing.
     """
-    params = _model(args)
-    max_level = _max_level(args, 6)
-    dims = [basis_dimension(params.d, n) for n in range(max_level + 1)]
-    audit_cap = min(max_level, 3 if params.d > 8 else 4)
+    params = ModelParams(args.d)
     rows = []
-    for level in range(max_level + 1):
+    for level in range(args.max_level + 1):
+        dim = basis_dimension(params.d, level)
         counted = (sum(1 for _ in iter_level_basis(params, level))
-                   if level <= audit_cap else None)
-        if counted is not None and counted != dims[level]:
+                   if level <= (3 if params.d > 8 else 4) else None)
+        if counted is not None and counted != dim:
             sys.stderr.write(
                 f"series/enumeration mismatch at level {level}\n")
             return 1
-        rows.append((level, dims[level], counted))
-    fmt = args.format or "csv"
-    if fmt == "csv":
+        rows.append((level, dim, counted))
+    if args.format == "csv":
         lines = ["level,dimension,enumerated"]
         for level, dim, counted in rows:
             lines.append(f"{level},{dim},{'' if counted is None else counted}")
         _emit("\n".join(lines) + "\n", args.out)
-    elif fmt == "json":
-        _dump_json({
+    else:
+        _emit({
             "d": params.d,
             "dimensions": {str(level): dim for level, dim, _ in rows},
         }, args.out)
-    else:
-        sys.stderr.write(f"unsupported format {fmt!r} for basis\n")
-        return 2
     return 0
 
 
 # -- parser --------------------------------------------------------------------
 
+_MODEL = {"d": 26, "b": "1"}
+_BODY = {**_MODEL, "word": "1:1", "radius": "1"}
+_QUADRATURE = {"grid": 256, "dq": 2, "extent": None, "tol": 1e-6}
 
-def _add_common(sub):
-    sub.add_argument("--d", type=int, default=None,
-                     help="spacetime dimension (default 26)")
-    sub.add_argument("--b", default=None,
-                     help="normal-ordering constant, rational (default 1)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for the randomized probe momentum")
-    sub.add_argument("--out", default=None, help="write the report here")
-    sub.add_argument("--config", default=None,
-                     help="JSON file with default values for the flags")
+_ARGPARSE = {int: {"type": int}, float: {"type": float}, str: {},
+             list: {"nargs": "+"}, bool: {"action": "store_true"}}
+
+# name -> (handler, help, {flag the handler reads: its default}); every
+# subcommand also takes --out and --config
+COMMANDS = {
+    "virasoro": (cmd_virasoro, "bracket identity grid, exact", {
+        **_MODEL, "seed": 0, "max_level": 2, "allow_expensive": False}),
+    "ddf": (cmd_ddf, "calibrate and verify the transverse operators", {
+        **_MODEL, "seed": 0, "kappa_set": ["1", "1/2", "2"]}),
+    "noghost": (cmd_noghost, "signature scan of physical subspaces", {
+        "b": "1", "d_list": "10,26", "max_level": 2, "format": "csv",
+        "timings": False}),
+    "ddf-state": (cmd_ddf_state, "build one lowering-word state", {
+        **_MODEL, "word": "1:1", "momentum": None}),
+    "testfn": (cmd_testfn, "build and verify a real constrained test function",
+               {**_BODY, "grid": 1024, "tol": 1e-3}),
+    "locality": (cmd_locality, "smeared commutator at spacelike separation",
+                 {**_BODY, "separation": None, "sweep": None, **_QUADRATURE}),
+    "observable": (cmd_observable, "full demonstration pipeline for one "
+                   "test function", {**_BODY, **_QUADRATURE}),
+    "basis": (cmd_basis, "level dimension table with audit", {
+        "d": 26, "max_level": 6, "format": "csv"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,88 +494,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "for the open bosonic string",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("virasoro", help="bracket identity grid, exact")
-    _add_common(p)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--allow-expensive", action="store_true", default=None)
-    p.set_defaults(func=cmd_virasoro)
-
-    p = subs.add_parser("ddf", help="calibrate and verify the transverse operators")
-    _add_common(p)
-    p.add_argument("--kappa-set", default=None, nargs="+",
-                   help="normalization candidates to try, rationals")
-    p.set_defaults(func=cmd_ddf)
-
-    p = subs.add_parser("noghost", help="signature scan of physical subspaces")
-    _add_common(p)
-    p.add_argument("--d-list", default=None,
-                   help="comma-separated dimensions (default 10,26)")
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--timings", action="store_true", default=False)
-    p.set_defaults(func=cmd_noghost)
-
-    p = subs.add_parser("ddf-state", help="build one lowering-word state")
-    _add_common(p)
-    p.add_argument("--word", default=None, help="i:n,i:n,... (default 1:1)")
-    p.add_argument("--momentum", default=None,
-                   help="comma-separated rational components")
-    p.set_defaults(func=cmd_ddf_state)
-
-    p = subs.add_parser("testfn", help="build and verify a real constrained "
-                                       "test function")
-    _add_common(p)
-    p.add_argument("--word", default=None)
-    p.add_argument("--radius", default=None, help="support radius, rational")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_testfn)
-
-    p = subs.add_parser("locality", help="smeared commutator at spacelike "
-                                         "separation")
-    _add_common(p)
-    p.add_argument("--word", default=None)
-    p.add_argument("--radius", default=None)
-    p.add_argument("--separation", default=None,
-                   help="a0,a1,... rational components")
-    p.add_argument("--sweep", default=None,
-                   help="semicolon-separated separation vectors -> CSV")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--dq", type=int, default=None)
-    p.add_argument("--extent", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_locality)
-
-    p = subs.add_parser("observable", help="full demonstration pipeline "
-                                           "for one test function")
-    _add_common(p)
-    p.add_argument("--word", default=None)
-    p.add_argument("--radius", default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--dq", type=int, default=None)
-    p.add_argument("--extent", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_observable)
-
-    p = subs.add_parser("basis", help="level dimension table with audit")
-    _add_common(p)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.set_defaults(func=cmd_basis)
-
+    for name, (_, text, reads) in COMMANDS.items():
+        # exact names only: an unread flag must not pass as a prefix of another
+        sub = subs.add_parser(name, help=text, allow_abbrev=False)
+        for key, default in {**reads, "out": None, "config": None}.items():
+            flag = FLAGS[key]
+            shown = " ".join(default) if isinstance(default, list) else default
+            shown = "" if default is None else f" (default {shown})"
+            # default None marks "not given", so the config file can fill it
+            options = dict(_ARGPARSE[flag.kind], default=None,
+                           help=flag.help + shown)
+            if flag.choices:
+                options["choices"] = flag.choices
+            sub.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, reads = COMMANDS[args.command]
     try:
-        args = _merge(args)
-        return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
+        _merge(args, reads)
+        return handler(args)
     except SeparationError as exc:
         sys.stderr.write(f"geometry error: {exc}\n")
         return 2
@@ -599,7 +530,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError lands here too
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

@@ -140,17 +140,20 @@ class FockVector:
         elif cur is not None:
             del self.terms[mono]
 
-    def __add__(self, other):
-        out = FockVector(dict(self.terms))
+    def __iadd__(self, other):
+        """In place; ``other`` is only read, so ``v += v`` doubles v."""
         for mono, c in other.terms.items():
-            out.add_term(mono, c)
-        return out
+            self.add_term(mono, c)
+        return self
+
+    def __isub__(self, other):
+        return self.__iadd__(-other)
+
+    def __add__(self, other):
+        return FockVector(self.terms).__iadd__(other)
 
     def __sub__(self, other):
-        out = FockVector(dict(self.terms))
-        for mono, c in other.terms.items():
-            out.add_term(mono, -c)
-        return out
+        return FockVector(self.terms).__iadd__(-other)
 
     def __neg__(self):
         return FockVector({m: -c for m, c in self.terms.items()})
@@ -160,10 +163,7 @@ class FockVector:
             return FockVector()
         return FockVector({m: scalar * c for m, c in self.terms.items()})
 
-    def __mul__(self, scalar):
-        return self.scaled(scalar)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scaled
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):

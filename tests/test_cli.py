@@ -34,6 +34,22 @@ class TestParsing:
         assert code == 2
         assert "bad word entry" in err
 
+    def test_bad_dimension_list(self, capsys):
+        code, out, err = run(capsys, ["noghost", "--d-list", "4,x"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: --d-list")
+
+    def test_help_shows_each_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["testfn", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for shown in ("--d D spacetime dimension (default 26)",
+                      "(default 1:1)", "support radius, rational (default 1)",
+                      "(default 1024)", "(default 0.001)"):
+            assert shown in text
+
     def test_word_direction_out_of_range(self, capsys):
         # direction 5 does not exist among the transverse labels at d = 4
         code, _, _ = run(capsys, ["ddf-state", "--d", "4", "--word", "5:1"])
@@ -96,7 +112,11 @@ class TestConfig:
     ["virasoro", "--d", "4"],
     ["noghost", "--d-list", "4"],
     ["basis"],
-], ids=["virasoro", "noghost", "basis"])
+    ["virasoro", "--d", "26", "--allow-expensive"],
+    ["noghost", "--d-list", "26", "--format", "json"],
+    ["basis", "--d", "4", "--format", "json"],
+], ids=["virasoro", "noghost", "basis", "virasoro-uncapped", "noghost-json",
+        "basis-json"])
 def test_negative_level_is_a_config_error(capsys, argv):
     code, out, err = run(capsys, argv + ["--max-level", "-1"])
     assert code == 2
@@ -109,12 +129,67 @@ def test_negative_level_is_a_config_error(capsys, argv):
     (["testfn", "--tol", "-1"], "--tol"),
     (["locality", "--tol", "0"], "--tol"),
     (["observable", "--tol", "inf"], "--tol"),
-], ids=["testfn-grid", "testfn-tol", "locality-tol", "observable-tol"])
+    (["locality", "--grid", "0"], "--grid"),
+    (["observable", "--grid", "-8"], "--grid"),
+    (["testfn", "--tol", "nan"], "--tol"),
+    (["locality", "--tol=-inf"], "--tol"),
+    (["locality", "--sweep", "0,4,0", "--tol", "0"], "--tol"),
+], ids=["testfn-grid", "testfn-tol", "locality-tol", "observable-tol",
+        "locality-grid", "observable-grid", "testfn-tol-nan",
+        "locality-tol-minus-inf", "locality-sweep-tol"])
 def test_unusable_grid_or_tol_is_a_config_error(capsys, argv, flag):
     code, out, err = run(capsys, argv + ["--d", "4"])
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv,config,flag", [
+    (["virasoro", "--d", "1"], None, "--d"),
+    (["basis", "--d", "0"], None, "--d"),
+    (["virasoro"], {"d": 1}, "--d"),
+    (["virasoro", "--d", "4"], {"max_level": -1}, "--max-level"),
+    (["basis"], {"max_level": -2}, "--max-level"),
+    (["testfn", "--d", "4"], {"grid": 0}, "--grid"),
+    (["observable", "--d", "4"], {"grid": -4}, "--grid"),
+    (["testfn", "--d", "4"], {"tol": 0}, "--tol"),
+    (["locality", "--d", "4"], {"tol": -1e-6}, "--tol"),
+    (["ddf", "--d", "4"], {"kappa_set": ["1", "0"]}, "--kappa-set"),
+    (["ddf", "--d", "4"], {"kappa_set": []}, "--kappa-set"),
+    (["ddf-state", "--d", "4"], {"momentum": "1,0,0,-1"}, "--momentum"),
+    (["noghost", "--d-list", "4"], {"format": "xml"}, "format"),
+], ids=["d-flag", "d-flag-basis", "d", "max_level", "max_level-basis", "grid",
+        "grid-observable", "tol", "tol-locality", "kappa_set", "kappa_set-empty",
+        "momentum", "format"])
+def test_range_check_on_either_route(capsys, tmp_path, argv, config, flag):
+    # one check per flag, whether the value comes from the command line or
+    # from the config file
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["noghost", "--seed", "1"],
+    ["ddf-state", "--seed", "1"],
+    ["testfn", "--seed", "1"],
+    ["locality", "--seed", "1"],
+    ["observable", "--seed", "1"],
+    ["basis", "--seed", "1"],
+    ["noghost", "--d", "4"],
+    ["basis", "--b", "1"],
+], ids=lambda argv: "".join(argv[:2]))
+def test_flag_a_command_does_not_read_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) \
+        in capsys.readouterr().err
 
 
 class TestBasis:
@@ -339,6 +414,16 @@ class TestLocality:
         assert lines[0] == "a0,a_space,spacelike,kernel_abs,pass"
         assert len(lines) == 3
         assert lines[2].startswith("0,1;0,False")
+
+    def test_sweep_failing_row_exits_one(self, capsys):
+        # both rows are spacelike and fail the (unreachable) tolerance; the
+        # CSV still lists them, and the exit status reports the failure
+        code, out, _ = run(
+            capsys, ["locality", "--d", "4", "--grid", "16", "--tol", "1e-30",
+                     "--sweep", "1/2,4,0;0,4,0"])
+        assert code == 1
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(r[2], r[4]) for r in rows] == [("True", "False")] * 2
 
     @pytest.mark.parametrize("extent", ["nan", "inf"])
     def test_non_finite_extent_is_a_config_error(self, capsys, extent):

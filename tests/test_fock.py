@@ -204,6 +204,27 @@ class TestLinearity:
         w = FockVector.basis_state(((1, 0),)) + FockVector.basis_state(((1, 0),)) * Fraction(-1)
         assert not w
 
+    def test_in_place_accumulation(self):
+        # += and -= mutate the accumulator, prune cancelled terms, and only
+        # read the right-hand operand
+        acc = FockVector({((1, 0),): Fraction(1), ((2, 1),): Fraction(3)})
+        w = FockVector({((1, 0),): Fraction(-1), ((1, 2),): Fraction(1, 2)})
+        before, w_terms = acc, dict(w.terms)
+        acc += w
+        assert acc is before
+        assert acc.terms == {((2, 1),): Fraction(3), ((1, 2),): Fraction(1, 2)}
+        assert w.terms == w_terms
+        acc -= w
+        assert acc is before
+        assert acc.terms == {((1, 0),): Fraction(1), ((2, 1),): Fraction(3)}
+        assert w.terms == w_terms
+        acc -= acc
+        assert acc is before and not acc
+        # the binary forms leave both operands alone
+        total = w + w
+        assert total.terms == {((1, 0),): Fraction(-2), ((1, 2),): Fraction(1)}
+        assert not (w - w) and w.terms == w_terms
+
     def test_level(self):
         v = FockVector.basis_state(((1, 0), (3, 2)))
         assert v.level() == 4
