@@ -1,0 +1,139 @@
+"""Time the no-ghost scan at d = 26 to level 3 and its exact eliminations.
+
+Four measurements, all in process, each repeated ``--repeat`` times:
+
+* every row of ``noghost_scan([26], max_level=3)``, from its own
+  ``elapsed_ms``; the SHA-256 of the scan's CSV is recorded, so two
+  checkouts can be compared for byte-identical output;
+* ``hermitian_signature`` on the level-3 Schur complement S (403 x 403);
+* ``hermitian_signature`` on the Gram of the level-3 spurious vectors,
+  the matrix ``gram_signature`` eliminates after its independence check;
+* ``rank_fraction_free`` on the stacked L_1..L_3 constraint matrix, the
+  audit of the constraint rank.
+
+The level-3 matrices are built once, outside the timed calls.  The
+package is imported from ``src/`` of the checkout holding this script,
+and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
+so a copy of both scripts placed in another checkout times that
+checkout.  The result is written as JSON:
+
+    python3 scripts/bench_noghost.py --out BENCH_14.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_bracket_grid import _git_head, _machine  # noqa: E402
+from openstring.fock import ModelParams  # noqa: E402
+from openstring.linalg import hermitian_signature, \
+    rank_fraction_free  # noqa: E402
+from openstring import spectrum  # noqa: E402
+
+D = 26
+LEVEL = 3
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - t0, out
+
+
+def level_three_inputs() -> dict:
+    """The level-3 S, spurious Gram and stacked constraint matrix."""
+    b = Fraction(1)
+    shell = spectrum.find_onshell_momentum(2 * (LEVEL - b), D)
+    space = spectrum.LevelSpace(ModelParams(d=D, b=b), shell.p, LEVEL)
+    spurious = spectrum.spurious_subspace(spectrum.physical_subspace(space),
+                                          space)
+    return {
+        "schur": space.schur,
+        "spurious_gram": spectrum._gram(spurious),
+        "constraints": spectrum._stacked_constraint_matrix(space)[0],
+    }
+
+
+def _series(runs: list, key: str) -> dict:
+    values = [run[key] for run in runs]
+    return {"wall_s": values, "wall_median_s": statistics.median(values)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="runs of the scan and of each elimination "
+                         "(default 3)")
+    ap.add_argument("--out", default="BENCH_14.json",
+                    help="where to write the JSON result")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    machine = _machine()
+    scans, csvs, runs, answers = [], set(), [], set()
+    inputs = level_three_inputs()
+    for _ in range(args.repeat):
+        reports = spectrum.noghost_scan([D], max_level=LEVEL)
+        scans.append([rep.elapsed_ms / 1000.0 for rep in reports])
+        csvs.add(hashlib.sha256(
+            spectrum.noghost_csv(reports).encode()).hexdigest())
+        run = {}
+        run["schur_s"], sig_s = _timed(hermitian_signature, inputs["schur"])
+        run["spurious_s"], sig_g = _timed(hermitian_signature,
+                                          inputs["spurious_gram"])
+        run["rank_s"], rank = _timed(rank_fraction_free,
+                                     inputs["constraints"])
+        runs.append(run)
+        answers.add((sig_s, sig_g, rank))
+    signature_s, signature_g, constraint_rank = sorted(answers)[0]
+    result = {
+        "commit": _git_head(),
+        "machine": machine,
+        "loadavg_after": list(os.getloadavg()),
+        "repeat": args.repeat,
+        "scan": {
+            "d": D, "max_level": LEVEL,
+            "row_s": {str(level): [scan[level] for scan in scans]
+                      for level in range(LEVEL + 1)},
+            "row_median_s": {str(level): statistics.median(
+                scan[level] for scan in scans) for level in range(LEVEL + 1)},
+            "csv_sha256": sorted(csvs),
+        },
+        "schur_signature": {
+            "shape": [len(inputs["schur"])] * 2,
+            "nonzeros": sum(1 for row in inputs["schur"] for x in row if x),
+            "signature": list(signature_s), **_series(runs, "schur_s")},
+        "spurious_gram_signature": {
+            "shape": [len(inputs["spurious_gram"])] * 2,
+            "signature": list(signature_g), **_series(runs, "spurious_s")},
+        "constraint_rank": {
+            "shape": [len(inputs["constraints"]),
+                      len(inputs["constraints"][0])],
+            "rank": constraint_rank, **_series(runs, "rank_s")},
+        "distinct_answers": len(answers),
+        "peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps({
+        "level_3_row_median_s": result["scan"]["row_median_s"][str(LEVEL)],
+        **{f"{name}_median_s": result[name]["wall_median_s"]
+           for name in ("schur_signature", "spurious_gram_signature",
+                        "constraint_rank")}}))
+    return 1 if len(answers) != 1 or len(csvs) != 1 else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,9 @@ and the SHA-256 of stdout and of stderr:
     diff parent.jsonl change.jsonl
 
 Two trees whose lines agree print the same bytes and exit the same way
-on every case.  The matrix took about 25 s on a shared 2-core machine;
-the three ``virasoro`` runs at d = 26 are most of it.
+on every case.  The matrix took about 30 s on a shared 2-core machine;
+the three ``virasoro`` runs at d = 26 and the level-3 ``noghost`` run are
+most of it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ CASES = [
     (["noghost", "--d-list", "10,26", "--max-level", "2"], None),
     (["noghost", "--d-list", "10,26", "--max-level", "2",
       "--format", "json"], None),
+    # surd witnesses: the rank audit runs its field lane end to end (S is
+    # rational there, so the inertia stays on ints)
+    (["noghost", "--d-list", "4,26", "--b", "1/3", "--max-level", "2"], None),
+    # the largest exact inertia, S at level 3 (403 x 403)
+    (["noghost", "--d-list", "26", "--max-level", "3"], None),
     (["basis", "--d", "10", "--max-level", "4"], None),
     (["basis", "--d", "10", "--max-level", "4", "--format", "json"], None),
     (["testfn", "--d", "4"], None),
@@ -61,6 +67,7 @@ CASES = [
     (["virasoro", "--config", "absent.json"], None),
     (["virasoro", "--d", "4", "--max-level", "-1"], None),
     (["noghost", "--d-list", "4", "--max-level", "-1"], None),
+    (["noghost", "--d-list", "1,4"], None),
     (["basis", "--max-level", "-1"], None),
     (["testfn", "--grid", "0", "--d", "4"], None),
     (["testfn", "--tol", "-1", "--d", "4"], None),

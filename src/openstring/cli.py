@@ -107,7 +107,9 @@ FLAGS = {
                       (lambda ks: ks and all(ks), "must be nonempty, without "
                        "candidate 0, which makes k(p) and every A^i_n vanish")),
     "d_list": Flag(str, "comma-separated dimensions",
-                   lambda text: [int(x) for x in str(text).split(",")]),
+                   lambda text: [int(x) for x in str(text).split(",")],
+                   (lambda ds: all(d >= 2 for d in ds),
+                    "must have every entry at least 2")),
     "format": Flag(str, "report format", choices=("csv", "json")),
     "timings": Flag(bool, "add each row's wall time to the CSV", config=False),
     "word": Flag(str, "lowering word i:n,i:n,...", _parse_word),
@@ -438,9 +440,9 @@ def cmd_basis(args) -> int:
         counted = (sum(1 for _ in iter_level_basis(params, level))
                    if level <= (3 if params.d > 8 else 4) else None)
         if counted is not None and counted != dim:
-            sys.stderr.write(
-                f"series/enumeration mismatch at level {level}\n")
-            return 1
+            raise InvariantError(
+                f"series/enumeration mismatch at level {level}: "
+                f"{dim} vs {counted}")
         rows.append((level, dim, counted))
     if args.format == "csv":
         lines = ["level,dimension,enumerated"]

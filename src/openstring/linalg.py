@@ -1,29 +1,37 @@
-"""Exact dense linear algebra over Q and Q(sqrt(s)).
+"""Exact linear algebra over Q and Q(sqrt(s)).
 
 Matrices are plain lists of lists whose entries are Fractions or ExactNums.
-Two elimination routes are provided on purpose: straightforward row echelon
-with field division, and a fraction-free (Bareiss) elimination whose
-intermediate entries are minors of the input.  Rank computations in the
-package are cross-checked between the two.  The Bareiss route has an
-integer lane for all-rational input: each row is scaled by the lcm of its
-denominators, which leaves the rank alone, and the elimination then runs
-on Python ints with exact floor division.  Surd entries take the generic
-field lane.
+Two elimination routes are provided on purpose, and constraint ranks in
+the package are cross-checked between them:
 
-``hermitian_signature`` computes the inertia (n_plus, n_minus, n_null) of a
-real symmetric form by symmetric elimination with diagonal pivoting, a
-hyperbolic fallback when the diagonal vanishes, and an integer Bareiss lane
-for the common all-rational case.  The entries are real, so the form is
-Hermitian exactly when it is symmetric, and its inertia is that of its
-Hermitian complexification.
+* ``rref``, row echelon form by field division, behind ``rank``,
+  ``kernel_basis``, ``matrix_inverse`` and ``independence_check``;
+* one sparse fraction-free (Bareiss) step, behind ``rank_fraction_free``
+  and ``hermitian_signature``.  Rows are {column: entry} dicts, and every
+  intermediate entry is a minor of the input, so each division by the
+  previous pivot is exact.
+
+The fraction-free route has two lanes.  When every entry is rational,
+each row i is scaled by the lcm s_i of its denominators and the
+elimination runs on Python ints with floor division; the signature also
+scales column j by s_j, so the congruence D G D stays symmetric.  Surd
+entries run the same step in their field, dividing with ``/``.
+
+``hermitian_signature`` computes the inertia (n_plus, n_minus, n_null) of
+a real symmetric form by diagonal pivoting: on the smallest |pivot| in
+the integer lane, on the first nonzero one in the field lane, and, when
+the whole diagonal vanishes, after the congruence v_i <- v_i + v_j inside
+the same loop.  The entries are real, so the form is Hermitian exactly
+when it is symmetric, and its inertia is that of its Hermitian
+complexification.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .exactnum import is_rational_real, real_sign
+from .exactnum import ExactNum, is_rational_real, real_sign
 
 __all__ = [
     "DependencyError",
@@ -82,30 +90,36 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
-def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return x.rational_value()
-
-
-def _denominator_lcm(row) -> int:
-    out = 1
-    for x in row:
-        out = out * x.denominator // gcd(out, x.denominator)
-    return out
-
-
 def _integer_rows(rows):
-    """Sparse rows {column: entry} scaled to integers by the lcm of their
-    denominators, or None if an entry is not rational."""
+    """Sparse rows {column: entry} scaled to ints, each by the lcm s_i of
+    its denominators, as numerator * (s_i // denominator), and the list of
+    the s_i; the rows themselves and None if an entry is a surd."""
+    if not all(is_rational_real(x) for row in rows for x in row.values()):
+        return rows, None
+    rows = [{j: x.rational_value() if isinstance(x, ExactNum) else x
+             for j, x in row.items()} for row in rows]
+    scales = [lcm(*(x.denominator for x in row.values())) for row in rows]
+    return [{j: x.numerator * (s // x.denominator) for j, x in row.items()}
+            for row, s in zip(rows, scales)], scales
+
+
+def _bareiss_step(top, c, rows, prev, integral):
+    """Clear column c of ``rows`` against the pivot row ``top``: each row
+    becomes (top[c] * row - row[c] * top) / prev.  Every entry stays a
+    minor of the input, so the division by the previous pivot is exact;
+    on ints it is floor division."""
+    piv = top[c]
     out = []
     for row in rows:
-        if not all(map(is_rational_real, row.values())):
-            return None
-        f = {j: _as_fraction(x) for j, x in row.items()}
-        scale = _denominator_lcm(f.values())
-        out.append({j: x.numerator * (scale // x.denominator)
-                    for j, x in f.items()})
+        new = {j: a * piv for j, a in row.items()}
+        f = row.get(c)
+        if f is not None:
+            for j, b in top.items():
+                new[j] = new.get(j, 0) - f * b
+        if integral:
+            out.append({j: x // prev for j, x in new.items() if x})
+        else:
+            out.append({j: x / prev for j, x in new.items() if x})
     return out
 
 
@@ -113,40 +127,25 @@ def rank_fraction_free(matrix) -> int:
     """Rank by Bareiss elimination (independent of :func:`rref`).
 
     Rows are kept sparse, as {column: entry}.  All-rational input runs on
-    integers after scaling each row by the lcm of its denominators; every
-    intermediate entry is then an integer minor, so the division by the
-    previous pivot is exact.  Other entries stay in their field.
+    integers after scaling each row by the lcm of its denominators, which
+    leaves the rank alone.  Other entries stay in their field.
     """
     if not matrix:
         return 0
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-    ints = _integer_rows(rows)
-    integral = ints is not None
-    if integral:
-        rows = ints
-    nrows, ncols = len(rows), len(matrix[0])
+    rows, scales = _integer_rows(
+        [{j: x for j, x in enumerate(row) if x} for row in matrix])
+    integral = scales is not None
     prev = 1
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if c in rows[i]), None)
+    for c in range(len(matrix[0])):
+        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        piv = top[c]
-        for i in range(r + 1, nrows):
-            new = {j: a * piv for j, a in rows[i].items()}
-            fi = rows[i].get(c)
-            if fi is not None:
-                for j, b in top.items():
-                    new[j] = new.get(j, 0) - fi * b
-            if integral:
-                rows[i] = {j: x // prev for j, x in new.items() if x}
-            else:
-                rows[i] = {j: x / prev for j, x in new.items() if x}
-        prev = piv
+        rows[r + 1:] = _bareiss_step(rows[r], c, rows[r + 1:], prev, integral)
+        prev = rows[r][c]
         r += 1
-        if r == nrows:
+        if r == len(rows):
             break
     return r
 
@@ -203,104 +202,55 @@ def independence_check(vectors):
 # -- signature of a symmetric form -----------------------------------------
 
 
-def _row_is_zero(m, i):
-    return not any(m[i])
-
-
-def _sig_generic(m):
-    """Inertia of a symmetric matrix with exact field entries."""
-    pos = neg = nul = 0
-    while m:
-        n = len(m)
-        zero_rows = {i for i in range(n) if _row_is_zero(m, i)}
-        if zero_rows:
-            keep = [i for i in range(n) if i not in zero_rows]
-            nul += len(zero_rows)
-            m = [[m[i][j] for j in keep] for i in keep]
-            continue
-        pi = next((i for i in range(n) if m[i][i]), None)
-        if pi is None:
-            # Wholly isotropic diagonal: make a pivot with a hyperbolic pair.
-            i, j = next(
-                (i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]
-            )
-            # v_i <- v_i + v_j makes the new diagonal entry 2 m[i][j],
-            # which is nonzero for real entries: row update, then column.
-            m[i] = [x + y for x, y in zip(m[i], m[j])]
-            for k in range(n):
-                m[k][i] = m[k][i] + m[k][j]
-            continue
-        piv = m[pi][pi]
-        s = real_sign(piv)
-        if s > 0:
-            pos += 1
-        else:
-            neg += 1
-        others = [i for i in range(n) if i != pi]
-        m = [
-            [m[i][j] - m[i][pi] * m[pi][j] / piv for j in others]
-            for i in others
-        ]
-    return pos, neg, nul
-
-
-def _sig_rational(g):
-    """Integer Bareiss lane: entries stay minors of the scaled input."""
-    n = len(g)
-    f = [[_as_fraction(x) for x in row] for row in g]
-    scale = [_denominator_lcm(row) for row in f]
-    m = [
-        [int(f[i][j] * scale[i] * scale[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    pos = neg = nul = 0
-    prev = 1
-    while m:
-        n = len(m)
-        zero_rows = {i for i in range(n) if not any(m[i])}
-        if zero_rows:
-            keep = [i for i in range(n) if i not in zero_rows]
-            nul += len(zero_rows)
-            m = [[m[i][j] for j in keep] for i in keep]
-            continue
-        pi = None
-        best = None
-        for i in range(n):
-            v = abs(m[i][i])
-            if v and (best is None or v < best):
-                best, pi = v, i
-        if pi is None:
-            # rare: all-isotropic diagonal; hand the exact remainder over
-            rest = [[Fraction(x, prev) for x in row] for row in m]
-            p2, n2, z2 = _sig_generic(rest)
-            return pos + p2, neg + n2, nul + z2
-        piv = m[pi][pi]
-        if piv * prev > 0:
-            pos += 1
-        else:
-            neg += 1
-        others = [i for i in range(n) if i != pi]
-        m = [
-            [(m[i][j] * piv - m[i][pi] * m[pi][j]) // prev for j in others]
-            for i in others
-        ]
-        prev = piv
-    return pos, neg, nul
-
-
 def hermitian_signature(gram):
     """Inertia (n_plus, n_minus, n_null) of a real symmetric matrix.
 
     Symmetry is checked.  A congruence transform never changes the result
-    (Sylvester).  The entries are real, so symmetric is Hermitian.
+    (Sylvester), and the elimination is a chain of them: the integer
+    lane's D G D, with D the diagonal of row scales; one Bareiss step per
+    diagonal pivot, whose sign is that of pivot / previous pivot; and
+    v_i <- v_i + v_j when the whole diagonal vanishes.  Rows that reach
+    zero are null directions.  The entries are real, so symmetric is
+    Hermitian.
     """
     n = len(gram)
-    if n == 0:
-        return (0, 0, 0)
     for i in range(n):
         for j in range(i, n):
             if gram[i][j] != gram[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    if all(is_rational_real(gram[i][j]) for i in range(n) for j in range(n)):
-        return _sig_rational(gram)
-    return _sig_generic([list(r) for r in gram])
+    rows, scales = _integer_rows(
+        [{j: x for j, x in enumerate(row) if x} for row in gram])
+    integral = scales is not None
+    if integral:
+        rows = [{j: x * scales[j] for j, x in row.items()} for row in rows]
+    live = dict(enumerate(rows))
+    pos = neg = 0
+    prev = 1
+    while live := {i: row for i, row in live.items() if row}:
+        diagonal = [i for i, row in live.items() if i in row]
+        if not diagonal:
+            # v_i <- v_i + v_j on non-pivot rows keeps every entry a
+            # bordered minor; the new diagonal entry is 2 m[i][j] != 0
+            i = next(iter(live))
+            j = next(iter(live[i]))
+            row_i = live[i]
+            for k, x in live[j].items():
+                row_i[k] = row_i.get(k, 0) + x
+            for row in live.values():
+                if j in row:
+                    row[i] = row.get(i, 0) + row[j]
+            live = {k: {c: x for c, x in row.items() if x}
+                    for k, row in live.items()}
+            continue
+        # ints: the smallest pivot keeps the minors small
+        p = (min(diagonal, key=lambda i: abs(live[i][i])) if integral
+             else diagonal[0])
+        top = live.pop(p)
+        if real_sign(top[p]) == real_sign(prev):
+            pos += 1
+        else:
+            neg += 1
+        live = dict(zip(live, _bareiss_step(top, p, live.values(), prev,
+                                            integral)))
+        prev = top[p]
+    return pos, neg, n - pos - neg

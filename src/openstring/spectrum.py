@@ -499,8 +499,8 @@ def noghost_scan(d_list, b=Fraction(1), max_level: int = 2):
     the bordered constraint matrix (see the module docstring); the Gram of
     the physical basis is never built.  Each report records its wall time
     in ``elapsed_ms``.  Level 3 at d = 26 is a 377 -> 3978 jump in
-    dimension, with 404 constraint rows; that row takes about 5 s
-    (against 0.06 s for level 2) on a shared 2-core machine.
+    dimension, with 404 constraint rows; that row takes about 3 s
+    (against 0.03 s for level 2) on a shared 2-core machine.
     """
     b = Fraction(b)
     reports = []

@@ -158,9 +158,11 @@ def test_unusable_grid_or_tol_is_a_config_error(capsys, argv, flag):
     (["ddf", "--d", "4"], {"kappa_set": []}, "--kappa-set"),
     (["ddf-state", "--d", "4"], {"momentum": "1,0,0,-1"}, "--momentum"),
     (["noghost", "--d-list", "4"], {"format": "xml"}, "format"),
+    (["noghost", "--d-list", "1,4"], None, "--d-list"),
+    (["noghost"], {"d_list": "4,1"}, "--d-list"),
 ], ids=["d-flag", "d-flag-basis", "d", "max_level", "max_level-basis", "grid",
         "grid-observable", "tol", "tol-locality", "kappa_set", "kappa_set-empty",
-        "momentum", "format"])
+        "momentum", "format", "d_list-flag", "d_list"])
 def test_range_check_on_either_route(capsys, tmp_path, argv, config, flag):
     # one check per flag, whether the value comes from the command line or
     # from the config file
@@ -219,6 +221,18 @@ class TestBasis:
             level, dim, counted = line.split(",")
             if counted:
                 assert counted == dim
+
+    def test_disagreeing_series_is_an_internal_error(self, capsys,
+                                                     monkeypatch):
+        from openstring import cli
+
+        real = cli.basis_dimension
+        monkeypatch.setattr(cli, "basis_dimension",
+                            lambda d, level: real(d, level) + 1)
+        code, out, err = run(capsys, ["basis", "--d", "4", "--max-level", "2"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: series/enumeration mismatch")
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -1,16 +1,18 @@
 """Exact elimination and symmetric signature tests.
 
 The signature routine is the backbone of the spectrum scans, so both lanes
-(integer Bareiss and generic field elimination) are exercised against each
-other and against Sylvester-invariance under random congruence transforms.
+of its fraction-free elimination (ints for rational input, field division
+for surds) are exercised against each other and against Sylvester
+invariance under random congruence transforms.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from openstring.exactnum import ExactNum
+from openstring.exactnum import ExactNum, is_rational_real
 from openstring.linalg import (
     DependencyError,
     hermitian_signature,
@@ -21,7 +23,6 @@ from openstring.linalg import (
     rank_fraction_free,
     rref,
 )
-from openstring.linalg import _sig_generic, _sig_rational
 
 
 def frac_matrix(rng, nrows, ncols, span=6):
@@ -126,6 +127,26 @@ class TestEchelon:
         independence_check([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]])
 
 
+# symmetric forms with a known inertia
+FIXED_FORMS = {
+    # positive definite, with denominators up to 15
+    "hilbert-8": ([[Fraction(1, i + j + 1) for j in range(8)]
+                   for i in range(8)], (8, 0, 0)),
+    # after the pivot on g[0][0] the remaining 2 x 2 block has a zero
+    # diagonal, so the hyperbolic step runs inside the integer lane
+    "isotropic-partway": ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], (2, 1, 0)),
+    # the hyperbolic step needs the column scaling of D G D: on the
+    # row-scaled D G alone it gives (4, 1, 0); eigenvalues about -3.22,
+    # -2.14, -0.045, 2.45, 2.95
+    "isotropic-mixed-denominators": (
+        [[0, Fraction(-2, 3), -2, 0, -1],
+         [Fraction(-2, 3), 0, Fraction(-1, 3), Fraction(1, 2), 2],
+         [-2, Fraction(-1, 3), 0, 2, 0],
+         [0, Fraction(1, 2), 2, 0, -1],
+         [-1, 2, 0, -1, 0]], (2, 3, 0)),
+}
+
+
 class TestSignature:
     def test_diagonal(self):
         g = [
@@ -202,12 +223,52 @@ class TestSignature:
             assert hermitian_signature(g) == expected
 
     def test_lanes_agree(self):
+        # sym runs the integer lane; T^T sym T, with T unit upper
+        # triangular over Q(sqrt 2), is congruent to it and runs the field
+        # lane (an ExactNum with c = 0 would be rational, so T needs surds)
         rng = random.Random(31)
+        trng = random.Random(37)
+        root2 = ExactNum(0, 1, 2)
+        surd_runs = 0
         for _ in range(25):
             n = rng.randint(1, 6)
             m = frac_matrix(rng, n, n, span=4)
             sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-            assert _sig_rational(sym) == _sig_generic([row[:] for row in sym])
+            t = [[Fraction(1) if i == j else
+                  trng.choice([-2, -1, 1, 2]) * root2 if i < j else Fraction(0)
+                  for j in range(n)] for i in range(n)]
+            tt = [list(col) for col in zip(*t)]
+            congruent = mat_mul(mat_mul(tt, sym), t)
+            surd_runs += not all(is_rational_real(x)
+                                 for row in congruent for x in row)
+            assert hermitian_signature(congruent) == hermitian_signature(sym)
+        assert surd_runs >= 20
+
+    def test_isotropic_diagonal_against_eigenvalues(self):
+        # zero diagonals with mixed denominators: the v_i <- v_i + v_j step
+        # must be a congruence (row and column) of the symmetrically
+        # scaled form; the null count comes from the exact rank, the signs
+        # from the other eigenvalues
+        rng = random.Random(1)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            g = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.7:
+                        g[i][j] = g[j][i] = Fraction(rng.randint(-2, 2),
+                                                     rng.choice([1, 1, 2, 3]))
+            null = n - rank(g)
+            ev = sorted(np.linalg.eigvalsh(np.array(g, dtype=float)),
+                        key=abs)[null:]
+            expected = (sum(1 for x in ev if x > 0),
+                        sum(1 for x in ev if x < 0), null)
+            assert hermitian_signature(g) == expected
+
+    @pytest.mark.parametrize("name", sorted(FIXED_FORMS))
+    def test_fixed_forms(self, name):
+        g, expected = FIXED_FORMS[name]
+        assert hermitian_signature(g) == expected
 
     def test_empty(self):
         assert hermitian_signature([]) == (0, 0, 0)
