@@ -83,8 +83,9 @@ def _summary(p, grids: list) -> dict:
 
 
 def time_cli(*argv) -> dict:
-    """Wall time, exit code and report digest of ``openstring *argv`` run in
-    a fresh interpreter."""
+    """Wall time, exit code and the digests of stdout (the report) and of
+    stderr (a refusal's evidence) of ``openstring *argv`` run in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-c",
            "import sys; from openstring.cli import main; sys.exit(main())",
@@ -93,7 +94,8 @@ def time_cli(*argv) -> dict:
     proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
     wall = time.perf_counter() - t0
     return {"wall_s": wall, "exit": proc.returncode,
-            "report_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+            "report_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest()}
 
 
 def _git_head() -> str | None:

@@ -6,17 +6,18 @@ Two measurements, each repeated ``--repeat`` times:
   momenta ``_probe_momenta(26, seed)`` for seeds 0 and 2, with the CLI's
   candidates 1, 1/2 and 2: 24 transverse directions, |m|, |n| <= 2 and the
   404 probes of level <= 2;
-* ``openstring ddf`` in a fresh interpreter, at its defaults and with
-  ``--seed 2``, so the time includes interpreter start; the exit code and
-  the SHA-256 of each report are recorded, so two checkouts can be
-  compared for byte-identical output.
+* ``openstring ddf`` in a fresh interpreter, at its defaults, with
+  ``--seed 2``, and on the reject path ``--kappa-set 1/2 2`` (exit 3, the
+  witnesses on stderr), so the time includes interpreter start; the exit
+  code and the SHA-256 of stdout and stderr are recorded, so two checkouts
+  can be compared for byte-identical output.
 
 The package is imported from ``src/`` of the checkout holding this script,
 and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
 so a copy of both scripts placed in another checkout times that checkout.
 The result is written as JSON:
 
-    python3 scripts/bench_ddf.py --out BENCH_12.json
+    python3 scripts/bench_ddf.py --out BENCH_ddf.json
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ from openstring.fock import ModelParams  # noqa: E402
 
 D = 26
 SEEDS = (0, 2)
-CLI_RUNS = {"default": ("ddf",), "seed_2": ("ddf", "--seed", "2")}
+# name -> (argv, expected exit code)
+CLI_RUNS = {"default": (("ddf",), 0),
+            "seed_2": (("ddf", "--seed", "2"), 0),
+            "reject": (("ddf", "--kappa-set", "1/2", "2"), 3)}
 
 
 def time_calibration(seed: int) -> dict:
@@ -54,7 +58,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="runs of each calibration and CLI call (default 3)")
-    ap.add_argument("--out", default="BENCH_12.json",
+    ap.add_argument("--out", required=True,
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
     if args.repeat < 1:
@@ -66,7 +70,7 @@ def main(argv=None) -> int:
     for _ in range(args.repeat):
         for seed in SEEDS:
             calibrations[seed].append(time_calibration(seed))
-        for name, cli_argv in CLI_RUNS.items():
+        for name, (cli_argv, _) in CLI_RUNS.items():
             clis[name].append(time_cli(*cli_argv))
     result = {
         "commit": _git_head(),
@@ -86,11 +90,12 @@ def main(argv=None) -> int:
         },
         "cli_ddf": {
             name: {
-                "argv": list(CLI_RUNS[name]),
+                "argv": list(CLI_RUNS[name][0]),
                 "wall_s": [c["wall_s"] for c in runs],
                 "wall_median_s": statistics.median(c["wall_s"] for c in runs),
                 "exit_codes": sorted({c["exit"] for c in runs}),
                 "report_sha256": sorted({c["report_sha256"] for c in runs}),
+                "stderr_sha256": sorted({c["stderr_sha256"] for c in runs}),
             }
             for name, runs in clis.items()
         },
@@ -104,7 +109,8 @@ def main(argv=None) -> int:
         **{f"cli_{name}_median_s": cli["wall_median_s"]
            for name, cli in result["cli_ddf"].items()}}))
     bad = any(cal["kappa"] != ["1"] for cal in result["calibration"].values()) \
-        or any(cli["exit_codes"] != [0] for cli in result["cli_ddf"].values())
+        or any(cli["exit_codes"] != [CLI_RUNS[name][1]]
+               for name, cli in result["cli_ddf"].items())
     return 1 if bad else 0
 
 

@@ -37,6 +37,9 @@ CASES = [
     (["virasoro", "--seed", "81"], None),
     (["virasoro", "--d", "4", "--max-level", "2"], None),
     (["ddf"], None),
+    (["ddf", "--seed", "2"], None),
+    # the reject path: exit 3 with one witness per candidate on stderr
+    (["ddf", "--kappa-set", "1/2", "2"], None),
     (["ddf", "--d", "4", "--kappa-set", "3", "5"], None),
     (["ddf-state"], None),
     (["noghost", "--d-list", "10,26", "--max-level", "2"], None),
@@ -82,6 +85,7 @@ CASES = [
     (["locality", "--d", "4", "--separation", "0,2,0"], None),
     (["locality", "--d", "4", "--grid", "8", "--extent", "nan"], None),
     (["locality", "--d", "4", "--grid", "8", "--extent", "inf"], None),
+    (["locality", "--d", "4", "--grid", "6"], None),
     (["observable", "--d", "6", "--word", "3:1", "--grid", "64"], None),
     (["locality", "--d", "6", "--word", "3:1", "--grid", "64"], None),
     (["observable", "--d", "4", "--radius", "1", "--dq", "4", "--grid", "8"],

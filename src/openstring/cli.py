@@ -378,7 +378,11 @@ def _quadrature(args):
     """The test function, the momentum grid for its locality check, and
     the default separation (R/2, 4R, 0, ...), spacelike to the support.
     A word lowering along directions the slice cannot see may project to
-    the zero state; that is refused here, before any quadrature."""
+    the zero state; that is refused here, before any quadrature, and so
+    is a grid the midpoint rule cannot use (``testfn`` takes any n > 0)."""
+    if args.grid < 8 or args.grid % 2:
+        raise ConfigError(f"--grid must be even and at least 8 for the "
+                          f"quadrature, got {args.grid}")
     tf = _testfunction(args)
     hidden = sorted({i for i, _ in tf.word if i > args.dq})
     if hidden and _vanishes_on_slice(tf, args.dq):

@@ -27,17 +27,20 @@ part once and keeps it on the null vector; a :class:`DdfContext` holds one
 null vector per n, so those images serve every direction, probe and call
 made through the context, and they go away with it.  The images carry the
 context's ring scalars (U_n(c l) = sum_q c^q U_{n,q}(l), q the number of
-factors), which is why no cache outlives its context.  As k^i = 0,
-[V_t(k), alpha^i_s] = 0: the images V_{n+q} v behind alpha^i_{-q} in A^i_n
-do not depend on i, and the calibration shares them across directions.
+factors), which is why no cache outlives its context.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
 family; see :func:`calibrate_normalization`.  Discrimination does not
 require transversely moving probe momenta: the zero-mode pairing
-k.alpha_0 = k.p = -kappa feeds a (1 - kappa)-proportional residual on any
-fiber with p^0 + p^{d-1} != 0, and transverse momentum components add an
-independent p^i (1 - kappa) channel on top.
+k.alpha_0 = k.p = -kappa gives [L_1, A^i_{-2}] Omega = 2 (1 - kappa)
+alpha^i_{-1} Omega on lightcone-plane momenta, and transverse momentum
+components add [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.  As k^i = 0,
+[V_t(k), alpha^i_s] = 0, and [L_m, alpha^i_s] = -s alpha^i_{m+s} with
+alpha^i_0 = p^i, so [L_m, A^i_n] v is single oscillators alpha^i on the
+images W_t = V_t v and vertex commutators E_t = L_m W_t - V_t L_m v, plus
+terms for the modes of i in v.  The calibration builds W and E once for
+all directions, certifying the expansion on two probes per (n, m, level).
 
 A word on what these operators do and do not satisfy.  Because the
 construction stays inside a single fiber (no momentum shift, no center-of-
@@ -239,12 +242,16 @@ def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVect
 def v_vector_apply(mu: int, n: int, k: NullVector, p: Momentum, v: FockVector,
                    params: ModelParams) -> FockVector:
     """Apply V^mu_n = sum_{q>0}[alpha^mu_{-q} V_{n+q} + V_{n-q} alpha^mu_q]
-    + p^mu V_n, with level-bound truncations q <= level - n and q <= level.
-
-    For transverse mu, k^mu = 0 gives [V_t(k), alpha^mu_s] = 0: only
-    :func:`_assemble` depends on mu, not the :func:`_vertex_images` of v.
-    """
-    return _assemble(mu, n, k, p, v, _vertex_images(n, k, v, params), params)
+    + p^mu V_n, with level-bound truncations q <= level - n and q <= level:
+    alpha^mu_{-q} on each of the :func:`_vertex_images` (p^mu at q = 0),
+    plus V_{n-q} alpha^mu_q v for the modes q > 0 of mu that occur in v."""
+    out = FockVector.zero()
+    for q, w in _vertex_images(n, k, v, params):
+        out += apply_oscillator((-q, mu), w, params) if q else w.scaled(p[mu])
+    for q in sorted({f[0] for mono, _ in v.items() for f in mono if f[1] == mu}):
+        out += v_scalar_apply(n - q, k, apply_oscillator((q, mu), v, params),
+                              params)
+    return out
 
 
 def _vertex_images(n: int, k: NullVector, v: FockVector,
@@ -252,20 +259,6 @@ def _vertex_images(n: int, k: NullVector, v: FockVector,
     """[(q, V_{n+q}(k) v)] for 0 <= q <= level(v) - n, zero images dropped."""
     return [(q, w) for q in range(v.level() - n + 1)
             if (w := v_scalar_apply(n + q, k, v, params))]
-
-
-def _assemble(mu: int, n: int, k: NullVector, p: Momentum, v: FockVector,
-              images: list, params: ModelParams) -> FockVector:
-    """V^mu_n v from ``images`` = :func:`_vertex_images` of v: alpha^mu_{-q}
-    on each image (p^mu at q = 0), plus V_{n-q} alpha^mu_q v for the modes
-    q > 0 of direction mu that occur in v (every other alpha^mu_q kills v)."""
-    out = FockVector.zero()
-    for q, w in images:
-        out += apply_oscillator((-q, mu), w, params) if q else w.scaled(p[mu])
-    for q in sorted({f[0] for mono, _ in v.items() for f in mono if f[1] == mu}):
-        out += v_scalar_apply(n - q, k, apply_oscillator((q, mu), v, params),
-                              params)
-    return out
 
 
 class DdfContext:
@@ -443,70 +436,107 @@ def calibrate_normalization(params: ModelParams, momenta,
     so those probes discriminate nothing — see :func:`ddf_commutator_defect`
     and the module docstring).  Candidates are tried in the given order and
     rejected at the first nonzero residual.  If none passes, raises
-    :class:`CalibrationError` carrying one witness residual per candidate.
-
-    Any momentum with p^0 + p^{d-1} != 0 discriminates: a wrong candidate
-    already shows up through the zero-mode pairing k.alpha_0 = k.p = -kappa
-    (for example [L_1, A^i_{-2}] Omega = 2 (1 - kappa) alpha^i_{-1} Omega on
-    lightcone-plane momenta), and momenta with nonzero transverse components
-    add the independent residual [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.
+    :class:`CalibrationError` carrying one witness residual per candidate;
+    an empty direction list or probe set is a ValueError.
     """
     if not momenta:
         raise ValueError("calibration needs at least one momentum")
     dirs = list(directions) if directions is not None else list(range(1, params.d - 1))
+    if not dirs:
+        raise ValueError("calibration needs at least one transverse direction")
     for i in dirs:
         _check_transverse(i, params)
-    probes = [
-        [FockVector.basis_state(mono) for mono in iter_level_basis(params, level)]
-        for level in range(level_cap + 1)
-    ]
+    probes = [[FockVector.basis_state(mono) for mono in iter_level_basis(params, level)]
+              for level in range(level_cap + 1)]
     cells = [(n, m, level, j, v)
              for n in range(-mode_cap, mode_cap + 1)
              for m in range(-mode_cap, mode_cap + 1) if m
              for level in range(min(defect_threshold(m, n), level_cap + 1))
              for j, v in enumerate(probes[level])]
+    if not cells:
+        raise ValueError("calibration probe set is empty: raise level_cap or mode_cap")
     failures = {}
     for kappa in candidates:
         witness = _first_calibration_failure(params, momenta, kappa, cells, dirs)
         if witness is None:
             return Fraction(kappa)
         failures[str(kappa)] = witness
-    raise CalibrationError(
-        "no candidate normalization makes [L_m, A^i_n] vanish on the "
-        "protected probe sector", failures
-    )
+    raise CalibrationError("no candidate normalization makes [L_m, A^i_n] "
+                           "vanish on the protected probe sector", failures)
 
 
 def _first_calibration_failure(params, momenta, kappa, cells, dirs):
     """The first nonzero residual in (momentum, i, n, m, probe) order.
 
     ``cells`` lists (n, m, level, j, v) in that order, v being the j-th
-    probe of its level.  Only the last step of A^i_n depends on the
-    direction: L_m v does not, and since k^i = 0 gives [V_t(k), alpha^i_s]
-    = 0, neither do the :func:`_vertex_images` of v and of L_m v.  Each is
-    built once per momentum, keyed (m, level, j) for L_m v, (n, level, j)
-    for the images of v and (n, m, level, j) for those of L_m v.
+    probe of its level.  Each cell is checked on the directions before the
+    first failing one found so far, so that order holds.  With W_t = V_t v
+    at n k, E_t = L_m W_t - V_t L_m v and alpha^i_0 = p^i, each direction
+    costs only single oscillators on W and E:
+
+      [L_m, A^i_n] v = sum_{q>0} q alpha^i_{m-q} W_{n+q} + sum_{q>=0}
+          alpha^i_{-q} E_{n+q} - sum_{0<q<=-m} q alpha^i_{m+q} W_{n-q}
+          + sum_r ([L_m, V_{n-r}] - (r-m) [r > m] V_{n-r+m}) alpha^i_r v,
+
+    r over the modes of direction i in v.  Certificate: on the first probe
+    of each (n, m, level) and on its first probe with a factor in dirs[0],
+    the expansion on dirs[0] must equal :func:`ddf_commutator_residual`.
     """
+    from .spectrum import InvariantError
     for p in momenta:
         ctx = DdfContext(params, p, kappa)
         if ctx.degenerate:
-            raise ValueError(f"calibration momentum {p!r} has vanishing "
-                             "lightcone combination")
-        lowered, images = {}, {}
-        for i in dirs:
-            for n, m, level, j, v in cells:
-                nk = ctx.null_at(n)
-                if (lv := lowered.get((m, level, j))) is None:
-                    lv = lowered[m, level, j] = virasoro_apply(m, p, v, params)
-                if (iv := images.get((n, level, j))) is None:
-                    iv = images[n, level, j] = _vertex_images(n, nk, v, params)
-                if (ilv := images.get((n, m, level, j))) is None:
-                    ilv = images[n, m, level, j] = _vertex_images(
-                        n, nk, lv, params)
-                res = virasoro_apply(
-                    m, p, _assemble(i, n, nk, p, v, iv, params), params)
-                res -= _assemble(i, n, nk, p, lv, ilv, params)
+            raise ValueError(f"calibration momentum {p!r} has p^0 + p^{{d-1}} = 0")
+        certified, active, witness = set(), dirs, None
+        for n, m, level, j, v in cells:
+            if not active:
+                break
+            nk = ctx.null_at(n)
+            terms = _cell_terms(n, m, nk, p, v, params)
+            present = {f[1] for mono in v.terms for f in mono}
+            for pos, i in enumerate(active):
+                if pos and not terms and i not in present:
+                    continue  # every term of the expansion vanishes
+                res = _bracket(i, n, m, nk, p, v, terms, params)
+                has = i in present
+                if not pos and (has or not j) and (n, m, level, has) not in certified:
+                    certified.add((n, m, level, has))
+                    if res != ddf_commutator_residual(m, i, n, v, ctx):
+                        raise InvariantError(f"[L_{m}, A^{i}_{n}] expansion "
+                                             f"disagrees with the literal one on {v!r}")
                 if res:
-                    return {"momentum": repr(p.components), "i": i,
-                            "n": n, "m": m, "residual_terms": len(res)}
+                    witness = {"momentum": repr(p.components), "i": i,
+                               "n": n, "m": m, "residual_terms": len(res)}
+                    active = active[:pos]
+                    break
+        if witness:
+            return witness
     return None
+
+
+def _cell_terms(n, m, k, p, v, params) -> list:
+    """The direction-free (s, term) pairs of [L_m, A^i_n] v: q W_{n+q},
+    E_{n+q} and -q W_{n-q}, from the :func:`_vertex_images` of v and L_m v."""
+    images = _vertex_images(n, k, v, params)
+    errors = {q: virasoro_apply(m, p, w, params) for q, w in images}
+    for q, w in _vertex_images(n, k, virasoro_apply(m, p, v, params), params):
+        errors[q] = errors[q] - w if q in errors else -w
+    terms = [(m - q, w.scaled(q)) for q, w in images if q]
+    terms += [(-q, e) for q, e in errors.items() if e]
+    return terms + [(m + q, w.scaled(-q)) for q in range(1, 1 - m)
+                    if (w := v_scalar_apply(n - q, k, v, params))]
+
+
+def _bracket(i, n, m, k, p, v, terms, params) -> FockVector:
+    """[L_m, A^i_n] v by the expansion in :func:`_first_calibration_failure`:
+    alpha^i_s on each of the :func:`_cell_terms`, then the modes of i in v."""
+    out = FockVector.zero()
+    for s, w in terms:
+        out += apply_oscillator((s, i), w, params) if s else w.scaled(p[i])
+    for r in sorted({f[0] for mono in v.terms for f in mono if f[1] == i}):
+        x = apply_oscillator((r, i), v, params)
+        out += virasoro_apply(m, p, v_scalar_apply(n - r, k, x, params), params)
+        out -= v_scalar_apply(n - r, k, virasoro_apply(m, p, x, params), params)
+        if r > m:
+            out += v_scalar_apply(n - r + m, k, x, params).scaled(m - r)
+    return out

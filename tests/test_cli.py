@@ -134,9 +134,14 @@ def test_negative_level_is_a_config_error(capsys, argv):
     (["testfn", "--tol", "nan"], "--tol"),
     (["locality", "--tol=-inf"], "--tol"),
     (["locality", "--sweep", "0,4,0", "--tol", "0"], "--tol"),
+    (["locality", "--grid", "6"], "--grid"),
+    (["locality", "--grid", "7"], "--grid"),
+    (["observable", "--grid", "6"], "--grid"),
+    (["observable", "--grid", "9"], "--grid"),
 ], ids=["testfn-grid", "testfn-tol", "locality-tol", "observable-tol",
         "locality-grid", "observable-grid", "testfn-tol-nan",
-        "locality-tol-minus-inf", "locality-sweep-tol"])
+        "locality-tol-minus-inf", "locality-sweep-tol", "locality-grid-6",
+        "locality-grid-odd", "observable-grid-6", "observable-grid-odd"])
 def test_unusable_grid_or_tol_is_a_config_error(capsys, argv, flag):
     code, out, err = run(capsys, argv + ["--d", "4"])
     assert code == 2

@@ -31,7 +31,7 @@ from openstring.ddf import (
     v_scalar_apply,
 )
 import openstring.ddf as ddf_module
-from openstring.cli import _probe_momenta
+from openstring.cli import _probe_momenta, main
 from openstring.exactnum import ExactNum
 from openstring.fiber import Momentum, mass_square_apply, virasoro_apply
 from openstring.fock import (
@@ -44,6 +44,7 @@ from openstring.fock import (
     level_of,
 )
 from openstring.poly import sym_momentum
+from openstring.spectrum import InvariantError
 
 from .oracles import (
     compositions,
@@ -673,6 +674,98 @@ class TestCalibration:
         ctx = DdfContext(P4, plane[0], kappa=Fraction(3))
         res = ddf_commutator_residual(1, 1, -2, FockVector.vacuum(), ctx)
         assert dict(res.items()) == {((1, 1),): Fraction(-4)}
+
+    @pytest.mark.parametrize("kwargs,empty", [
+        ({"directions": ()}, "direction"),
+        ({"mode_cap": 0}, "probe set"),
+        ({"level_cap": -1}, "probe set"),
+    ], ids=["no-directions", "no-modes", "no-levels"])
+    def test_vacuous_calibration_is_refused(self, kwargs, empty):
+        # with nothing to check, any candidate would pass; the default probe
+        # set rejects kappa = 7
+        with pytest.raises(CalibrationError):
+            calibrate_normalization(P4, MOME4[:1], candidates=(Fraction(7),))
+        with pytest.raises(ValueError, match=empty):
+            calibrate_normalization(
+                P4, MOME4[:1], candidates=(Fraction(7),), **kwargs)
+
+
+class TestCalibrationExpansion:
+    """The calibration reads [L_m, A^i_n] v off direction-free vertex
+    commutators (``ddf._first_calibration_failure``).  Here the expansion
+    is pinned to the literal composition L_m A^i_n v - A^i_n L_m v, on
+    every cell and direction at d = 4 and on sampled cells at d = 26, and a
+    tampered expansion must trip the calibration's certificate."""
+
+    @staticmethod
+    def expansion(i, n, m, v, ctx):
+        nk, p, params = ctx.null_at(n), ctx.p, ctx.params
+        terms = ddf_module._cell_terms(n, m, nk, p, v, params)
+        return ddf_module._bracket(i, n, m, nk, p, v, terms, params)
+
+    @staticmethod
+    def literal(i, n, m, v, ctx):
+        lowered = virasoro_apply(m, ctx.p, v, ctx.params)
+        return (virasoro_apply(m, ctx.p, ddf_apply(i, n, v, ctx), ctx.params)
+                - ddf_apply(i, n, lowered, ctx))
+
+    @pytest.mark.parametrize("b,kappa", [
+        (Fraction(1), Fraction(1)),
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(1), Fraction(1, 2)),
+    ], ids=["b1", "b1/2", "kappa1/2"])
+    def test_matches_literal_commutator_at_d4(self, b, kappa):
+        params = ModelParams(d=4, b=b)
+        ctx = DdfContext(params, MOME4[1], kappa=kappa)
+        nonzero = 0
+        for n in range(-2, 3):
+            for m in (-2, -1, 1, 2):
+                for v in basis_upto(params, 2):
+                    for i in (1, 2):
+                        got = self.expansion(i, n, m, v, ctx)
+                        assert got == self.literal(i, n, m, v, ctx), \
+                            (i, n, m, v)
+                        nonzero += bool(got)
+        # above the defect threshold, or off kappa = 1, the bracket is
+        # mostly nonzero, so the equality is not 0 == 0
+        assert nonzero > 250
+
+    def test_matches_literal_commutator_on_sampled_d26_cells(self):
+        rng = random.Random(15)
+        ctx = DdfContext(P26, _probe_momenta(26, 2)[1])
+        probes = basis_upto(P26, 2)
+        nonzero = 0
+        for _ in range(80):
+            v = rng.choice(probes)
+            n, m = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
+            present = sorted({mu for mono, _ in v.items() for _, mu in mono
+                              if 0 < mu < 25})
+            i = rng.choice(present) if present and rng.random() < 0.5 \
+                else rng.randint(1, 24)
+            got = self.expansion(i, n, m, v, ctx)
+            assert got == self.literal(i, n, m, v, ctx), (i, n, m, v)
+            nonzero += bool(got)
+        assert nonzero > 10
+
+    @pytest.mark.parametrize("where", ["first-probe", "first-factor"])
+    def test_tampered_expansion_is_an_invariant_error(self, monkeypatch,
+                                                      capsys, where):
+        # an extra vacuum term: on every probe, or only where v has a factor
+        # in the direction, which only the second certified probe sees
+        real = ddf_module._bracket
+
+        def tampered(i, n, m, k, p, v, terms, params):
+            out = real(i, n, m, k, p, v, terms, params)
+            if where == "first-probe" or any(
+                    mu == i for mono, _ in v.items() for _, mu in mono):
+                out += FockVector.vacuum()
+            return out
+
+        monkeypatch.setattr(ddf_module, "_bracket", tampered)
+        with pytest.raises(InvariantError, match="disagrees"):
+            calibrate_normalization(P4, MOME4[:2])
+        assert main(["ddf", "--d", "4"]) == 4
+        assert capsys.readouterr().err.startswith("internal error: [L_")
 
 
 class TestWordStates:
