@@ -1,10 +1,12 @@
 """Time the no-ghost scan at d = 26 to level 3 and its exact eliminations.
 
-Four measurements, all in process, each repeated ``--repeat`` times:
+Five measurements, all in process, each repeated ``--repeat`` times:
 
 * every row of ``noghost_scan([26], max_level=3)``, from its own
   ``elapsed_ms``; the SHA-256 of the scan's CSV is recorded, so two
   checkouts can be compared for byte-identical output;
+* the whole of ``noghost_scan([4, 10], b=1/3, max_level=3)``, on the
+  fractional shells r = 2(N - 1/3), with the SHA-256 of its CSV;
 * ``hermitian_signature`` on the level-3 Schur complement S (403 x 403);
 * ``hermitian_signature`` on the Gram of the level-3 spurious vectors,
   the matrix ``gram_signature`` eliminates after its independence check;
@@ -17,7 +19,7 @@ and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
 so a copy of both scripts placed in another checkout times that
 checkout.  The result is written as JSON:
 
-    python3 scripts/bench_noghost.py --out BENCH_14.json
+    python3 scripts/bench_noghost.py --out BENCH_16.json
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from openstring import spectrum  # noqa: E402
 
 D = 26
 LEVEL = 3
+FRACTIONAL = ([4, 10], Fraction(1, 3), 3)  # d_list, b, max_level
 
 
 def _timed(fn, *args):
@@ -75,7 +78,7 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=3,
                     help="runs of the scan and of each elimination "
                          "(default 3)")
-    ap.add_argument("--out", default="BENCH_14.json",
+    ap.add_argument("--out", default="BENCH_16.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
     if args.repeat < 1:
@@ -83,6 +86,7 @@ def main(argv=None) -> int:
 
     machine = _machine()
     scans, csvs, runs, answers = [], set(), [], set()
+    fractional_csvs = set()
     inputs = level_three_inputs()
     for _ in range(args.repeat):
         reports = spectrum.noghost_scan([D], max_level=LEVEL)
@@ -90,6 +94,10 @@ def main(argv=None) -> int:
         csvs.add(hashlib.sha256(
             spectrum.noghost_csv(reports).encode()).hexdigest())
         run = {}
+        run["fractional_s"], reports = _timed(spectrum.noghost_scan,
+                                              *FRACTIONAL)
+        fractional_csvs.add(hashlib.sha256(
+            spectrum.noghost_csv(reports).encode()).hexdigest())
         run["schur_s"], sig_s = _timed(hermitian_signature, inputs["schur"])
         run["spurious_s"], sig_g = _timed(hermitian_signature,
                                           inputs["spurious_gram"])
@@ -111,6 +119,11 @@ def main(argv=None) -> int:
                 scan[level] for scan in scans) for level in range(LEVEL + 1)},
             "csv_sha256": sorted(csvs),
         },
+        "fractional_scan": {
+            "d_list": FRACTIONAL[0], "b": str(FRACTIONAL[1]),
+            "max_level": FRACTIONAL[2],
+            "csv_sha256": sorted(fractional_csvs),
+            **_series(runs, "fractional_s")},
         "schur_signature": {
             "shape": [len(inputs["schur"])] * 2,
             "nonzeros": sum(1 for row in inputs["schur"] for x in row if x),
@@ -129,10 +142,12 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps({
         "level_3_row_median_s": result["scan"]["row_median_s"][str(LEVEL)],
+        "fractional_scan_median_s": result["fractional_scan"]["wall_median_s"],
         **{f"{name}_median_s": result[name]["wall_median_s"]
            for name in ("schur_signature", "spurious_gram_signature",
                         "constraint_rank")}}))
-    return 1 if len(answers) != 1 or len(csvs) != 1 else 0
+    distinct = (len(answers), len(csvs), len(fractional_csvs))
+    return 0 if distinct == (1, 1, 1) else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ and the SHA-256 of stdout and of stderr:
     diff parent.jsonl change.jsonl
 
 Two trees whose lines agree print the same bytes and exit the same way
-on every case.  The matrix took about 30 s on a shared 2-core machine;
+on every case.  The matrix took about 45 s on a shared 2-core machine;
 the three ``virasoro`` runs at d = 26 and the level-3 ``noghost`` run are
 most of it.
 """
@@ -45,8 +45,8 @@ CASES = [
     (["noghost", "--d-list", "10,26", "--max-level", "2"], None),
     (["noghost", "--d-list", "10,26", "--max-level", "2",
       "--format", "json"], None),
-    # surd witnesses: the rank audit runs its field lane end to end (S is
-    # rational there, so the inertia stays on ints)
+    # a fractional intercept: the shell r = 2(N - 1/3) is fractional, and
+    # the rational witness keeps the rank audit and the inertia on ints
     (["noghost", "--d-list", "4,26", "--b", "1/3", "--max-level", "2"], None),
     # the largest exact inertia, S at level 3 (403 x 403)
     (["noghost", "--d-list", "26", "--max-level", "3"], None),
@@ -90,6 +90,11 @@ CASES = [
     (["locality", "--d", "6", "--word", "3:1", "--grid", "64"], None),
     (["observable", "--d", "4", "--radius", "1", "--dq", "4", "--grid", "8"],
      None),
+    # ddf-state prints its momentum: at level 2 and at b = 1/3 that is
+    # the shell witness
+    (["ddf-state", "--word", "1:2"], None),
+    (["ddf-state", "--d", "4", "--b", "1/3", "--word", "1:1"], None),
+    (["noghost", "--d-list", "4,10", "--b", "1/3", "--max-level", "3"], None),
 ]
 
 

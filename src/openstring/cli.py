@@ -325,9 +325,10 @@ def _testfunction(args):
 
 def _verify_body(tf, grid: int = 1024, tol: float = 1e-3):
     """Exact constraints at shell momenta, then the numeric support
-    certificate along the first (at most four) axes.  The momenta are one
-    searched on the shell and the (t, x^1) plane solutions of the same
-    quadric, -t^2 + x^2 = -r, at x = 3/2 and 5/2."""
+    certificate along the first (at most four) axes.  The momenta are the
+    rational witness of :func:`find_onshell_momentum` and the (t, x^1)
+    plane solutions of the same quadric, -t^2 + x^2 = -r, at x = 3/2 and
+    5/2, whose t = sqrt(x^2 + r) is in general a surd."""
     samples = [find_onshell_momentum(tf.shell, tf.params.d).p]
     for x in (Fraction(3, 2), Fraction(5, 2)):
         if x * x + tf.shell > 0:

@@ -437,10 +437,17 @@ def calibrate_normalization(params: ModelParams, momenta,
     and the module docstring).  Candidates are tried in the given order and
     rejected at the first nonzero residual.  If none passes, raises
     :class:`CalibrationError` carrying one witness residual per candidate;
-    an empty direction list or probe set is a ValueError.
+    an empty direction list or probe set, a momentum with
+    p^0 + p^{d-1} = 0 or the candidate 0 (every A^i_n would vanish) is a
+    ValueError.
     """
     if not momenta:
         raise ValueError("calibration needs at least one momentum")
+    for p in momenta:
+        if not p.lightcone():
+            raise ValueError(f"calibration momentum {p!r} has p^0 + p^{{d-1}} = 0")
+    if 0 in candidates:
+        raise ValueError("calibration candidate 0 makes every A^i_n vanish")
     dirs = list(directions) if directions is not None else list(range(1, params.d - 1))
     if not dirs:
         raise ValueError("calibration needs at least one transverse direction")
@@ -485,8 +492,6 @@ def _first_calibration_failure(params, momenta, kappa, cells, dirs):
     from .spectrum import InvariantError
     for p in momenta:
         ctx = DdfContext(params, p, kappa)
-        if ctx.degenerate:
-            raise ValueError(f"calibration momentum {p!r} has p^0 + p^{{d-1}} = 0")
         certified, active, witness = set(), dirs, None
         for n, m, level, j, v in cells:
             if not active:

@@ -31,14 +31,11 @@ The no-ghost scan drives this pipeline over a (d, level) grid and reports
 one row per point; the headline structure is n_minus = 0 with the null
 directions exactly matching the spurious subspace at d = 26, b = 1.
 
-Momentum witnesses prefer small integer components.  The deterministic
-rule: minimal p^0 >= 1 first (equivalently minimal Euclidean norm on the
-shell), then the lexicographically smallest nonnegative spatial vector,
-decided by a sum-of-squares feasibility oracle.  When no integer point
-exists — wrong parity, a three-square obstruction at every p^0 within the
-search bound, or fractional r — the momentum is extended by a single
-quadratic surd, p^0 = sqrt(|vec p|^2 + r), and all arithmetic downstream
-stays exact.
+The momentum witness is closed-form and rational: for any rational r and
+s != 0, p = ((r/s + s)/2, 0, ..., 0, (s - r/s)/2) has p^2 = -r and
+p^0 + p^{d-1} = s.  By Lorentz invariance the counts on a shell do not
+depend on which momentum of it is taken (Goddard–Thorn 1972), so one
+witness per shell suffices and no search is made.
 """
 
 from __future__ import annotations
@@ -51,10 +48,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
 
 from .ddf import DdfContext, ddf_state
-from .exactnum import real_sign, sqrt_fraction
+from .exactnum import real_sign
 from .fiber import Momentum, virasoro_apply
 from .fock import (
     FockVector,
@@ -235,103 +231,20 @@ class PhysicalReport:
         return out
 
 
-# -- on-shell momentum search ------------------------------------------------
+# -- the on-shell witness ------------------------------------------------------
 
 
-def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+def find_onshell_momentum(r, d: int) -> OnShellMomentum:
+    """The rational witness ((r/s + s)/2, 0, ..., 0, (s - r/s)/2) for the
+    shell p^2 + r = 0 in d >= 2 dimensions.
 
-
-def _two_squares(n: int) -> bool:
-    # classic criterion: every prime = 3 (mod 4) divides n to an even power
-    if n < 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if p % 4 == 3 and e % 2:
-                return False
-        p += 1
-    return n % 4 != 3
-
-
-def _three_squares(n: int) -> bool:
-    if n < 0:
-        return False
-    while n % 4 == 0 and n > 0:
-        n //= 4
-    return n % 8 != 7
-
-
-def _sum_of_squares_exists(n: int, k: int) -> bool:
-    if n < 0:
-        return False
-    if k == 0:
-        return n == 0
-    if k == 1:
-        return _is_square(n)
-    if k == 2:
-        return _two_squares(n)
-    if k == 3:
-        return _three_squares(n)
-    return True  # Lagrange
-
-
-def _lex_min_squares(total: int, slots: int):
-    """Lexicographically smallest nonnegative integers with given square sum.
-
-    Greedy front-to-back choice against the feasibility oracle; returns None
-    when no representation exists.
+    Its lightcone part p^0 + p^{d-1} is s, with s = 2 for r > -4 and
+    s = 2 - r otherwise, so p^0 > 0 on every shell.  The lightlike
+    witness is (1, 0, ..., 0, 1), and r = 4 gives (2, 0, ..., 0).
     """
-    if not _sum_of_squares_exists(total, slots):
-        return None
-    out = []
-    for j in range(slots):
-        rest = slots - j - 1
-        v = 0
-        while not _sum_of_squares_exists(total - v * v, rest):
-            v += 1
-        out.append(v)
-        total -= v * v
-    return out
-
-
-def find_onshell_momentum(r, d: int, search_bound: int = 6) -> OnShellMomentum:
-    """Deterministic smallest exact momentum with p^2 + r = 0.
-
-    Integer lane: the shell forces |vec p|^2 = (p^0)^2 - r, so walk
-    p^0 = 1..search_bound and take the first representable spatial square
-    sum, realized lexicographically minimally.  Components are nonnegative,
-    hence p^0 + p^{d-1} > 0 automatically.  Falls back to a momentum with
-    p^0 = sqrt(|vec p|^2 + r) in a real quadratic extension when the integer
-    lane is empty (this always succeeds).
-    """
-    if search_bound < 1:
-        raise ValueError("search_bound must be at least 1")
     r = Fraction(r)
-    if r.denominator == 1:
-        for p0 in range(1, search_bound + 1):
-            spatial = _lex_min_squares(p0 * p0 - int(r), d - 1)
-            if spatial is not None:
-                comps = [Fraction(p0)] + [Fraction(v) for v in spatial]
-                return OnShellMomentum(r, Momentum(comps))
-    # quadratic-extension fallback: smallest spatial square sum with
-    # |vec p|^2 + r > 0, then adjoin the surd for p^0
-    m = 0
-    while m + r <= 0:
-        m += 1
-    spatial = _lex_min_squares(m, d - 1)
-    while spatial is None:  # three-square obstruction: bump the square sum
-        m += 1
-        while m + r <= 0:
-            m += 1
-        spatial = _lex_min_squares(m, d - 1)
-    p0 = sqrt_fraction(m + r)
-    comps = [p0] + [Fraction(v) for v in spatial]
+    s = 2 if r > -4 else 2 - r
+    comps = [(r / s + s) / 2] + [Fraction(0)] * (d - 2) + [(s - r / s) / 2]
     return OnShellMomentum(r, Momentum(comps))
 
 

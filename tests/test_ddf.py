@@ -602,6 +602,19 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_normalization(P4, [mom(1, 1, 1, -1)])
 
+    def test_degenerate_momentum_refused_before_any_candidate(self):
+        # the first momentum alone would fail kappa = 3 with a witness; the
+        # degenerate second one must still be refused, not reached
+        with pytest.raises(ValueError, match=r"p\^0 \+ p\^\{d-1\} = 0"):
+            calibrate_normalization(P4, [mom(2, 1, 0, 1), mom(1, 1, 1, -1)],
+                                    candidates=(Fraction(3),))
+
+    def test_zero_candidate_is_named_not_the_momentum(self):
+        with pytest.raises(ValueError, match="candidate 0") as exc:
+            calibrate_normalization(P4, [mom(2, 1, 0, 1)],
+                                    candidates=(Fraction(0), Fraction(1)))
+        assert "momentum" not in str(exc.value)
+
     def test_needs_momenta(self):
         with pytest.raises(ValueError):
             calibrate_normalization(P4, [])

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from openstring.ddf import DdfContext
-from openstring.exactnum import ExactNum
+from openstring.exactnum import ExactNum, sqrt_fraction
 from openstring.fiber import Momentum, virasoro_apply
 from openstring.fock import (
     FockVector,
@@ -59,13 +59,6 @@ class TestOnShellSearch:
                 Fraction(1 if mu in (0, d - 1) else 0) for mu in range(d)
             )
 
-    def test_frozen_small_witnesses(self):
-        assert find_onshell_momentum(-2, 4).p == frac_mom(1, 1, 1, 1)
-        assert find_onshell_momentum(2, 4).p == frac_mom(2, 0, 1, 1)
-        p26 = find_onshell_momentum(2, 26).p
-        assert p26[0] == 2 and p26[24] == 1 and p26[25] == 1
-        assert sum(1 for c in p26 if c) == 3
-
     def test_shell_and_lightcone_posts(self):
         for d in (4, 5, 10, 26):
             for r in (-4, -2, 0, 2, 4, 6, Fraction(1, 2), Fraction(-3, 2)):
@@ -76,24 +69,16 @@ class TestOnShellSearch:
                 from openstring.exactnum import real_sign
                 assert real_sign(m.p[0]) > 0
 
-    def test_three_square_obstruction_is_stepped_over(self):
-        # at p^0 = 1 the spatial square sum would be 7, which three squares
-        # cannot reach; the search must move on to p^0 = 2
-        p = find_onshell_momentum(-6, 4).p
-        assert p == frac_mom(2, 0, 1, 3)
-
-    def test_surd_fallback_for_fractional_shells(self):
-        m = find_onshell_momentum(Fraction(1, 2), 4)
-        assert isinstance(m.p[0], ExactNum)
-        assert m.p.minkowski_sq() == Fraction(-1, 2)
-        assert m.p[1] == m.p[2] == m.p[3] == 0
-        m2 = find_onshell_momentum(Fraction(-1, 2), 4)
-        assert m2.p.minkowski_sq() == Fraction(1, 2)
-        assert m2.p.lightcone() != 0
-
-    def test_search_bound_validated(self):
-        with pytest.raises(ValueError):
-            find_onshell_momentum(0, 4, search_bound=0)
+    @pytest.mark.parametrize("r,p0,p3,s", [
+        (-6, "29/8", "35/8", 8), (-2, "1/2", "3/2", 2), (0, 1, 1, 2),
+        (2, "3/2", "1/2", 2), (4, 2, 0, 2), ("1/2", "9/8", "7/8", 2),
+        ("-3/2", "5/8", "11/8", 2),
+    ])
+    def test_closed_form_witness(self, r, p0, p3, s):
+        # ((r/s + s)/2, 0, 0, (s - r/s)/2) with s = 2, or 2 - r for r <= -4
+        p = find_onshell_momentum(Fraction(r), 4).p
+        assert p == frac_mom(p0, 0, 0, p3)
+        assert p[0] > 0 and p.lightcone() == s
 
     def test_witness_type_validates(self):
         with pytest.raises(ValueError):
@@ -316,7 +301,7 @@ class TestNoGhostScan:
 
 
 # d <= 5 to level 3, d = 6 and 10 to level 2, at integer and half-integer
-# intercepts; the half-integer ones put p^0 on sqrt(2), sqrt(3) or sqrt(6)
+# intercepts; every witness here is rational
 BORDERED_GRID = [
     (d, b, level)
     for d in (2, 3, 4, 5, 6, 10)
@@ -324,17 +309,35 @@ BORDERED_GRID = [
     for level in range(4 if d <= 5 else 3)
 ]
 
+# six d = 2 points of the grid again, on the surd momenta
+# (sqrt(t_sq), x) with t_sq = x^2 + r, so that the route also runs end to
+# end over Q(sqrt s); entries (d, b, level, (t_sq, x))
+SURD_POINTS = [
+    (2, "0", 1, (2, 0)), (2, "0", 3, (6, 0)), (2, "1/2", 0, (3, 2)),
+    (2, "1", 0, (2, 2)), (2, "1", 2, (2, 0)), (2, "3/2", 1, (3, 2)),
+]
 
-def _on_shell_space(d, b, level):
+
+def _bordered_cases():
+    for d, b, level in BORDERED_GRID:
+        yield pytest.param(d, b, level, None, id=f"{d}-{b}-{level}")
+    for d, b, level, (t_sq, x) in SURD_POINTS:
+        p = Momentum((sqrt_fraction(t_sq), Fraction(x)))
+        yield pytest.param(d, b, level, p, id=f"{d}-{b}-{level}-surd")
+
+
+def _on_shell_space(d, b, level, p=None):
     b = Fraction(b)
-    p = find_onshell_momentum(2 * (level - b), d).p
+    r = 2 * (level - b)
+    p = find_onshell_momentum(r, d).p if p is None else OnShellMomentum(r, p).p
     return LevelSpace(ModelParams(d=d, b=b), p, level)
 
 
 class TestBorderedRoute:
-    @pytest.mark.parametrize("d,b,level", BORDERED_GRID)
-    def test_agrees_with_gram_route(self, d, b, level):
-        space = _on_shell_space(d, b, level)
+    @pytest.mark.parametrize("d,b,level,p", _bordered_cases())
+    def test_agrees_with_gram_route(self, d, b, level, p):
+        space = _on_shell_space(d, b, level, p)
+        assert isinstance(space.p[0], ExactNum) == (p is not None)
         physical = physical_subspace(space)
         spurious = spurious_subspace(physical, space)
         radical, signature = gram_route(physical)
