@@ -1,15 +1,16 @@
 """Exact linear algebra over Q and Q(sqrt(s)).
 
-Matrices are plain lists of lists whose entries are Fractions or ExactNums.
-Two elimination routes are provided on purpose, and constraint ranks in
-the package are cross-checked between them:
+Every elimination runs on sparse {column: entry} rows of Fractions or
+ExactNums, walking the columns that occur in sorted order.  Dense rows are
+keyed by position; dict rows may have any sortable keys, such as
+monomials.  Two elimination routes are provided on purpose, and
+constraint ranks in the package are cross-checked between them:
 
-* ``rref``, row echelon form by field division, behind ``rank``,
+* ``rref``, Gauss-Jordan by field division, behind ``rank``,
   ``kernel_basis``, ``matrix_inverse`` and ``independence_check``;
-* one sparse fraction-free (Bareiss) step, behind ``rank_fraction_free``
-  and ``hermitian_signature``.  Rows are {column: entry} dicts, and every
-  intermediate entry is a minor of the input, so each division by the
-  previous pivot is exact.
+* one fraction-free (Bareiss) step, behind ``rank_fraction_free`` and
+  ``hermitian_signature``.  Every intermediate entry is a minor of the
+  input, so each division by the previous pivot is exact.
 
 The fraction-free route has two lanes.  When every entry is rational,
 each row i is scaled by the lcm s_i of its denominators and the
@@ -56,30 +57,35 @@ class DependencyError(ValueError):
         self.witness = witness
 
 
+def _sparse(matrix):
+    """Fresh zero-free dict rows of dense or dict rows."""
+    return [{j: x for j, x in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if x} for row in matrix]
+
+
 def rref(matrix):
-    """Reduced row echelon form by field division: (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    """Reduced row echelon form by field division: (dict rows, pivot
+    columns), a row that reduces to zero coming back as {}."""
+    rows = _sparse(matrix)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+    for c in sorted({j for row in rows for j in row}):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        if rows[r][c] != 1:
-            inv = Fraction(1) / rows[r][c] if isinstance(rows[r][c], (int, Fraction)) else rows[r][c].inverse()
-            rows[r] = [x * inv if x else x for x in rows[r]]
-        # zero entries of the pivot row leave the other rows alone
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        if top[c] != 1:
+            inv = Fraction(1) / top[c] if isinstance(top[c], (int, Fraction)) else top[c].inverse()
+            top = rows[r] = {j: x * inv for j, x in top.items()}
+        for row in rows:
+            f = row.get(c)
+            if f is not None and row is not top:
+                for j, b in top.items():
+                    row[j] = row.get(j, 0) - f * b
+                    if not row[j]:
+                        del row[j]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
     return rows, pivots
 
 
@@ -126,18 +132,17 @@ def _bareiss_step(top, c, rows, prev, integral):
 def rank_fraction_free(matrix) -> int:
     """Rank by Bareiss elimination (independent of :func:`rref`).
 
-    Rows are kept sparse, as {column: entry}.  All-rational input runs on
-    integers after scaling each row by the lcm of its denominators, which
-    leaves the rank alone.  Other entries stay in their field.
+    All-rational input runs on integers after scaling each row by the lcm
+    of its denominators, which leaves the rank alone.  Other entries stay
+    in their field.
     """
     if not matrix:
         return 0
-    rows, scales = _integer_rows(
-        [{j: x for j, x in enumerate(row) if x} for row in matrix])
+    rows, scales = _integer_rows(_sparse(matrix))
     integral = scales is not None
     prev = 1
     r = 0
-    for c in range(len(matrix[0])):
+    for c in sorted({j for row in rows for j in row}):
         pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
             continue
@@ -153,8 +158,9 @@ def rank_fraction_free(matrix) -> int:
 def kernel_basis(matrix, ncols=None):
     """Basis of the right kernel, in deterministic free-column order.
 
-    Each basis vector has entry 1 at its free column and the solved pivot
-    entries elsewhere.
+    The columns are 0 .. ncols - 1, ``ncols`` by default the length of a
+    dense first row.  Each basis vector is a dense list with entry 1 at its
+    free column and the solved pivot entries elsewhere.
     """
     if not matrix:
         if ncols is None:
@@ -167,9 +173,9 @@ def kernel_basis(matrix, ncols=None):
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            if rows[r][fc]:
-                vec[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -180,23 +186,26 @@ def matrix_inverse(matrix):
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
+    return [[row.get(j, Fraction(0)) for j in range(n, 2 * n)] for row in rows[:n]]
 
 
 def independence_check(vectors):
     """Raise DependencyError (with witness coefficients) unless independent.
 
     A vanishing combination of the rows is a kernel vector of their
-    transpose, so the witness is the first vector of that kernel.
+    transpose, so the witness is the first vector of that kernel.  The
+    transpose is built sparsely, one row per column that occurs.
     """
     if not vectors:
         return
-    transpose = [list(col) for col in zip(*vectors)]
-    kernel = kernel_basis(transpose, ncols=len(vectors))
+    transpose = {}
+    for i, row in enumerate(_sparse(vectors)):
+        for j, x in row.items():
+            transpose.setdefault(j, {})[i] = x
+    kernel = kernel_basis(list(transpose.values()), ncols=len(vectors))
     if kernel:
-        raise DependencyError(
-            "input vectors are linearly dependent", witness=kernel[0]
-        )
+        raise DependencyError("input vectors are linearly dependent",
+                              witness=kernel[0])
 
 
 # -- signature of a symmetric form -----------------------------------------
@@ -205,21 +214,21 @@ def independence_check(vectors):
 def hermitian_signature(gram):
     """Inertia (n_plus, n_minus, n_null) of a real symmetric matrix.
 
-    Symmetry is checked.  A congruence transform never changes the result
-    (Sylvester), and the elimination is a chain of them: the integer
-    lane's D G D, with D the diagonal of row scales; one Bareiss step per
-    diagonal pivot, whose sign is that of pivot / previous pivot; and
-    v_i <- v_i + v_j when the whole diagonal vanishes.  Rows that reach
-    zero are null directions.  The entries are real, so symmetric is
-    Hermitian.
+    Symmetry is checked in O(nnz).  A congruence transform never changes
+    the result (Sylvester), and the elimination is a chain of them: the
+    integer lane's D G D, with D the diagonal of row scales; one Bareiss
+    step per diagonal pivot, whose sign is that of pivot / previous pivot;
+    and v_i <- v_i + v_j when the whole diagonal vanishes.  Rows that
+    reach zero are null directions.  The entries are real, so symmetric
+    is Hermitian.
     """
     n = len(gram)
-    for i in range(n):
-        for j in range(i, n):
-            if gram[i][j] != gram[j][i]:
+    rows = _sparse(gram)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if rows[j].get(i, 0) != x:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    rows, scales = _integer_rows(
-        [{j: x for j, x in enumerate(row) if x} for row in gram])
+    rows, scales = _integer_rows(rows)
     integral = scales is not None
     if integral:
         rows = [{j: x * scales[j] for j, x in row.items()} for row in rows]

@@ -273,10 +273,6 @@ class LcRational:
         out.num, out.gamma = num, gamma
         return out
 
-    @classmethod
-    def from_scalar(cls, d: int, c) -> "LcRational":
-        return cls(Poly.const(d, c))
-
     @property
     def d(self) -> int:
         return self.num.d

@@ -14,7 +14,8 @@ matching level N (r = 2(N - b)), and compute
 All three come from one elimination per :class:`LevelSpace`.  The monomial
 basis is orthogonal, so the form is D = diag(<m, m>) with nonzero integer
 entries.  One row reduction of the stacked L_1..L_N matrix A gives its r
-independent rows R, and the physical subspace is ker R.  Everything else
+independent rows R, and the physical subspace is ker R.  A, R and S below
+are {column: entry} dict rows; no dense matrix is built.  Everything else
 follows from the r x r Schur complement S = R D^-1 R^T of D in the
 bordered matrix [[D, R^T], [R, 0]] (Haynsworth inertia additivity;
 Chabrillac–Crouzeix 1984): the radical is D^-1 R^T ker S, and the
@@ -28,8 +29,9 @@ e_f - sum_i R[i][f] e_pivot(i) per free column f, so it is the identity on
 the free columns by construction.
 
 The no-ghost scan drives this pipeline over a (d, level) grid and reports
-one row per point; the headline structure is n_minus = 0 with the null
-directions exactly matching the spurious subspace at d = 26, b = 1.
+one row per point, each audited against itself first; the headline
+structure is n_minus = 0 with the null directions exactly matching the
+spurious subspace at d = 26, b = 1.
 
 The momentum witness is closed-form and rational: for any rational r and
 s != 0, p = ((r/s + s)/2, 0, ..., 0, (s - r/s)/2) has p^2 = -r and
@@ -117,7 +119,7 @@ class OnShellMomentum:
 
 
 # The stacked L_1..L_N matrix A as sparse columns [(row, entry), ...], and
-# R, the independent rows of its rref, with their pivot columns.
+# R, the independent dict rows of its rref, with their pivot columns.
 Constraints = namedtuple("Constraints", "columns rows pivots")
 
 
@@ -137,18 +139,10 @@ class LevelSpace:
         self.p = p
         self.level = level
         self.basis = list(iter_level_basis(params, level))
-        self._index = {mono: j for j, mono in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coordinates(self, v: FockVector):
-        """Coordinate list of a level-homogeneous vector in the fixed basis."""
-        coords = [Fraction(0)] * self.dim
-        for mono, c in v.items():
-            coords[self._index[mono]] = c
-        return coords
 
     def vector(self, entries) -> FockVector:
         """The vector with the given (index, coefficient) pairs in the
@@ -184,22 +178,20 @@ class LevelSpace:
         """R's nonzeros by column, [(row, entry), ...] per basis index."""
         out = [[] for _ in range(self.dim)]
         for i, row in enumerate(self.constraints.rows):
-            for k, a in enumerate(row):
-                if a:
-                    out[k].append((i, a))
+            for k, a in row.items():
+                out[k].append((i, a))
         return out
 
     @cached_property
     def schur(self) -> list:
-        """S = R D^-1 R^T, r x r; -S is the Schur complement of D in
-        the bordered matrix [[D, R^T], [R, 0]]."""
-        r = len(self.constraints.rows)
-        out = [[Fraction(0)] * r for _ in range(r)]
+        """S = R D^-1 R^T as r dict rows; -S is the Schur complement of D
+        in the bordered matrix [[D, R^T], [R, 0]]."""
+        out = [{} for _ in self.constraints.rows]
         for entries, norm in zip(self.reduced_columns, self.norms):
             for i, a in entries:
                 scaled = a / norm
                 for j, b in entries:
-                    out[i][j] += scaled * b
+                    out[i][j] = out[i].get(j, 0) + scaled * b
         return out
 
 
@@ -220,14 +212,14 @@ class PhysicalReport:
 
     def invariant_violations(self):
         """Audit the report against itself: the signature must sum to the
-        physical dimension, and its null count must cover the spurious
-        dimension."""
+        physical dimension, and its null count (Bareiss on S) must equal
+        the radical's dimension, the spurious one (rref kernel of S)."""
         out = []
         n_plus, n_minus, n_zero = self.signature
         if n_plus + n_minus + n_zero != self.dim_physical:
             out.append("signature does not sum to the physical dimension")
-        if n_zero < self.dim_spurious:
-            out.append("n_zero smaller than the spurious dimension")
+        if n_zero != self.dim_spurious:
+            out.append("n_zero differs from the spurious dimension")
         return out
 
 
@@ -252,15 +244,15 @@ def find_onshell_momentum(r, d: int) -> OnShellMomentum:
 
 
 def _stacked_constraint_matrix(space: LevelSpace):
-    """Rows of the stacked maps L_1..L_N in the fixed bases, column per
-    level-N basis monomial, and the same entries as sparse columns
-    [(row, entry), ...], filled in one pass.  L_m lands on level N - m, so
-    a target monomial alone fixes its row."""
+    """Rows {column: entry} of the stacked maps L_1..L_N in the fixed
+    bases, column per level-N basis monomial, and the same entries as
+    sparse columns [(row, entry), ...], filled in one pass.  L_m lands on
+    level N - m, so a target monomial alone fixes its row."""
     row_of = {}
     for m in range(1, space.level + 1):
         for mono in iter_level_basis(space.params, space.level - m):
             row_of[mono] = len(row_of)
-    rows = [[Fraction(0)] * space.dim for _ in row_of]
+    rows = [{} for _ in row_of]
     columns = [[] for _ in space.basis]
     for j, mono in enumerate(space.basis):
         state = FockVector.basis_state(mono)
@@ -322,7 +314,8 @@ def physical_subspace(space: LevelSpace):
 
 
 def _gram(vectors):
-    return [[inner_indefinite(u, v) for v in vectors] for u in vectors]
+    return [{j: x for j, v in enumerate(vectors) if (x := inner_indefinite(u, v))}
+            for u in vectors]
 
 
 def spurious_subspace(physical, space: LevelSpace):
@@ -394,10 +387,7 @@ def gram_signature(vectors):
     """
     if not vectors:
         return (0, 0, 0)
-    monos = sorted({mono for v in vectors for mono in v.terms})
-    zero = Fraction(0)
-    independence_check([[v.terms.get(mono, zero) for mono in monos]
-                        for v in vectors])
+    independence_check([v.terms for v in vectors])
     return hermitian_signature(_gram(vectors))
 
 
@@ -411,9 +401,10 @@ def noghost_scan(d_list, b=Fraction(1), max_level: int = 2):
     and the exact inertia of the form on the physical subspace, read off
     the bordered constraint matrix (see the module docstring); the Gram of
     the physical basis is never built.  Each report records its wall time
-    in ``elapsed_ms``.  Level 3 at d = 26 is a 377 -> 3978 jump in
-    dimension, with 404 constraint rows; that row takes about 3 s
-    (against 0.03 s for level 2) on a shared 2-core machine.
+    in ``elapsed_ms``, and any ``invariant_violations`` raise
+    :class:`InvariantError`.  Level 3 at d = 26 is a 377 -> 3978 jump in
+    dimension, with 404 constraint rows; that row takes about 1.2 s
+    (against 0.02 s for level 2) on a shared 2-core machine.
     """
     b = Fraction(b)
     reports = []
@@ -427,13 +418,17 @@ def noghost_scan(d_list, b=Fraction(1), max_level: int = 2):
             physical = physical_subspace(space)
             spurious = spurious_subspace(physical, space)
             sig = physical_signature(space)
-            reports.append(PhysicalReport(
+            report = PhysicalReport(
                 d=d, b=b, level=level, r=r, momentum=shell.p,
                 dim_total=space.dim, dim_physical=len(physical),
                 dim_spurious=len(spurious), signature=sig,
                 physical=physical, spurious=spurious,
                 elapsed_ms=(time.perf_counter() - start) * 1000.0,
-            ))
+            )
+            if violations := report.invariant_violations():
+                raise InvariantError(
+                    f"d={d}, level={level}: " + "; ".join(violations))
+            reports.append(report)
     return reports
 
 
@@ -518,7 +513,7 @@ def ddf_span_check(level: int, ctx: DdfContext) -> DdfSpanReport:
     if gram_rank == len(states):
         span_rank = gram_rank
     else:
-        span_rank = rank([space.coordinates(psi) for psi in states])
+        span_rank = rank([psi.terms for psi in states])
     dim_physical = len(physical_subspace(space))
     return DdfSpanReport(
         level=level, momentum=p, words=words,

@@ -350,6 +350,26 @@ class TestNoGhost:
         assert out == ""
         assert err.startswith("internal error: elimination routes disagree")
 
+    def test_inconsistent_report_is_an_internal_error(self, capsys,
+                                                      monkeypatch):
+        # a signature one off no longer sums to the physical dimension;
+        # the scan audits every report before anything is printed
+        from openstring import spectrum
+
+        original = spectrum.hermitian_signature
+
+        def one_off(gram):
+            n_plus, n_minus, n_null = original(gram)
+            return n_plus + 1, n_minus, n_null
+
+        monkeypatch.setattr(spectrum, "hermitian_signature", one_off)
+        code, out, err = run(
+            capsys, ["noghost", "--d-list", "4", "--max-level", "1"])
+        assert code == 4
+        assert out == ""
+        assert err == ("internal error: d=4, level=0: signature does not "
+                       "sum to the physical dimension\n")
+
 
 class TestDdfState:
     def test_default_word_on_shell(self, capsys):

@@ -43,8 +43,8 @@ class TestEchelon:
     def test_rref_small(self):
         rows, pivots = rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
         assert pivots == [0]
-        assert rows[0] == [1, 2]
-        assert rows[1] == [0, 0]
+        assert rows[0] == {0: 1, 1: 2}
+        assert rows[1] == {}
 
     def test_rank_agrees_between_lanes(self):
         rng = random.Random(7)
@@ -125,6 +125,49 @@ class TestEchelon:
 
     def test_independent_rows_pass(self):
         independence_check([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]])
+
+
+def dict_rows(matrix, key=lambda j: j):
+    return [{key(j): x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def dependency_witness(rows):
+    try:
+        independence_check(rows)
+    except DependencyError as err:
+        return err.witness
+    return None
+
+
+class TestDictRows:
+    def test_dense_and_dict_input_agree(self):
+        # sparse products of thin factors, half of them over Q(sqrt 2)
+        rng = random.Random(43)
+        root2 = ExactNum(0, 1, 2)
+        outcomes = set()
+        for trial in range(80):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            inner = rng.randint(1, min(nrows, ncols))
+            left, right = (
+                [[x if rng.random() < 0.6 else Fraction(0) for x in row]
+                 for row in frac_matrix(rng, *shape)]
+                for shape in ((nrows, inner), (inner, ncols)))
+            if trial % 2:
+                left = [[x * root2 for x in row] if i % 2 else row
+                        for i, row in enumerate(left)]
+            m = mat_mul(left, right)
+            sparse = dict_rows(m)
+            # monomial-like keys, sorted in the reverse of position order
+            monomial = dict_rows(m, key=lambda j: ((ncols - j, 1),))
+            assert rref(sparse) == rref(m)
+            assert rank(sparse) == rank(m) == rank_fraction_free(sparse) \
+                == rank_fraction_free(m)
+            assert kernel_basis(sparse, ncols=ncols) == kernel_basis(m)
+            witness = dependency_witness(m)
+            assert dependency_witness(sparse) == witness
+            assert dependency_witness(monomial) == witness
+            outcomes.add((trial % 2, witness is None))
+        assert outcomes == {(0, False), (0, True), (1, False), (1, True)}
 
 
 # symmetric forms with a known inertia

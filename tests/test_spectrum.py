@@ -93,20 +93,6 @@ class TestLevelSpace:
         for level, dim in [(0, 1), (1, 4), (2, 14), (3, 40)]:
             assert LevelSpace(P4, p, level).dim == dim
 
-    def test_coordinates_roundtrip(self):
-        p = frac_mom(1, 0, 0, 1)
-        space = LevelSpace(P4, p, 2)
-        rng = random.Random(2)
-        v = FockVector()
-        for mono in rng.sample(space.basis, 5):
-            v.add_term(mono, Fraction(rng.randint(-4, 4)))
-        coords = space.coordinates(v)
-        rebuilt = FockVector()
-        for mono, c in zip(space.basis, coords):
-            if c:
-                rebuilt.add_term(mono, c)
-        assert dict(rebuilt.items()) == dict(v.items())
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LevelSpace(P4, Momentum((Fraction(1), Fraction(1))), 1)
@@ -299,6 +285,15 @@ class TestNoGhostScan:
         rep.signature = (0, 0, 0)
         assert rep.invariant_violations()
 
+    def test_report_flags_null_count_above_spurious_dimension(self):
+        # the null count of the form on ker A is the radical's dimension,
+        # so it may not exceed the spurious dimension either
+        rep = noghost_scan([4], max_level=1)[1]
+        n_plus, n_minus, n_zero = rep.signature
+        rep.signature = (n_plus - 1, n_minus, n_zero + 1)
+        assert rep.invariant_violations() == [
+            "n_zero differs from the spurious dimension"]
+
 
 # d <= 5 to level 3, d = 6 and 10 to level 2, at integer and half-integer
 # intercepts; every witness here is rational
@@ -344,8 +339,7 @@ class TestBorderedRoute:
         assert physical_signature(space) == signature
         assert len(spurious) == len(radical)
         if radical:
-            coords = [space.coordinates(v) for v in spurious + radical]
-            assert rank(coords) == len(radical)
+            assert rank([v.terms for v in spurious + radical]) == len(radical)
 
     def test_one_elimination_per_space(self, monkeypatch):
         from openstring import spectrum
@@ -364,12 +358,30 @@ class TestBorderedRoute:
         physical_signature(space)
         assert len(calls) == 1
 
+    def test_constraints_are_eliminated_as_dict_rows(self, monkeypatch):
+        # both routes get sparse rows, so no dense matrix creeps back in
+        from openstring import spectrum
+
+        seen = []
+        for name in ("rref", "rank_fraction_free"):
+            def spy(matrix, _original=getattr(spectrum, name), _name=name):
+                seen.append((_name, len(matrix),
+                             all(isinstance(row, dict) for row in matrix)))
+                return _original(matrix)
+
+            monkeypatch.setattr(spectrum, name, spy)
+        space = _on_shell_space(4, "1", 2)
+        space.constraints
+        rows = 4 + 1  # L_1 onto level 1, L_2 onto level 0
+        assert seen == [("rref", rows, True),
+                        ("rank_fraction_free", rows, True)]
+
     def test_tampered_constraint_rows_fail_the_kernel_certificate(self):
         space = _on_shell_space(4, "1", 2)
-        rows = [list(row) for row in space.constraints.rows]
+        rows = [dict(row) for row in space.constraints.rows]
         free = next(c for c in range(space.dim)
                     if c not in space.constraints.pivots)
-        rows[0][free] += 1
+        rows[0][free] = rows[0].get(free, 0) + 1
         space.constraints = space.constraints._replace(rows=rows)
         with pytest.raises(InvariantError, match="not annihilated"):
             physical_subspace(space)
