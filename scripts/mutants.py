@@ -1,0 +1,207 @@
+"""Run a fixed table of mutants against the tests that should catch them.
+
+Each row of ``MUTANTS`` names one exact text replacement in one file of
+``src/`` or ``tests/``, the pytest selection that should fail on it, and
+the expected verdict.  For each row the script copies ``src/``, ``tests/``
+and ``pyproject.toml`` of the checkout holding it into a temporary
+directory, applies the replacement there, and runs ``pytest -x -q`` on the
+selection in a fresh interpreter.  The verdict is
+
+* ``killed``: pytest reported a failing test;
+* ``survived``: every selected test passed;
+* ``stale``: the text to replace does not occur exactly once, so the row
+  must be re-targeted at the code that moved;
+* ``error``: pytest ended in any other way (a collection error, no test
+  selected), which says nothing about the mutant.
+
+Before the mutants, every selection runs once on an unmutated copy and
+must pass, or a kill would mean nothing.  The checkout itself is never
+written to.  The result, with each row's verdict and time and the
+machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
+
+    python3 scripts/mutants.py --out MUTANTS_18.json
+
+The exit code is 0 when every row meets its expected verdict.  The whole
+table took about a minute on a shared 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+from bench_bracket_grid import _git_head, _machine  # noqa: E402
+
+FIBER = "src/openstring/fiber.py"
+LINALG = "src/openstring/linalg.py"
+FIBER_TESTS = ("tests/test_fiber.py",)
+LINALG_TESTS = ("tests/test_linalg.py",)
+
+#: (id, file, old text, new text, pytest selection, expected verdict)
+MUTANTS = [
+    # the L_m kernels and the scanner rows
+    ("fiber.creator-half-pair", FIBER,
+     "scale if 2 * n == k else 2 * scale", "2 * scale",
+     FIBER_TESTS, "killed"),
+    ("fiber.annihilator-half-pair", FIBER,
+     "(1 if 2 * n == k else 2)", "2",
+     FIBER_TESTS, "killed"),
+    ("fiber.cross-sign-creator", FIBER,
+     "-c * pc if mu == 0 else c * pc", "c * pc",
+     FIBER_TESTS, "killed"),
+    ("fiber.cross-sign-annihilator", FIBER,
+     "c * self.p[mu] * mult * j", "-c * self.p[mu] * mult * j",
+     FIBER_TESTS, "killed"),
+    ("fiber.closure-coefficient", FIBER,
+     "-self.scale * (m - n)", "-self.scale * (n - m)",
+     FIBER_TESTS, "killed"),
+    ("fiber.drop-closure-certificate", FIBER,
+     "{m} if m == n else {m, n, m + n}", "{m} if m == n else {m, n}",
+     FIBER_TESTS, "killed"),
+    ("fiber.contractions-into-creators", FIBER,
+     "            self._add_p_alpha(out, k, mono, 2 * self.den * c)\n"
+     "        return out\n\n"
+     "    def add_contractions",
+     "            self._add_p_alpha(out, k, mono, 2 * self.den * c)\n"
+     "            _contractions_into(out, k, mono, c * self.den * self.den)\n"
+     "        return out\n\n"
+     "    def add_contractions",
+     FIBER_TESTS, "killed"),
+    # the direct creator bracket [T_n, C_m]
+    ("fiber.bracket-pp-from-p2", FIBER,
+     "pp = sum(x * x for x in self.p[1:]) - self.p[0] * self.p[0]",
+     "pp = self.p2",
+     FIBER_TESTS, "killed"),
+    ("fiber.bracket-drop-cnumber-pairs", FIBER,
+     "den * den * self.d * sum(k * (n + k) for k in ks) + 2 * m * pp",
+     "2 * m * pp",
+     FIBER_TESTS, "killed"),
+    ("fiber.bracket-zero-mode-sign", FIBER,
+     "self._add_p_alpha(out, m - k, mono, wk // den)",
+     "self._add_p_alpha(out, m - k, mono, -wk // den)",
+     FIBER_TESTS, "killed"),
+    ("fiber.bracket-annihilator-weight", FIBER,
+     "wk * j * mult)", "wk * mult)",
+     FIBER_TESTS, "killed"),
+    ("fiber.bracket-cross-term-mode", FIBER,
+     "-4 * den ** 3 * m * c", "-4 * den ** 3 * n * c",
+     FIBER_TESTS, "killed"),
+    ("fiber.drop-direct-certificate", FIBER,
+     "if scanner.add_creator_bracket({}, a, k, first, 1) != composed:",
+     "if False:",
+     FIBER_TESTS, "killed"),
+    # the fraction-free elimination step behind rank and inertia
+    ("linalg.drop-hyperbolic-column-half", LINALG,
+     "            for row in live.values():\n"
+     "                if j in row:\n"
+     "                    row[i] = row.get(i, 0) + row[j]\n",
+     "",
+     LINALG_TESTS, "killed"),
+    ("linalg.drop-column-scaling", LINALG,
+     "{j: x * scales[j] for j, x in row.items()}",
+     "{j: x for j, x in row.items()}",
+     LINALG_TESTS, "killed"),
+    ("linalg.pivot-sign-alone", LINALG,
+     "if real_sign(top[p]) == real_sign(prev):",
+     "if real_sign(top[p]) > 0:",
+     LINALG_TESTS, "killed"),
+    ("linalg.skip-rows-without-pivot", LINALG,
+     "new = {j: a * piv for j, a in row.items()}",
+     "new = {j: a * (piv if c in row else prev) for j, a in row.items()}",
+     LINALG_TESTS, "killed"),
+    # a sound variant: any nonzero diagonal pivot gives the same inertia
+    ("linalg.last-diagonal-pivot", LINALG,
+     "p = (min(diagonal, key=lambda i: abs(live[i][i])) if integral\n"
+     "             else diagonal[0])",
+     "p = diagonal[-1]",
+     LINALG_TESTS, "survived"),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(where: Path, selection) -> tuple[int, float]:
+    """Exit code and wall time of ``pytest -x -q`` on a copy."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+           "no:cacheprovider", *selection]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=where, env=env, capture_output=True,
+                          check=False)
+    return proc.returncode, time.perf_counter() - t0
+
+
+def run_row(row) -> dict:
+    ident, path, old, new, selection, expected = row
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        where = Path(tmp)
+        _copy_tree(where)
+        target = where / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            verdict, code, wall = "stale", None, 0.0
+        else:
+            target.write_text(text.replace(old, new))
+            code, wall = _pytest(where, selection)
+            verdict = {0: "survived", 1: "killed"}.get(code, "error")
+    return {"id": ident, "file": path, "selection": list(selection),
+            "expected": expected, "verdict": verdict,
+            "ok": verdict == expected, "pytest_exit": code,
+            "wall_s": round(wall, 2)}
+
+
+def baseline(selections) -> dict:
+    """Exit code and time of every selection on an unmutated copy."""
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        where = Path(tmp)
+        _copy_tree(where)
+        for selection in selections:
+            code, wall = _pytest(where, selection)
+            out[" ".join(selection)] = {"pytest_exit": code,
+                                        "wall_s": round(wall, 2)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default="MUTANTS_18.json",
+                    help="where to write the JSON result")
+    args = ap.parse_args(argv)
+
+    machine = _machine()
+    base = baseline(sorted({row[4] for row in MUTANTS}))
+    results = []
+    if all(b["pytest_exit"] == 0 for b in base.values()):
+        for row in MUTANTS:
+            results.append(run_row(row))
+            print(json.dumps(results[-1]), flush=True)
+    result = {
+        "commit": _git_head(),
+        "machine": machine,
+        "loadavg_after": list(os.getloadavg()),
+        "baseline": base,
+        "mutants": results,
+        "all_as_expected": bool(results) and all(r["ok"] for r in results),
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    return 0 if result["all_as_expected"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -231,7 +231,7 @@ def cmd_virasoro(args) -> int:
                 for p in momenta:
                     for _, res in virasoro_bracket_scan(m, n, level, p, params):
                         checked += 1
-                        bad += len(res)
+                        bad += bool(res)   # states, not terms
     return _report({
         "d": params.d,
         "b": str(params.b),

@@ -10,9 +10,9 @@ plainly ``L_m psi = 0`` for ``m >= 0``.  For ``m != 0``,
 with zero modes replaced by the momentum.  Acting on a state of finite level
 only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
-in integers, and added per monomial into an output dict; :func:`virasoro_apply`
-scales them by the ring's coefficients, and :class:`IntegerBracketScanner`
-sums whole residuals in integers without composing the commuting creators.
+in integers; :func:`virasoro_apply` scales them by the ring's coefficients,
+and :class:`IntegerBracketScanner` sums whole residuals in integers,
+composing only the parts of the rows that contract.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -108,28 +108,32 @@ def _accumulate(out: dict, mono, c) -> None:
         del out[mono]
 
 
+def _insert_pairs(out: dict, mono, lo: int, hi: int, d: int, w: int) -> None:
+    """Add w :alpha_{-lo} . alpha_{-hi}: (lo <= hi), inserted into mono."""
+    for mu in range(d):
+        grown = list(mono)
+        grown.insert(bisect_right(mono, (hi, mu)), (hi, mu))
+        grown.insert(bisect_right(mono, (lo, mu)), (lo, mu))
+        _accumulate(out, tuple(grown), -w if mu == 0 else w)
+
+
+def _removals(mono, j: int):
+    """(rest, mu, multiplicity) for each distinct factor (j, mu) of mono."""
+    for pos, key in enumerate(mono):
+        if key[0] == j and not (pos and mono[pos - 1] == key):
+            yield mono[:pos] + mono[pos + 1:], key[1], mono.count(key)
+
+
 def _creator_pairs_into(out: dict, k: int, mono, d: int, scale: int) -> dict:
     """Add scale * the two-creator pairs of :alpha_{k-n} . alpha_n: on ``mono``.
 
     With :func:`_contractions_into` this is the pair sum over n not in
-    {0, k}, twice the oscillator part of L_k (k != 0), written nowhere
-    else; both add into the {monomial: int} dict ``out`` (``scale`` a
-    nonzero int) and return it.  Both modes here create (k < 0,
-    k/2 <= n < 0), so each pair (-n, mu) <= (n - k, mu) is inserted directly.
-    """
+    {0, k}, twice the oscillator part of L_k (k != 0); both add into the
+    {monomial: int} dict ``out`` (``scale`` a nonzero int) and return it.
+    Both modes here create (k < 0, k/2 <= n < 0)."""
     for n in range(-(-k // 2), 0):
-        base = scale if 2 * n == k else 2 * scale
-        for mu in range(d):
-            lo, hi = (-n, mu), (n - k, mu)
-            grown = list(mono)
-            grown.insert(bisect_right(mono, hi), hi)
-            grown.insert(bisect_right(mono, lo), lo)
-            tm = tuple(grown)
-            new = out.get(tm, 0) + (-base if mu == 0 else base)
-            if new:
-                out[tm] = new
-            else:
-                del out[tm]
+        _insert_pairs(out, mono, -n, n - k, d,
+                      scale if 2 * n == k else 2 * scale)
     return out
 
 
@@ -216,14 +220,14 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
 
     Returns a list of (monomial, residual) pairs; the algebra holds iff every
     residual is the zero vector.  The residuals come from one
-    :class:`IntegerBracketScanner`, so the momentum and the intercept must
-    be rational (a surd or symbolic fiber raises ``ValueError``; use
-    :func:`virasoro_bracket_residual` there).  On the level's first
-    monomial, the scanner's rows (L_m, L_n and, off the diagonal, the
-    closure row L_{m+n}) are checked against :func:`virasoro_apply`, and
-    its creator parts C_m, C_n (whose commutator it drops) must only insert
-    factors: each output contains the monomial, |k| levels higher.  A
-    failure raises :class:`~openstring.spectrum.InvariantError`.
+    :class:`IntegerBracketScanner`, so the fiber must be rational (else
+    ``ValueError``; use :func:`virasoro_bracket_residual` there).  On the
+    level's first monomial v, the scanner's rows (L_m, L_n and, off the
+    diagonal, L_{m+n}) must equal :func:`virasoro_apply`; its creator parts
+    C_m, C_n must only insert factors; and its direct [T_m, C_n] and
+    [T_n, C_m] must equal T C v - C T v from its own rows, with the C C
+    terms, which cancel, left out.  A failure raises
+    :class:`~openstring.spectrum.InvariantError`.
     """
     from .spectrum import InvariantError
 
@@ -242,23 +246,24 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
                 raise InvariantError(
                     f"creator part C_{k} of the integer scanner gives "
                     f"{tm!r} on {first!r}, not a product with it")
+    for a, k in {(m, n), (n, m)}:
+        composed = {}   # T_a C_k - C_k T_a, less C_a C_k - C_k C_a = 0
+        for tm, tc in scanner.add_creators({}, k, first, 1).items():
+            scanner.add_contractions(composed, a, tm, tc)
+        for tm, tc in scanner.add_contractions({}, a, first, 1).items():
+            scanner.add_creators(composed, k, tm, -tc)
+        if scanner.add_creator_bracket({}, a, k, first, 1) != composed:
+            raise InvariantError(f"direct [T_{a}, C_{k}] of the integer "
+                                 f"scanner disagrees on {first!r}")
     return [(mono, scanner.residual(m, n, mono)) for mono in monos]
-
-
-def _as_int(value):
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return None
 
 
 def _integer_scan_applicable(p: Momentum, params: ModelParams) -> bool:
     # Unused by the package since every rational fiber takes the integer
     # scanner; perfbench/layers.py still calls it to name scan spans.
-    if _as_int(params.b) is None:
-        return False
-    return all(_as_int(c) is not None for c in p.components)
+    return all(isinstance(x, int) or (isinstance(x, Fraction)
+                                      and x.denominator == 1)
+               for x in (params.b, *p.components))
 
 
 class IntegerBracketScanner:
@@ -270,19 +275,14 @@ class IntegerBracketScanner:
     T_0 = P . P + 2 D^2 (N - b).  A composed bracket then carries 4 D^4,
     which residuals divide back out on conversion to :class:`FockVector`.
 
-    Each row splits as T_k = C_k + X_k.  The creator part C_k is D^2
-    times the two-creator pairs plus the cross term for k < 0, and zero for
-    k >= 0; X_k is the rest (pairs holding an annihilator, the cross term
-    for k > 0, T_0).  C_k multiplies by creation operators, which commute,
-    so C_m C_n = C_n C_m exactly: :meth:`commutator` composes
-    T_m X_n - T_n X_m + X_m C_n - X_n C_m and never the large C_m C_n.
-    The pairs come from the functions :func:`virasoro_apply` uses, without
-    ring arithmetic, and every term goes straight into one output dict; a
-    diagonal cell (m, m) is zero without composing.  Rows are not cached:
-    intermediate monomials are seldom revisited, and a row cache over five
-    level-3 pairs at d = 26 grew past 2 GB and was slower.
-    :func:`virasoro_bracket_scan` certifies the rows and creator parts a
-    residual uses.
+    Each row splits as T_k = C_k + X_k: the creator part C_k (D^2 times
+    the two-creator pairs plus the cross term, k < 0 only) and the rest.
+    Creators commute, so :meth:`commutator` is [X_m, X_n] + [T_m, C_n] -
+    [T_n, C_m]: it composes contractions only, and reads [T_n, C_m] off
+    [L_n, alpha_j] = -j alpha_{n+j} as one weighted pair row.  A diagonal
+    cell (m, m) is zero without composing.  Rows are not cached: a row
+    cache over five level-3 pairs at d = 26 grew past 2 GB and was slower.
+    :func:`virasoro_bracket_scan` certifies what a residual uses.
     """
 
     def __init__(self, p: Momentum, params: ModelParams):
@@ -310,17 +310,24 @@ class IntegerBracketScanner:
         self.add_creators(out, k, mono, c)
         return self.add_contractions(out, k, mono, c)
 
+    def _add_p_alpha(self, out: dict, j: int, mono, c: int) -> None:
+        """Add c P . alpha_j (j != 0) on one monomial."""
+        if j > 0:
+            for rest, mu, mult in _removals(mono, j):
+                if self.p[mu]:
+                    _accumulate(out, rest, c * self.p[mu] * mult * j)
+            return
+        for mu, pc in enumerate(self.p):
+            if pc:
+                i = bisect_right(mono, (-j, mu))
+                _accumulate(out, mono[:i] + ((-j, mu),) + mono[i:],
+                            -c * pc if mu == 0 else c * pc)
+
     def add_creators(self, out: dict, k: int, mono, c: int) -> dict:
         """Add c C_k, the pure-creator part of T_k, on one monomial."""
         if k < 0:
             _creator_pairs_into(out, k, mono, self.d, c * self.den * self.den)
-            c *= 2 * self.den      # the cross term 2 D P . alpha_k
-            for mu, pc in enumerate(self.p):
-                if pc:
-                    key = (-k, mu)
-                    i = bisect_right(mono, key)
-                    _accumulate(out, mono[:i] + (key,) + mono[i:],
-                                -c * pc if mu == 0 else c * pc)
+            self._add_p_alpha(out, k, mono, 2 * self.den * c)
         return out
 
     def add_contractions(self, out: dict, k: int, mono, c: int) -> dict:
@@ -331,24 +338,44 @@ class IntegerBracketScanner:
             return out
         _contractions_into(out, k, mono, c * self.den * self.den)
         if k > 0:
-            c *= 2 * self.den  # the cross term 2 D P . alpha_k
-            for pos, key in enumerate(mono):
-                if key[0] == k and self.p[key[1]] and \
-                        not (pos and mono[pos - 1] == key):
-                    _accumulate(out, mono[:pos] + mono[pos + 1:],
-                                c * self.p[key[1]] * mono.count(key) * k)
+            self._add_p_alpha(out, k, mono, 2 * self.den * c)
+        return out
+
+    def add_creator_bracket(self, out: dict, n: int, m: int, mono,
+                            c: int) -> dict:
+        """Add c [T_n, C_m] on one monomial, without composing: zero for
+        m >= 0, else, with alpha_0 = p, 2 D^2 (-2 D^2 sum_{k=m+1}^{-1} k
+        :alpha_{m-k} . alpha_{n+k}: - 2 D m P . alpha_{n+m}) plus, when
+        n + m = 0, the c-number -2 D^4 d sum_k k (n + k) - 4 D^2 m P . P."""
+        if m >= 0:
+            return out
+        den, ks = self.den, range(m + 1, 0)
+        for k in ks:
+            j, wk = n + k, -4 * den ** 4 * k * c
+            if j < 0:       # both create
+                _insert_pairs(out, mono, *sorted((k - m, -j)), self.d, wk)
+            elif j == 0:    # alpha_0 = P / D
+                self._add_p_alpha(out, m - k, mono, wk // den)
+            else:           # alpha_j contracts; the metric signs cancel
+                for rest, mu, mult in _removals(mono, j):
+                    i = bisect_right(rest, (k - m, mu))
+                    _accumulate(out, rest[:i] + ((k - m, mu),) + rest[i:],
+                                wk * j * mult)
+        if n + m:
+            self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * m * c)
+        else:   # P . P from the components: self.p2 belongs to T_0
+            pp = sum(x * x for x in self.p[1:]) - self.p[0] * self.p[0]
+            _accumulate(out, mono, -2 * den * den * c * (
+                den * den * self.d * sum(k * (n + k) for k in ks) + 2 * m * pp))
         return out
 
     def commutator(self, m: int, n: int, mono) -> dict:
         """[T_m, T_n] = 4 D^4 [L_m, L_n] on one monomial, as {monomial: int}."""
-        out: dict = {}
+        out = self.add_creator_bracket({}, m, n, mono, 1)
+        self.add_creator_bracket(out, n, m, mono, -1)
         for tm, tc in self.add_contractions({}, n, mono, 1).items():
-            self.add_two_l(out, m, tm, tc)
-        for tm, tc in self.add_contractions({}, m, mono, 1).items():
-            self.add_two_l(out, n, tm, -tc)
-        for tm, tc in self.add_creators({}, n, mono, 1).items():
             self.add_contractions(out, m, tm, tc)
-        for tm, tc in self.add_creators({}, m, mono, 1).items():
+        for tm, tc in self.add_contractions({}, m, mono, 1).items():
             self.add_contractions(out, n, tm, -tc)
         return out
 

@@ -6,7 +6,8 @@ inner products by recursively migrating annihilators with the bare
 commutation relation, level dimensions by explicit series multiplication,
 radial transforms by a shell-and-angle double quadrature, the spurious
 radical and the physical signature through the Gram of a physical basis,
-L_m by composing single oscillators on whole vectors, U_n by enumerating
+L_m by composing single oscillators on whole vectors, the integer
+scanner's [T_m, T_n] by composing its own rows, U_n by enumerating
 compositions and partitions, V_t by running U_n over the whole vector,
 and V^mu_n by its two-loop definition on top of that V_t.
 """
@@ -106,6 +107,26 @@ def virasoro_apply_reference(m, p, v, params, truncate=None):
                 w = apply_oscillator((m - n, mu), w, params)
             if w:
                 out += w.scaled(coeff * params.eta(mu))
+    return out
+
+
+def scanner_commutator_composed(scanner, m, n, mono):
+    """[T_m, T_n] on one monomial from compositions of the scanner's rows.
+
+    With T_k = C_k + X_k, this is T_m X_n - T_n X_m + X_m C_n - X_n C_m:
+    every term of C_n and C_m is fed through X, and only C_m C_n, which
+    commutes, is left out.  :meth:`IntegerBracketScanner.commutator` reads
+    the creator brackets off single-oscillator commutators instead.
+    """
+    out = {}
+    for tm, tc in scanner.add_contractions({}, n, mono, 1).items():
+        scanner.add_two_l(out, m, tm, tc)
+    for tm, tc in scanner.add_contractions({}, m, mono, 1).items():
+        scanner.add_two_l(out, n, tm, -tc)
+    for tm, tc in scanner.add_creators({}, n, mono, 1).items():
+        scanner.add_contractions(out, m, tm, tc)
+    for tm, tc in scanner.add_creators({}, m, mono, 1).items():
+        scanner.add_contractions(out, n, tm, -tc)
     return out
 
 

@@ -269,6 +269,30 @@ class TestVirasoro:
         # 28 pairs x 2 momenta x (1 + 4 + 14) basis states
         assert payload["states_checked"] == 1064
 
+    def test_nonzero_residuals_counts_states(self, capsys, monkeypatch):
+        # one state whose residual has two terms is one failing state
+        from fractions import Fraction
+
+        from openstring import cli
+        from openstring.fock import FockVector
+
+        calls = []
+
+        def one_bad_state(m, n, level, p, params):
+            calls.append((m, n, level))
+            if len(calls) > 1:
+                return [((), FockVector())]
+            return [((), FockVector({(): Fraction(1), ((1, 0),): Fraction(2)}))]
+
+        monkeypatch.setattr(cli, "virasoro_bracket_scan", one_bad_state)
+        code, out, _ = run(
+            capsys, ["virasoro", "--d", "4", "--max-level", "0"])
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["nonzero_residuals"] == 1
+        assert payload["pass"] is False
+        assert payload["states_checked"] == len(calls) == 56
+
     def test_expensive_grid_refused(self, capsys):
         code, _, err = run(
             capsys, ["virasoro", "--d", "26", "--max-level", "3"])
