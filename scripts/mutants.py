@@ -19,10 +19,11 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_18.json
+    python3 scripts/mutants.py --out MUTANTS_19.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
-table took about a minute on a shared 2-core machine.
+table took about five minutes on a shared 2-core machine; the ``ddf``
+rows, whose selection is the slowest test module, are most of it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ from bench_bracket_grid import _git_head, _machine  # noqa: E402
 
 FIBER = "src/openstring/fiber.py"
 LINALG = "src/openstring/linalg.py"
+DDF = "src/openstring/ddf.py"
 FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
+DDF_TESTS = ("tests/test_ddf.py",)
 
 #: (id, file, old text, new text, pytest selection, expected verdict)
 MUTANTS = [
@@ -62,7 +65,8 @@ MUTANTS = [
      "c * self.p[mu] * mult * j", "-c * self.p[mu] * mult * j",
      FIBER_TESTS, "killed"),
     ("fiber.closure-coefficient", FIBER,
-     "-self.scale * (m - n)", "-self.scale * (n - m)",
+     "return self.add_contractions(out, m + n, mono, -self.scale * (m - n))",
+     "return self.add_contractions(out, m + n, mono, -self.scale * (n - m))",
      FIBER_TESTS, "killed"),
     ("fiber.drop-closure-certificate", FIBER,
      "{m} if m == n else {m, n, m + n}", "{m} if m == n else {m, n}",
@@ -82,8 +86,9 @@ MUTANTS = [
      "pp = self.p2",
      FIBER_TESTS, "killed"),
     ("fiber.bracket-drop-cnumber-pairs", FIBER,
-     "den * den * self.d * sum(k * (n + k) for k in ks) + 2 * m * pp",
-     "2 * m * pp",
+     "(den * den * self.d * sum(\n"
+     "                k * (n + k) for k in range(m + 1, 0)) + 2 * m * pp))",
+     "(2 * m * pp))",
      FIBER_TESTS, "killed"),
     ("fiber.bracket-zero-mode-sign", FIBER,
      "self._add_p_alpha(out, m - k, mono, wk // den)",
@@ -93,12 +98,86 @@ MUTANTS = [
      "wk * j * mult)", "wk * mult)",
      FIBER_TESTS, "killed"),
     ("fiber.bracket-cross-term-mode", FIBER,
-     "-4 * den ** 3 * m * c", "-4 * den ** 3 * n * c",
+     "self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * m * c)",
+     "self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * n * c)",
      FIBER_TESTS, "killed"),
     ("fiber.drop-direct-certificate", FIBER,
      "if scanner.add_creator_bracket({}, a, k, first, 1) != composed:",
      "if False:",
      FIBER_TESTS, "killed"),
+    # the cell polynomial, summed once on the vacuum and multiplied in
+    ("fiber.drop-polynomial-product", FIBER,
+     "        for tm, tc in poly.items():\n"
+     "            _accumulate(out, tuple(sorted(mono + tm)), tc)\n",
+     "",
+     FIBER_TESTS, "killed"),
+    ("fiber.polynomial-without-closure-row", FIBER,
+     "poly = self._polys[m, n] = self.add_two_l(self.commutator(\n"
+     "                m, n, ()), m + n, (), -self.scale * (m - n))\n"
+     "            self.add_contractions(poly, m + n, (), self.scale * (m - n))",
+     "poly = self._polys[m, n] = self.commutator(m, n, ())",
+     FIBER_TESTS, "killed"),
+    ("fiber.polynomial-on-the-monomial", FIBER,
+     "                m, n, ()), m + n, (), -self.scale * (m - n))\n"
+     "            self.add_contractions(poly, m + n, (), self.scale",
+     "                m, n, mono), m + n, mono, -self.scale * (m - n))\n"
+     "            self.add_contractions(poly, m + n, mono, self.scale",
+     FIBER_TESTS, "killed"),
+    ("fiber.drop-split-certificate", FIBER,
+     "if m != n and scanner._split_residual(m, n, first) != ",
+     "if False and scanner._split_residual(m, n, first) != ",
+     FIBER_TESTS, "killed"),
+    # V^mu_n and the shared vertex images of the kappa calibration
+    ("ddf.vector-mode-filter-inverted", DDF,
+     "for f in mono if f[1] == mu}):", "for f in mono if f[1] != mu}):",
+     DDF_TESTS, "killed"),
+    ("ddf.lm-images-from-v", DDF,
+     "    for q, w in _vertex_images(n, k, virasoro_apply(m, p, v, params), "
+     "params):",
+     "    for q, w in images:",
+     DDF_TESTS, "killed"),
+    ("ddf.images-per-direction", DDF,
+     "res = _bracket(i, n, m, nk, p, v, terms, params)",
+     "res = _bracket(i, n, m, nk, p, v, _cell_terms(n, m, nk, p, v, params),"
+     " params)",
+     DDF_TESTS, "killed"),
+    ("ddf.vector-drop-momentum-term", DDF,
+     "if q else w.scaled(p[mu])", "if q else w.scaled(0)",
+     DDF_TESTS, "killed"),
+    ("ddf.vector-mode-shift", DDF,
+     "apply_oscillator((-q, mu), w, params)",
+     "apply_oscillator((-q - 1, mu), w, params)",
+     DDF_TESTS, "killed"),
+    # the direction-free expansion of [L_m, A^i_n] v and its certificate
+    ("ddf.drop-annihilator-w-term", DDF,
+     "terms = [(m - q, w.scaled(q)) for q, w in images if q]",
+     "terms = []",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-creator-e-terms", DDF,
+     "terms += [(-q, e) for q, e in errors.items() if e]",
+     "terms += [(-q, e) for q, e in errors.items() if e and not q]",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-momentum-e-term", DDF,
+     "terms += [(-q, e) for q, e in errors.items() if e]",
+     "terms += [(-q, e) for q, e in errors.items() if e and q]",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-mode-shift-term", DDF,
+     "        if r > m:\n"
+     "            out += v_scalar_apply(n - r + m, k, x, params).scaled(m - r)\n",
+     "",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-lowered-w-term", DDF,
+     "    return terms + [(m + q, w.scaled(-q)) for q in range(1, 1 - m)\n"
+     "                    if (w := v_scalar_apply(n - q, k, v, params))]",
+     "    return terms",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-expansion-certificate", DDF,
+     "if res != ddf_commutator_residual(m, i, n, v, ctx):",
+     "if False:",
+     DDF_TESTS, "killed"),
+    ("ddf.certify-first-probe-only", DDF,
+     "if not pos and (has or not j) and", "if not pos and not j and",
+     DDF_TESTS, "killed"),
     # the fraction-free elimination step behind rank and inertia
     ("linalg.drop-hyperbolic-column-half", LINALG,
      "            for row in live.values():\n"
@@ -180,7 +259,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_18.json",
+    ap.add_argument("--out", default="MUTANTS_19.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

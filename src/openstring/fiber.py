@@ -11,8 +11,8 @@ with zero modes replaced by the momentum.  Acting on a state of finite level
 only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
 in integers; :func:`virasoro_apply` scales them by the ring's coefficients,
-and :class:`IntegerBracketScanner` sums whole residuals in integers,
-composing only the parts of the rows that contract.
+and :class:`IntegerBracketScanner` sums whole residuals in integers, with
+per-monomial work only on the terms that contract a factor.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -226,7 +226,8 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     diagonal, L_{m+n}) must equal :func:`virasoro_apply`; its creator parts
     C_m, C_n must only insert factors; and its direct [T_m, C_n] and
     [T_n, C_m] must equal T C v - C T v from its own rows, with the C C
-    terms, which cancel, left out.  A failure raises
+    terms, which cancel, left out; and its split residual must equal
+    [T_m, T_n] - 2 D^2 (m - n) T_{m+n} built in full.  A failure raises
     :class:`~openstring.spectrum.InvariantError`.
     """
     from .spectrum import InvariantError
@@ -255,6 +256,10 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
         if scanner.add_creator_bracket({}, a, k, first, 1) != composed:
             raise InvariantError(f"direct [T_{a}, C_{k}] of the integer "
                                  f"scanner disagrees on {first!r}")
+    if m != n and scanner._split_residual(m, n, first) != scanner.add_two_l(
+            scanner.commutator(m, n, first), m + n, first, -scanner.scale * (m - n)):
+        raise InvariantError(f"split residual of the integer scanner disagrees "
+                             f"with [T_{m}, T_{n}] on {first!r}")
     return [(mono, scanner.residual(m, n, mono)) for mono in monos]
 
 
@@ -279,7 +284,10 @@ class IntegerBracketScanner:
     the two-creator pairs plus the cross term, k < 0 only) and the rest.
     Creators commute, so :meth:`commutator` is [X_m, X_n] + [T_m, C_n] -
     [T_n, C_m]: it composes contractions only, and reads [T_n, C_m] off
-    [L_n, alpha_j] = -j alpha_{n+j} as one weighted pair row.  A diagonal
+    [L_n, alpha_j] = -j alpha_{n+j} as one weighted pair row.  A residual
+    applies only the terms that contract a factor to each monomial; the
+    rest multiply it by one creator polynomial per cell, summed once on
+    the vacuum ({} if m + n != 0, a c-number if m + n = 0).  A diagonal
     cell (m, m) is zero without composing.  Rows are not cached: a row
     cache over five level-3 pairs at d = 26 grew past 2 GB and was slower.
     :func:`virasoro_bracket_scan` certifies what a residual uses.
@@ -294,12 +302,11 @@ class IntegerBracketScanner:
                                  f"momentum component {mu} is {c!r}")
         den = lcm(params.b.denominator,
                   *(Fraction(c).denominator for c in p.components))
-        self.d = params.d
-        self.den = den
-        self.scale = 2 * den * den
+        self.d, self.den, self.scale = params.d, den, 2 * den * den
         self.p = tuple(int(c * den) for c in p.components)    # P = D p
         self.b = int(params.b * den)                          # D b
         self.p2 = -self.p[0] * self.p[0] + sum(c * c for c in self.p[1:])
+        self._polys = {}    # (m, n) -> the cell polynomial
 
     def two_l(self, k: int, mono) -> dict:
         """T_k = 2 D^2 L_k on one monomial, as {monomial: int}."""
@@ -347,10 +354,14 @@ class IntegerBracketScanner:
         m >= 0, else, with alpha_0 = p, 2 D^2 (-2 D^2 sum_{k=m+1}^{-1} k
         :alpha_{m-k} . alpha_{n+k}: - 2 D m P . alpha_{n+m}) plus, when
         n + m = 0, the c-number -2 D^4 d sum_k k (n + k) - 4 D^2 m P . P."""
-        if m >= 0:
-            return out
-        den, ks = self.den, range(m + 1, 0)
-        for k in ks:
+        self._bracket_terms(out, n, m, mono, c, False)
+        return self._bracket_terms(out, n, m, mono, c, True)
+
+    def _bracket_terms(self, out: dict, n: int, m: int, mono, c: int,
+                       contracting: bool) -> dict:
+        """Add the terms of c [T_n, C_m] that contract mono, else the rest."""
+        den, cut = self.den, max(m + 1, 1 - n)     # empty ranges if m >= 0
+        for k in range(cut, 0) if contracting else range(m + 1, min(cut, 0)):
             j, wk = n + k, -4 * den ** 4 * k * c
             if j < 0:       # both create
                 _insert_pairs(out, mono, *sorted((k - m, -j)), self.d, wk)
@@ -361,32 +372,49 @@ class IntegerBracketScanner:
                     i = bisect_right(rest, (k - m, mu))
                     _accumulate(out, rest[:i] + ((k - m, mu),) + rest[i:],
                                 wk * j * mult)
-        if n + m:
+        if m < 0 and n + m and (n + m > 0) == contracting:
             self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * m * c)
-        else:   # P . P from the components: self.p2 belongs to T_0
+        elif m < 0 and not (n + m or contracting):  # P . P, not T_0's p2
             pp = sum(x * x for x in self.p[1:]) - self.p[0] * self.p[0]
-            _accumulate(out, mono, -2 * den * den * c * (
-                den * den * self.d * sum(k * (n + k) for k in ks) + 2 * m * pp))
+            _accumulate(out, mono, -2 * den * den * c * (den * den * self.d * sum(
+                k * (n + k) for k in range(m + 1, 0)) + 2 * m * pp))
         return out
 
     def commutator(self, m: int, n: int, mono) -> dict:
         """[T_m, T_n] = 4 D^4 [L_m, L_n] on one monomial, as {monomial: int}."""
         out = self.add_creator_bracket({}, m, n, mono, 1)
         self.add_creator_bracket(out, n, m, mono, -1)
-        for tm, tc in self.add_contractions({}, n, mono, 1).items():
-            self.add_contractions(out, m, tm, tc)
-        for tm, tc in self.add_contractions({}, m, mono, 1).items():
-            self.add_contractions(out, n, tm, -tc)
+        return self._add_x_bracket(out, m, n, mono)
+
+    def _add_x_bracket(self, out: dict, m: int, n: int, mono) -> dict:
+        """Add [X_m, X_n] on one monomial, composed from contractions."""
+        for a, b, sign in ((m, n, 1), (n, m, -1)):
+            for tm, tc in self.add_contractions({}, b, mono, sign).items():
+                self.add_contractions(out, a, tm, tc)
         return out
 
+    def _split_residual(self, m: int, n: int, mono) -> dict:
+        """[T_m, T_n] - 2 D^2 (m - n) T_{m+n} on one monomial (m != n); the
+        cell polynomial is that sum on the vacuum, less X_{m+n} there."""
+        poly = self._polys.get((m, n))
+        if poly is None:    # only the fixed terms survive on the vacuum
+            poly = self._polys[m, n] = self.add_two_l(self.commutator(
+                m, n, ()), m + n, (), -self.scale * (m - n))
+            self.add_contractions(poly, m + n, (), self.scale * (m - n))
+        out = self._bracket_terms({}, m, n, mono, 1, True)
+        self._bracket_terms(out, n, m, mono, -1, True)
+        for tm, tc in poly.items():
+            _accumulate(out, tuple(sorted(mono + tm)), tc)
+        self._add_x_bracket(out, m, n, mono)
+        return self.add_contractions(out, m + n, mono, -self.scale * (m - n))
+
     def residual(self, m: int, n: int, mono) -> FockVector:
-        """([L_m, L_n] - closure) on a basis monomial, as a FockVector."""
+        """([L_m, L_n] - closure) on a basis monomial, as a FockVector; the
+        cell's creator polynomial is multiplied in, even when it is not {}."""
         if m == n:      # the closure and central coefficients vanish
             return FockVector()
-        out = self.commutator(m, n, mono)
-        self.add_two_l(out, m + n, mono, -self.scale * (m - n))
-        if m + n == 0:
-            # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
+        out = self._split_residual(m, n, mono)
+        if m + n == 0:      # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
             _accumulate(out, mono, -self.den ** 3 * (
                 self.den * (self.d * m * (m * m - 1) // 3) + 8 * m * self.b))
         return FockVector({tm: Fraction(tc, self.scale * self.scale)

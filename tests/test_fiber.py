@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from openstring import cli
+from openstring import fiber
 from openstring.exactnum import ExactNum
 from openstring.fiber import (
     IntegerBracketScanner,
@@ -462,6 +463,96 @@ class TestScanEngines:
                         assert FockVector(scanner.two_l(k, mono)) == \
                             want.scaled(scanner.scale), (k, mono)
         assert nonzero > 150  # of the 266 rows compared
+
+
+class TestCellPolynomial:
+    """The residual sums each cell's fixed creator polynomial once, on the
+    vacuum, and multiplies it into every monomial of the cell."""
+
+    MOMENTA_D4 = [
+        Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1))),
+        Momentum((Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))),
+    ]
+
+    @staticmethod
+    def polynomials(p, params):
+        # residual() builds each cell's polynomial once, on first use
+        scanner = IntegerBracketScanner(p, params)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                if m != n:
+                    scanner.residual(m, n, ())
+        return scanner, dict(scanner._polys)
+
+    def assert_central_only(self, p, params):
+        # the creator terms cancel, except for the vacuum value of
+        # [T_m, T_{-m}] = 4 D^4 [L_m, L_{-m}], that is 4 D^4 (m p.p +
+        # d m (m^2 - 1) / 12): L_0's intercept cancels against 2 b m
+        scanner, polys = self.polynomials(p, params)
+        assert len(polys) == 42
+        pp = p.minkowski_sq()
+        for (m, n), poly in polys.items():
+            if m + n:
+                assert poly == {}, (m, n)
+                continue
+            c = scanner.scale ** 2 * (
+                m * pp + Fraction(params.d * m * (m * m - 1), 12))
+            assert c and poly == {(): c}, (m, n, poly)
+
+    @pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_polynomial_is_the_vacuum_bracket_at_d4(self, b):
+        for p in self.MOMENTA_D4:
+            self.assert_central_only(p, ModelParams(d=4, b=b))
+
+    def test_polynomial_is_the_vacuum_bracket_at_26(self):
+        for p in cli._probe_momenta(26, 2):
+            self.assert_central_only(p, P26)
+
+    def test_doubled_creator_pair_shows_on_every_monomial(self, monkeypatch):
+        # [T_{-1}, C_{-3}] has the both-create pair :alpha_{-1} . alpha_{-3}:
+        # (k = -2, weight 8 D^4 c); doubling it breaks the fixed polynomial
+        # of the cell (-3, -1), so every monomial of the level must see it
+        p = self.MOMENTA_D4[0]
+        monos = list(iter_level_basis(P4, 2))
+        assert len(monos) == 14
+        scanner = IntegerBracketScanner(p, P4)
+        assert not any(scanner.residual(-3, -1, mono) for mono in monos)
+        real = IntegerBracketScanner._bracket_terms
+
+        def tampered(self, out, n, m, mono, c, contracting):
+            real(self, out, n, m, mono, c, contracting)
+            if (n, m) == (-1, -3) and not contracting:
+                fiber._insert_pairs(out, mono, 1, 3, self.d,
+                                    8 * self.den ** 4 * c)
+            return out
+
+        monkeypatch.setattr(IntegerBracketScanner, "_bracket_terms", tampered)
+        scanner = IntegerBracketScanner(p, P4)
+        assert all(scanner.residual(-3, -1, mono) for mono in monos)
+        assert all(scanner.residual(-1, -3, mono) for mono in monos)
+        with pytest.raises(InvariantError, match=r"direct \[T_-1, C_-3\]"):
+            virasoro_bracket_scan(-3, -1, 2, p, P4)
+
+    def test_scan_certifies_split_residual(self, monkeypatch):
+        # a per-monomial path that never multiplies the polynomial in: rows,
+        # creator parts and direct brackets are untouched, and only the
+        # cells with m + n = 0, whose polynomial is a c-number, move
+        p = self.MOMENTA_D4[0]
+        real = IntegerBracketScanner._split_residual
+
+        def tampered(self, m, n, mono):
+            self._polys[m, n] = {}
+            return real(self, m, n, mono)
+
+        monkeypatch.setattr(IntegerBracketScanner, "_split_residual", tampered)
+        scanner = IntegerBracketScanner(p, P4)
+        mono = next(iter(iter_level_basis(P4, 1)))
+        assert scanner.residual(2, -2, mono)
+        assert not scanner.residual(1, 2, mono)
+        assert all(not res for _, res in virasoro_bracket_scan(1, 2, 1, p, P4))
+        with pytest.raises(InvariantError, match=r"split residual .* \[T_2, "
+                                                 r"T_-2\]"):
+            virasoro_bracket_scan(2, -2, 1, p, P4)
 
 
 class TestReferenceOracle:
