@@ -17,7 +17,7 @@ so a copy of the script placed in another checkout times that checkout.
 The result, with machine metadata (Python, numpy, core count, load
 average), is written as JSON:
 
-    python3 scripts/bench_bracket_grid.py --out BENCH_19.json
+    python3 scripts/bench_bracket_grid.py --out BENCH_20.json
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="runs of the grid and of the CLI (default 3)")
-    ap.add_argument("--out", default="BENCH_19.json",
+    ap.add_argument("--out", default="BENCH_20.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
     if args.repeat < 1:

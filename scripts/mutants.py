@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_19.json
+    python3 scripts/mutants.py --out MUTANTS_20.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about five minutes on a shared 2-core machine; the ``ddf``
@@ -122,6 +122,19 @@ MUTANTS = [
      "            self.add_contractions(poly, m + n, (), self.scale",
      "                m, n, mono), m + n, mono, -self.scale * (m - n))\n"
      "            self.add_contractions(poly, m + n, mono, self.scale",
+     FIBER_TESTS, "killed"),
+    # [X_m, X_n] from cached one- and two-factor responses
+    ("fiber.response-single-weight", FIBER,
+     "factors, w = (key,), c", "factors, w = (key,), 1",
+     FIBER_TESTS, "killed"),
+    ("fiber.response-repeated-pair-weight", FIBER,
+     "c * (c - 1) // 2", "c * c",
+     FIBER_TESTS, "killed"),
+    ("fiber.response-skip-pairs", FIBER,
+     "elif other >= key and other in rest:", "elif False:",
+     FIBER_TESTS, "killed"),
+    ("fiber.response-distinct-pair-weight", FIBER,
+     "else c * rest.count(other)", "else rest.count(other)",
      FIBER_TESTS, "killed"),
     ("fiber.drop-split-certificate", FIBER,
      "if m != n and scanner._split_residual(m, n, first) != ",
@@ -259,7 +272,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_19.json",
+    ap.add_argument("--out", default="MUTANTS_20.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

@@ -12,7 +12,8 @@ only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
 in integers; :func:`virasoro_apply` scales them by the ring's coefficients,
 and :class:`IntegerBracketScanner` sums whole residuals in integers, with
-per-monomial work only on the terms that contract a factor.
+per-monomial work only on the terms that contract a factor, and with the
+contraction bracket read off cached responses on one factor or one pair.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -226,8 +227,9 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     diagonal, L_{m+n}) must equal :func:`virasoro_apply`; its creator parts
     C_m, C_n must only insert factors; and its direct [T_m, C_n] and
     [T_n, C_m] must equal T C v - C T v from its own rows, with the C C
-    terms, which cancel, left out; and its split residual must equal
-    [T_m, T_n] - 2 D^2 (m - n) T_{m+n} built in full.  A failure raises
+    terms, which cancel, left out; and its split residual, with [X_m, X_n]
+    from cached responses, must equal [T_m, T_n] - 2 D^2 (m - n) T_{m+n}
+    built in full.  A failure raises
     :class:`~openstring.spectrum.InvariantError`.
     """
     from .spectrum import InvariantError
@@ -287,9 +289,12 @@ class IntegerBracketScanner:
     [L_n, alpha_j] = -j alpha_{n+j} as one weighted pair row.  A residual
     applies only the terms that contract a factor to each monomial; the
     rest multiply it by one creator polynomial per cell, summed once on
-    the vacuum ({} if m + n != 0, a c-number if m + n = 0).  A diagonal
-    cell (m, m) is zero without composing.  Rows are not cached: a row
-    cache over five level-3 pairs at d = 26 grew past 2 GB and was slower.
+    the vacuum ({} if m + n != 0, a c-number if m + n = 0).  [X_m, X_n]
+    kills the vacuum, so by Wick's theorem a residual sums it from its
+    responses on one factor and on one pair of factors, each composed once
+    per scanner, cell and factor key.  A diagonal cell (m, m) is zero
+    without composing.  Rows are not cached: a row cache over five level-3
+    pairs at d = 26 grew past 2 GB and was slower.
     :func:`virasoro_bracket_scan` certifies what a residual uses.
     """
 
@@ -301,12 +306,14 @@ class IntegerBracketScanner:
                 raise ValueError(f"bracket scan needs a rational fiber; "
                                  f"momentum component {mu} is {c!r}")
         den = lcm(params.b.denominator,
-                  *(Fraction(c).denominator for c in p.components))
+                  *(c.denominator for c in p.components))
         self.d, self.den, self.scale = params.d, den, 2 * den * den
-        self.p = tuple(int(c * den) for c in p.components)    # P = D p
-        self.b = int(params.b * den)                          # D b
+        self.p = tuple(c.numerator * (den // c.denominator)    # P = D p
+                       for c in p.components)
+        self.b = params.b.numerator * (den // params.b.denominator)  # D b
         self.p2 = -self.p[0] * self.p[0] + sum(c * c for c in self.p[1:])
-        self._polys = {}    # (m, n) -> the cell polynomial
+        self._polys = {}        # (m, n) -> the cell polynomial
+        self._responses = {}    # (m, n, factors) -> [X_m, X_n] on them
 
     def two_l(self, k: int, mono) -> dict:
         """T_k = 2 D^2 L_k on one monomial, as {monomial: int}."""
@@ -395,7 +402,8 @@ class IntegerBracketScanner:
 
     def _split_residual(self, m: int, n: int, mono) -> dict:
         """[T_m, T_n] - 2 D^2 (m - n) T_{m+n} on one monomial (m != n); the
-        cell polynomial is that sum on the vacuum, less X_{m+n} there."""
+        cell polynomial is that sum on the vacuum, less X_{m+n} there, and
+        [X_m, X_n] comes from :meth:`_add_x_responses`."""
         poly = self._polys.get((m, n))
         if poly is None:    # only the fixed terms survive on the vacuum
             poly = self._polys[m, n] = self.add_two_l(self.commutator(
@@ -405,8 +413,41 @@ class IntegerBracketScanner:
         self._bracket_terms(out, n, m, mono, -1, True)
         for tm, tc in poly.items():
             _accumulate(out, tuple(sorted(mono + tm)), tc)
-        self._add_x_bracket(out, m, n, mono)
+        self._add_x_responses(out, m, n, mono)
         return self.add_contractions(out, m + n, mono, -self.scale * (m - n))
+
+    def _add_x_responses(self, out: dict, m: int, n: int, mono) -> dict:
+        """Add [X_m, X_n] on one monomial from cached responses.
+
+        [X_m, X_n] is a normal-ordered quadratic that kills the vacuum, so
+        by Wick's theorem it acts on one factor or one pair of factors at a
+        time.  A distinct factor (j, mu) of multiplicity c adds c times its
+        one-factor response, zero for j < s = m + n; each pair (j, mu),
+        (s - j, mu) adds its two-factor response, C(c, 2) times for a
+        repeated factor and c c' times for two distinct ones.  Both its
+        factors lie below s, so that response is its connected part.  Each
+        response is composed once per scanner by :meth:`_add_x_bracket`.
+        """
+        s = m + n
+        for pos, key in enumerate(mono):
+            if pos and mono[pos - 1] == key:
+                continue
+            c, rest = mono.count(key), mono[:pos] + mono[pos + 1:]
+            other = (s - key[0], key[1])
+            if key[0] >= s:
+                factors, w = (key,), c
+            elif other >= key and other in rest:    # each pair once
+                w = c * (c - 1) // 2 if other == key else c * rest.count(other)
+                i = rest.index(other)
+                factors, rest = (key, other), rest[:i] + rest[i + 1:]
+            else:
+                continue
+            slot = (m, n, factors)
+            if slot not in self._responses:
+                self._responses[slot] = self._add_x_bracket({}, m, n, factors)
+            for tm, tc in self._responses[slot].items():
+                _accumulate(out, tuple(sorted(rest + tm)), w * tc)
+        return out
 
     def residual(self, m: int, n: int, mono) -> FockVector:
         """([L_m, L_n] - closure) on a basis monomial, as a FockVector; the

@@ -555,6 +555,88 @@ class TestCellPolynomial:
             virasoro_bracket_scan(2, -2, 1, p, P4)
 
 
+class TestXResponses:
+    """[X_m, X_n] on a monomial, assembled from the scanner's cached one-
+    and two-factor responses, against the full composition."""
+
+    @staticmethod
+    def assert_assembled(scanner, monos):
+        # every off-diagonal cell |m|, |n| <= 3; returns the nonzero count
+        nonzero = 0
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                if m == n:
+                    continue
+                for mono in monos:
+                    want = scanner._add_x_bracket({}, m, n, mono)
+                    nonzero += bool(want)
+                    assert scanner._add_x_responses({}, m, n, mono) == want, \
+                        (m, n, mono)
+        return nonzero
+
+    @pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_assembled_matches_composed_at_d4(self, b):
+        # levels <= 4 reach a repeated factor paired with a distinct one in
+        # the same direction, such as alpha^1_{-1} alpha^1_{-1} alpha^1_{-2}
+        # in a cell with m + n = 3
+        params = ModelParams(d=4, b=b)
+        monos = [mono for level in range(5)
+                 for mono in iter_level_basis(params, level)]
+        assert len(monos) == 164
+        assert ((1, 1), (1, 1), (2, 1)) in monos
+        nonzero = sum(self.assert_assembled(IntegerBracketScanner(p, params),
+                                            monos)
+                      for p in TestCellPolynomial.MOMENTA_D4)
+        assert nonzero > 11000  # 11176 of the 13776 compared
+
+    def test_assembled_matches_composed_at_26(self):
+        p = cli._probe_momenta(26, 2)[1]
+        rng = random.Random(79)
+        monos = rng.sample(list(iter_level_basis(P26, 2)), 20)
+        nonzero = self.assert_assembled(IntegerBracketScanner(p, P26), monos)
+        assert nonzero > 600  # 616 of the 840 compared
+
+    def test_scan_certifies_cached_responses(self, monkeypatch):
+        # every response one too large in each term: rows, creator parts,
+        # direct brackets and commutator are untouched, the residual moves
+        p = TestCellPolynomial.MOMENTA_D4[0]
+        mono = next(iter(iter_level_basis(P4, 1)))
+        assert not IntegerBracketScanner(p, P4).residual(-2, 1, mono)
+
+        class Corrupted(dict):
+            def __setitem__(self, key, resp):
+                super().__setitem__(key, {tm: tc + 1 for tm, tc in resp.items()})
+
+        real = IntegerBracketScanner.__init__
+
+        def tampered(self, p, params):
+            real(self, p, params)
+            self._responses = Corrupted()
+
+        monkeypatch.setattr(IntegerBracketScanner, "__init__", tampered)
+        assert IntegerBracketScanner(p, P4).residual(-2, 1, mono)
+        with pytest.raises(InvariantError, match=r"split residual .* "
+                                                 r"\[T_-2, T_1\]"):
+            virasoro_bracket_scan(-2, 1, 1, p, P4)
+
+    def test_int_and_fraction_momenta_give_the_same_fields(self):
+        fields = ("d", "den", "scale", "p", "b", "p2")
+        for params in (P4, ModelParams(d=4, b=Fraction(1, 2))):
+            ints = IntegerBracketScanner(Momentum((2, 1, 0, -3)), params)
+            fracs = IntegerBracketScanner(
+                Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(-3))),
+                params)
+            for name in fields:
+                got = getattr(ints, name)
+                assert got == getattr(fracs, name), name
+                assert all(type(x) is int for x in (
+                    got if isinstance(got, tuple) else (got,))), name
+        mixed = IntegerBracketScanner(
+            Momentum((Fraction(3, 2), 1, 0, Fraction(-1, 3))),
+            ModelParams(d=4, b=Fraction(1, 2)))
+        assert (mixed.den, mixed.p, mixed.b) == (6, (9, 6, 0, -2), 3)
+
+
 class TestReferenceOracle:
     """Production L_m against the oracle that composes single oscillators."""
 
