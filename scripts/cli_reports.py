@@ -95,6 +95,8 @@ CASES = [
     (["ddf-state", "--word", "1:2"], None),
     (["ddf-state", "--d", "4", "--b", "1/3", "--word", "1:1"], None),
     (["noghost", "--d-list", "4,10", "--b", "1/3", "--max-level", "3"], None),
+    # a body whose shell r = 2(level - b) = 1 is not in the tower 0, 2, 4
+    (["observable", "--d", "4", "--b", "1/2", "--word", "1:1"], None),
 ]
 
 

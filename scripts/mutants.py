@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_20.json
+    python3 scripts/mutants.py --out MUTANTS_21.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about five minutes on a shared 2-core machine; the ``ddf``
@@ -45,9 +45,13 @@ from bench_bracket_grid import _git_head, _machine  # noqa: E402
 FIBER = "src/openstring/fiber.py"
 LINALG = "src/openstring/linalg.py"
 DDF = "src/openstring/ddf.py"
+FOCK = "src/openstring/fock.py"
+SPECTRUM = "src/openstring/spectrum.py"
 FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
 DDF_TESTS = ("tests/test_ddf.py",)
+FOCK_TESTS = ("tests/test_fock.py",)
+WORD_TESTS = ("tests/test_spectrum.py::TestDdfSpan",)
 
 #: (id, file, old text, new text, pytest selection, expected verdict)
 MUTANTS = [
@@ -210,6 +214,22 @@ MUTANTS = [
      "new = {j: a * piv for j, a in row.items()}",
      "new = {j: a * (piv if c in row else prev) for j, a in row.items()}",
      LINALG_TESTS, "killed"),
+    # the lazy ordered enumerator of level monomials and the DDF words
+    ("fock.enumerate-without-repeats", FOCK,
+     "yield from extend(prefix + (key,), remaining - key[0], i)",
+     "yield from extend(prefix + (key,), remaining - key[0], i + 1)",
+     FOCK_TESTS, "killed"),
+    ("spectrum.words-admit-direction-zero", SPECTRUM,
+     "if all(0 < mu <= n_transverse for _, mu in mono)",
+     "if all(0 <= mu <= n_transverse for _, mu in mono)",
+     WORD_TESTS, "killed"),
+    # a sound variant: skipping the later keys instead of stopping is slower
+    ("fock.skip-instead-of-stop", FOCK,
+     "            if key[0] > remaining:\n"
+     "                return\n",
+     "            if key[0] > remaining:\n"
+     "                continue\n",
+     FOCK_TESTS, "survived"),
     # a sound variant: any nonzero diagonal pivot gives the same inertia
     ("linalg.last-diagonal-pivot", LINALG,
      "p = (min(diagonal, key=lambda i: abs(live[i][i])) if integral\n"
@@ -272,7 +292,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_20.json",
+    ap.add_argument("--out", default="MUTANTS_21.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

@@ -378,9 +378,10 @@ def _vanishes_on_slice(tf, dq: int) -> bool:
 def _quadrature(args):
     """The test function, the momentum grid for its locality check, and
     the default separation (R/2, 4R, 0, ...), spacelike to the support.
-    A word lowering along directions the slice cannot see may project to
-    the zero state; that is refused here, before any quadrature, and so
-    is a grid the midpoint rule cannot use (``testfn`` takes any n > 0)."""
+    A word lowering along directions the slice cannot see, or a body whose
+    shell r = 2(level - b) is not in the tower, projects to the zero
+    state; both are refused here, before any quadrature, and so is a grid
+    the midpoint rule cannot use (``testfn`` takes any n > 0)."""
     if args.grid < 8 or args.grid % 2:
         raise ConfigError(f"--grid must be even and at least 8 for the "
                           f"quadrature, got {args.grid}")
@@ -394,6 +395,11 @@ def _quadrature(args):
     radius = tf.profile.R
     extent = 24.0 / float(radius) if args.extent is None else args.extent
     spec = QuadratureSpec(d_q=args.dq, extent=extent, n=args.grid)
+    if tf.shell not in spec.levels:
+        raise ConfigError(
+            f"the body's shell r = 2(level - b) = {tf.shell} is not in the "
+            f"quadrature tower {', '.join(map(str, spec.levels))}, which "
+            f"projects the test function to zero")
     return tf, spec, (radius / 2, 4 * radius) + (Fraction(0),) * (args.dq - 1)
 
 

@@ -269,16 +269,14 @@ class DdfContext:
     V_t images; the cache lives as long as the context.
     """
 
-    __slots__ = ("params", "p", "kappa", "m_max", "null", "_scaled")
+    __slots__ = ("params", "p", "kappa", "null", "_scaled")
 
-    def __init__(self, params: ModelParams, p: Momentum, kappa=Fraction(1),
-                 m_max: int = 3):
+    def __init__(self, params: ModelParams, p: Momentum, kappa=Fraction(1)):
         if params.d != p.d:
             raise ValueError("momentum dimension does not match the model")
         self.params = params
         self.p = p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
-        self.m_max = m_max
         self.null = NullVector(p, self.kappa)
         self._scaled = {1: self.null}
 
@@ -340,11 +338,8 @@ def mass_project(r, v: FockVector, params: ModelParams) -> FockVector:
 
 
 def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
-    """L_m v for 0 <= m <= ctx.m_max, keyed by m (exact FockVectors)."""
-    return {
-        m: virasoro_apply(m, ctx.p, v, ctx.params)
-        for m in range(0, ctx.m_max + 1)
-    }
+    """L_m v for 0 <= m <= 3, keyed by m (exact FockVectors)."""
+    return {m: virasoro_apply(m, ctx.p, v, ctx.params) for m in range(4)}
 
 
 def ddf_commutator_residual(m: int, i: int, n: int, v: FockVector,

@@ -27,7 +27,6 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 import json
 
 from .exactnum import ExactNum
@@ -279,35 +278,31 @@ def inner_positive(u: FockVector, v: FockVector):
 
 
 def iter_level_basis(params: ModelParams, n: int):
-    """Yield all level-n canonical monomials in ascending tuple order.
+    """Yield all level-n canonical monomials in ascending tuple order, lazily.
 
-    Not lazy: the monomials are generated mode-major, with nondecreasing
-    directions inside a mode, which is not the ascending order (at level 2,
-    ((2, 0),) comes out before ((1, 0), (1, 0))).  The whole level is
-    therefore collected and sorted before the first monomial is yielded.
+    A depth-first walk takes the keys (mode, mu) in ascending order and
+    extends a prefix only by keys at or after its last key, so each
+    multiset comes out once, as a sorted tuple; the first key whose mode
+    exceeds the remaining level ends that prefix, as every later key's
+    mode is at least as large.  No level-n monomial is a prefix of
+    another, so the depth-first order is the ascending tuple order, and
+    the level is never collected or sorted.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    d = params.d
+    keys = [(mode, mu) for mode in range(1, n + 1) for mu in range(params.d)]
 
-    def rec(remaining: int, mode: int):
+    def extend(prefix: Monomial, remaining: int, start: int):
         if remaining == 0:
-            yield ()
+            yield prefix
             return
-        if mode > remaining:
-            return
-        maxk = remaining // mode
-        for k in range(maxk + 1):
-            if k == 0:
-                yield from rec(remaining, mode + 1)
-                continue
-            for dirs in combinations_with_replacement(range(d), k):
-                head = tuple((mode, mu) for mu in dirs)
-                for tail in rec(remaining - k * mode, mode + 1):
-                    yield head + tail
+        for i in range(start, len(keys)):
+            key = keys[i]
+            if key[0] > remaining:
+                return
+            yield from extend(prefix + (key,), remaining - key[0], i)
 
-    seen = sorted(rec(n, 1))
-    yield from seen
+    yield from extend(VACUUM, n, 0)
 
 
 def level_basis(params: ModelParams, n: int) -> list[Monomial]:

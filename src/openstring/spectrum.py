@@ -463,21 +463,16 @@ class DdfSpanReport:
 
 
 def _words_of_weight(weight: int, n_transverse: int):
-    """All multisets of (direction, mode) pairs with total mode weight."""
-    out = []
+    """All multisets of (direction, mode) pairs with total mode weight.
 
-    def extend(prefix, remaining, floor):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for n in range(1, remaining + 1):
-            for i in range(1, n_transverse + 1):
-                if (i, n) < floor:
-                    continue
-                extend(prefix + [(i, n)], remaining - n, (i, n))
-
-    extend([], weight, (0, 0))
-    return out
+    These are the level-``weight`` monomials of the model with
+    ``n_transverse + 2`` directions that avoid the light-cone directions 0
+    and ``n_transverse + 1``, each factor relabelled (direction, mode) and
+    the word sorted, so every word lowers along 1..n_transverse only.
+    """
+    return [tuple(sorted((mu, n) for n, mu in mono))
+            for mono in iter_level_basis(ModelParams(n_transverse + 2), weight)
+            if all(0 < mu <= n_transverse for _, mu in mono)]
 
 
 def ddf_span_check(level: int, ctx: DdfContext) -> DdfSpanReport:

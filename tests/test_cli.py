@@ -541,3 +541,16 @@ class TestObservable:
             capsys, ["locality", "--d", "6", "--word", "3:2", "--grid", "64"])
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("argv,shell", [
+        (["locality", "--word", "1:2,1:2"], "6"),
+        (["observable", "--d", "4", "--b", "1/2", "--word", "1:1"], "1"),
+    ])
+    def test_body_off_the_quadrature_tower_is_refused(self, capsys, argv,
+                                                      shell):
+        # r = 2(level - b) is 6 and 1 here, and the tower is 0, 2, 4
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"shell r = 2(level - b) = {shell} " in err
+        assert "tower 0, 2, 4" in err

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -59,6 +61,40 @@ class TestBasis:
 
     def test_generator_matches_list(self):
         assert list(iter_level_basis(P4, 4)) == level_basis(P4, 4)
+
+
+def _level_oracle(d, n):
+    """The level-n monomials by brute force: every multiset of keys
+    (mode, mu) with mode <= n, kept when its modes sum to n, sorted."""
+    keys = [(mode, mu) for mode in range(1, n + 1) for mu in range(d)]
+    return sorted(combo for k in range(n + 1)
+                  for combo in combinations_with_replacement(keys, k)
+                  if sum(mode for mode, _ in combo) == n)
+
+
+class TestLazyEnumeration:
+    @pytest.mark.parametrize("d,top", [(2, 6), (3, 5), (5, 4), (26, 3)])
+    def test_matches_brute_force_oracle(self, d, top):
+        params = ModelParams(d=d)
+        for n in range(top + 1):
+            assert list(iter_level_basis(params, n)) == _level_oracle(d, n)
+
+    def test_first_monomials_do_not_build_the_level(self):
+        # d = 26, level 5 has 247 312 monomials; the first 100 must not
+        # cost the whole level
+        tracemalloc.start()
+        try:
+            first = list(islice(iter_level_basis(P26, 5), 100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 100 and first == sorted(first)
+        assert first[0] == ((1, 0),) * 5
+        assert peak < 1 << 20
+
+    def test_negative_level_is_refused(self):
+        with pytest.raises(ValueError):
+            next(iter_level_basis(P4, -1))
 
 
 class TestOscillators:

@@ -425,6 +425,20 @@ class TestDdfSpan:
         assert len(_words_of_weight(3, 2)) == 10
         assert len(_words_of_weight(2, 24)) == 324
 
+    def test_words_at_one_transverse_direction(self):
+        assert set(_words_of_weight(3, 1)) == {
+            ((1, 3),), ((1, 1), (1, 2)), ((1, 1), (1, 1), (1, 1))}
+        assert len(_words_of_weight(3, 1)) == 3
+
+    def test_words_at_d26_are_sorted_transverse_and_of_their_weight(self):
+        for weight in range(4):
+            words = _words_of_weight(weight, 24)
+            assert len(set(words)) == len(words)
+            for word in words:
+                assert list(word) == sorted(word)
+                assert all(1 <= i <= 24 for i, _ in word)
+                assert sum(n for _, n in word) == weight
+
     @pytest.mark.parametrize("level,rank,phys", [(0, 1, 1), (1, 2, 3), (2, 5, 9)])
     def test_small_dimension_span(self, level, rank, phys):
         p = find_onshell_momentum(2 * (level - 1), 4).p
