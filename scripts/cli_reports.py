@@ -97,6 +97,15 @@ CASES = [
     (["noghost", "--d-list", "4,10", "--b", "1/3", "--max-level", "3"], None),
     # a body whose shell r = 2(level - b) = 1 is not in the tower 0, 2, 4
     (["observable", "--d", "4", "--b", "1/2", "--word", "1:1"], None),
+    # the rational shell samples t - x = 1/2 and 3 on the shells r = 2
+    # (a level-2 word) and r = -1 (a fractional intercept)
+    (["testfn", "--d", "4", "--word", "1:2"], None),
+    (["testfn", "--d", "4", "--b", "3/2", "--word", "1:1"], None),
+    # sweep rows that --separation refuses: too short, and outside the
+    # reduced spacetime of --dq 2
+    (["locality", "--d", "4", "--grid", "8", "--sweep", "0"], None),
+    (["locality", "--d", "4", "--grid", "8", "--dq", "2",
+      "--sweep", "0,4,0;0,1,0,1"], None),
 ]
 
 

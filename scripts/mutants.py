@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_21.json
+    python3 scripts/mutants.py --out MUTANTS_22.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about five minutes on a shared 2-core machine; the ``ddf``
@@ -47,11 +47,15 @@ LINALG = "src/openstring/linalg.py"
 DDF = "src/openstring/ddf.py"
 FOCK = "src/openstring/fock.py"
 SPECTRUM = "src/openstring/spectrum.py"
+EXACTNUM = "src/openstring/exactnum.py"
+CLI = "src/openstring/cli.py"
 FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
 DDF_TESTS = ("tests/test_ddf.py",)
 FOCK_TESTS = ("tests/test_fock.py",)
 WORD_TESTS = ("tests/test_spectrum.py::TestDdfSpan",)
+EXACTNUM_TESTS = ("tests/test_exactnum.py",)
+SAMPLE_TESTS = ("tests/test_cli.py::TestTestfn",)
 
 #: (id, file, old text, new text, pytest selection, expected verdict)
 MUTANTS = [
@@ -207,8 +211,8 @@ MUTANTS = [
      "{j: x for j, x in row.items()}",
      LINALG_TESTS, "killed"),
     ("linalg.pivot-sign-alone", LINALG,
-     "if real_sign(top[p]) == real_sign(prev):",
-     "if real_sign(top[p]) > 0:",
+     "if (top[p] > 0) == (prev > 0):",
+     "if top[p] > 0:",
      LINALG_TESTS, "killed"),
     ("linalg.skip-rows-without-pivot", LINALG,
      "new = {j: a * piv for j, a in row.items()}",
@@ -223,6 +227,15 @@ MUTANTS = [
      "if all(0 < mu <= n_transverse for _, mu in mono)",
      "if all(0 <= mu <= n_transverse for _, mu in mono)",
      WORD_TESTS, "killed"),
+    # the rational root and the rational shell samples built on it
+    ("exactnum.accept-non-square", EXACTNUM,
+     "    if n * n != q.numerator or d * d != q.denominator:\n"
+     "        raise ValueError(f\"{q} is not the square of a rational\")\n",
+     "",
+     EXACTNUM_TESTS, "killed"),
+    ("cli.sample-off-shell", CLI,
+     "x = (tf.shell / s - s) / 2", "x = (tf.shell / s + s) / 2",
+     SAMPLE_TESTS, "killed"),
     # a sound variant: skipping the later keys instead of stopping is slower
     ("fock.skip-instead-of-stop", FOCK,
      "            if key[0] > remaining:\n"
@@ -232,8 +245,7 @@ MUTANTS = [
      FOCK_TESTS, "survived"),
     # a sound variant: any nonzero diagonal pivot gives the same inertia
     ("linalg.last-diagonal-pivot", LINALG,
-     "p = (min(diagonal, key=lambda i: abs(live[i][i])) if integral\n"
-     "             else diagonal[0])",
+     "p = min(diagonal, key=lambda i: abs(live[i][i]))",
      "p = diagonal[-1]",
      LINALG_TESTS, "survived"),
 ]
@@ -292,7 +304,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_21.json",
+    ap.add_argument("--out", default="MUTANTS_22.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

@@ -1,17 +1,17 @@
 """Exact operator algebra for the covariant free open bosonic string.
 
-The package builds the oscillator Fock space over rational (or quadratic
-irrational) scalars, realises the Virasoro and DDF operator constructions on
-momentum fibers, verifies the indefinite-metric spectrum structure (no-ghost
-signatures at the critical dimension), and ends in an analytic layer:
-compactly supported constrained test functions whose smeared string fields
-commute at spacelike separation.
+The package builds the oscillator Fock space over rational scalars and
+polynomial sections in the momentum, realises the Virasoro and DDF operator
+constructions on momentum fibers, verifies the indefinite-metric spectrum
+structure (no-ghost signatures at the critical dimension), and ends in an
+analytic layer: compactly supported constrained test functions whose
+smeared string fields commute at spacelike separation.
 
 Everything algebraic is exact; floating point appears only in the quadrature
 layer (support verification, commutator kernels, locality scans).
 """
 
-from .exactnum import ExactNum, sqrt_fraction
+from .exactnum import sqrt_fraction
 from .fock import (
     FockVector,
     InvalidDirectionError,
@@ -28,7 +28,6 @@ from .fock import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactNum",
     "FockVector",
     "InvalidDirectionError",
     "ModelParams",

@@ -326,14 +326,15 @@ def _testfunction(args):
 def _verify_body(tf, grid: int = 1024, tol: float = 1e-3):
     """Exact constraints at shell momenta, then the numeric support
     certificate along the first (at most four) axes.  The momenta are the
-    rational witness of :func:`find_onshell_momentum` and the (t, x^1)
-    plane solutions of the same quadric, -t^2 + x^2 = -r, at x = 3/2 and
-    5/2, whose t = sqrt(x^2 + r) is in general a surd."""
+    rational witness of :func:`find_onshell_momentum` and two rational
+    points (t, x^1) of the same quadric, -t^2 + x^2 = -r: t - x = s and
+    t + x = r/s for s = 1/2 and 3, so that x = (r/s - s)/2 and
+    t = sqrt(x^2 + r) is the root of a rational square."""
     samples = [find_onshell_momentum(tf.shell, tf.params.d).p]
-    for x in (Fraction(3, 2), Fraction(5, 2)):
-        if x * x + tf.shell > 0:
-            t = sqrt_fraction(x * x + tf.shell)
-            samples.append(Momentum((t, x) + (Fraction(0),) * (tf.params.d - 2)))
+    for s in (Fraction(1, 2), Fraction(3)):
+        x = (tf.shell / s - s) / 2
+        t = sqrt_fraction(x * x + tf.shell)
+        samples.append(Momentum((t, x) + (Fraction(0),) * (tf.params.d - 2)))
     constraints = verify_constraints_pointwise(tf, samples)
     axes = tuple(range(min(tf.params.d, 4)))
     return constraints, verify_support(tf, grid=grid, tol=tol, axes=axes)

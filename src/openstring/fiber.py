@@ -20,8 +20,8 @@ With the shifted ``L_0`` the algebra closes as
     [L_m, L_n] = (m - n) L_{m+n} + delta_{m+n} (d m (m^2-1)/12 + 2 b m).
 
 All routines are generic over the coefficient ring: momentum components may
-be Fractions, ExactNums, or the polynomial sections used by the test-function
-factory, as long as they support ring arithmetic with Fraction.
+be Fractions or the polynomial sections used by the test-function factory,
+as long as they support ring arithmetic with Fraction.
 """
 
 from __future__ import annotations

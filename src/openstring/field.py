@@ -442,6 +442,21 @@ def _unit_states(f_tf: TestFunction, g_tf: TestFunction,
     return f_state, project_pi(g_tf, spec).unit()
 
 
+def _separation(f_tf: TestFunction, g_tf: TestFunction, a,
+                spec: QuadratureSpec):
+    """The separation a as Fractions, refused unless it has the 1 + d_q
+    components of the reduced spacetime and zeros beyond them, with
+    |a_vec|^2 and (R_F + R_G + |a^0|)^2: a is spacelike to both supports
+    when the first exceeds the second."""
+    a = tuple(Fraction(x) for x in a)
+    if len(a) < 1 + spec.d_q:
+        raise ValueError("separation vector too short")
+    if any(a[1 + spec.d_q:]):
+        raise ValueError("separation must lie in the reduced spacetime")
+    reach = f_tf.profile.R + g_tf.profile.R + abs(a[0])
+    return a, _exact_abs_sq(a[1:]), reach * reach
+
+
 def locality_check(f_tf: TestFunction, g_tf: TestFunction, a,
                    spec: QuadratureSpec, tol: float = 1e-6) -> LocalityReport:
     """Commutator kernel at spacelike separation, with a timelike control.
@@ -453,18 +468,11 @@ def locality_check(f_tf: TestFunction, g_tf: TestFunction, a,
     time by R_F + R_G, where the commutator must be visibly nonzero —
     a guard against passing the main check by having built a zero state.
     """
-    a = tuple(Fraction(x) for x in a)
-    if len(a) < 1 + spec.d_q:
-        raise ValueError("separation vector too short")
-    if any(a[1 + spec.d_q:]):
-        raise ValueError("separation must lie in the reduced spacetime")
-    reach = f_tf.profile.R + g_tf.profile.R + abs(a[0])
-    space_sq = _exact_abs_sq(a[1:])
-    spacelike = space_sq > reach * reach
-    if not spacelike:
+    a, space_sq, reach_sq = _separation(f_tf, g_tf, a, spec)
+    if space_sq <= reach_sq:
         raise SeparationError(
             f"|a_vec|^2 = {space_sq} does not clear (R_F + R_G + |a0|)^2 "
-            f"= {reach * reach}"
+            f"= {reach_sq}"
         )
     f_state, g_state = _unit_states(f_tf, g_tf, spec)
     kernel = commutator_kernel(f_state, g_state.translate(a))
@@ -487,18 +495,24 @@ def locality_check(f_tf: TestFunction, g_tf: TestFunction, a,
 
 def locality_sweep(f_tf: TestFunction, g_tf: TestFunction, separations,
                    spec: QuadratureSpec, tol: float = 1e-6) -> str:
-    """CSV over a list of separations; non-spacelike rows are marked, not run."""
+    """CSV over a list of separations; non-spacelike rows are marked, not
+    run.  Every row is checked as :func:`locality_check` checks its
+    separation, before anything is projected, and a row outside the
+    reduced spacetime is refused by its 1-based number."""
+    checked = []
+    for row, a in enumerate(separations, 1):
+        try:
+            checked.append(_separation(f_tf, g_tf, a, spec))
+        except ValueError as exc:
+            raise ValueError(f"sweep row {row} "
+                             f"({','.join(map(str, a))}): {exc}") from None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a0", "a_space", "spacelike", "kernel_abs", "pass"])
     f_state, g_state = _unit_states(f_tf, g_tf, spec)
-    reach_base = f_tf.profile.R + g_tf.profile.R
-    for a in separations:
-        a = tuple(Fraction(x) for x in a)
-        reach = reach_base + abs(a[0])
-        spacelike = _exact_abs_sq(a[1:]) > reach * reach
+    for a, space_sq, reach_sq in checked:
         space = ";".join(str(c) for c in a[1:])
-        if not spacelike:
+        if space_sq <= reach_sq:
             writer.writerow([str(a[0]), space, False, "", ""])
             continue
         k = abs(commutator_kernel(f_state, g_state.translate(a)))

@@ -14,8 +14,7 @@ alpha^mu_m |0> = 0 for m > 0.  The adjoint is (alpha^mu_m)^dagger =
 alpha^mu_{-m}, which makes the induced inner product indefinite: timelike
 excitations carry negative norm.
 
-Coefficients are plain Fractions or real surds
-:class:`openstring.exactnum.ExactNum`, so the form is symmetric bilinear;
+Coefficients are plain Fractions, so the form is symmetric bilinear;
 the same vector container also hosts polynomial coefficients for the
 momentum-symbolic pipelines, so all arithmetic here is written against the
 generic ring protocol (+, *, unary -, truthiness for zero tests).
@@ -28,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
-
-from .exactnum import ExactNum
 
 __all__ = [
     "FockVector",
@@ -93,7 +90,7 @@ class FockVector:
 
     Zero coefficients are pruned on construction; the empty dict is the zero
     vector.  Scalar multiplication accepts anything the coefficient ring
-    multiplies with (int, Fraction, ExactNum, polynomial sections).
+    multiplies with (int, Fraction, polynomial sections).
     """
 
     __slots__ = ("terms",)
@@ -330,42 +327,29 @@ def basis_dimension(d: int, n: int) -> int:
 # -- debug serialisation -------------------------------------------------
 
 
-def _coeff_fields(c):
-    if isinstance(c, ExactNum):
-        return c.a, c.c, c.s
-    return Fraction(c), Fraction(0), 0
-
-
 def vector_to_json(v: FockVector) -> str:
-    """Debug dump: monomials as [mode, dir] pairs with negative modes."""
-    s_global = 0
-    terms = []
-    for mono, c in sorted(v.terms.items()):
-        a, cc, s = _coeff_fields(c)
-        if s:
-            s_global = s
-        terms.append(
-            {
-                "monomial": [[-n, mu] for n, mu in mono],
-                "re": str(a),
-                "rad": str(cc),
-            }
-        )
-    return json.dumps({"terms": terms, "s": s_global}, sort_keys=True)
+    """Debug dump: monomials as [mode, dir] pairs with negative modes.  The
+    coefficients are rational; the zero ``rad`` part and radicand ``s``
+    keep the format's fields."""
+    terms = [{"monomial": [[-n, mu] for n, mu in mono],
+              "re": str(Fraction(c)), "rad": "0"}
+             for mono, c in sorted(v.terms.items())]
+    return json.dumps({"terms": terms, "s": 0}, sort_keys=True)
 
 
 def vector_from_json(text: str) -> FockVector:
-    """Inverse of :func:`vector_to_json`.  Coefficients are real, so a term
-    with a nonzero ``im`` or ``irad`` part is refused rather than dropped."""
+    """Inverse of :func:`vector_to_json`.  Coefficients are rational, so a
+    term with a nonzero ``im`` or ``irad`` part, or a nonzero surd part
+    ``rad``, is refused rather than dropped."""
     data = json.loads(text)
-    s = int(data.get("s", 0))
     out = FockVector()
     for t in data["terms"]:
         mono = tuple(sorted((-m, mu) for m, mu in t["monomial"]))
         if Fraction(t.get("im", "0")) or Fraction(t.get("irad", "0")):
             raise ValueError(f"term {t['monomial']} has an imaginary part; "
                              "coefficients are real")
-        a = Fraction(t["re"])
-        c = Fraction(t.get("rad", "0"))
-        out.add_term(mono, ExactNum(a, c, s) if c else a)
+        if Fraction(t.get("rad", "0")):
+            raise ValueError(f"term {t['monomial']} has a surd part; "
+                             "coefficients are rational")
+        out.add_term(mono, Fraction(t["re"]))
     return out

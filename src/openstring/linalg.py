@@ -1,7 +1,7 @@
-"""Exact linear algebra over Q and Q(sqrt(s)).
+"""Exact linear algebra over Q.
 
-Every elimination runs on sparse {column: entry} rows of Fractions or
-ExactNums, walking the columns that occur in sorted order.  Dense rows are
+Every elimination runs on sparse {column: entry} rows of Fractions (or
+ints), walking the columns that occur in sorted order.  Dense rows are
 keyed by position; dict rows may have any sortable keys, such as
 monomials.  Two elimination routes are provided on purpose, and
 constraint ranks in the package are cross-checked between them:
@@ -12,18 +12,16 @@ constraint ranks in the package are cross-checked between them:
   ``hermitian_signature``.  Every intermediate entry is a minor of the
   input, so each division by the previous pivot is exact.
 
-The fraction-free route has two lanes.  When every entry is rational,
-each row i is scaled by the lcm s_i of its denominators and the
-elimination runs on Python ints with floor division; the signature also
-scales column j by s_j, so the congruence D G D stays symmetric.  Surd
-entries run the same step in their field, dividing with ``/``.
+The fraction-free route runs on Python ints: each row i is scaled by the
+lcm s_i of its denominators and the elimination divides with floor
+division.  The signature also scales column j by s_j, so the congruence
+D G D stays symmetric.
 
 ``hermitian_signature`` computes the inertia (n_plus, n_minus, n_null) of
-a real symmetric form by diagonal pivoting: on the smallest |pivot| in
-the integer lane, on the first nonzero one in the field lane, and, when
-the whole diagonal vanishes, after the congruence v_i <- v_i + v_j inside
-the same loop.  The entries are real, so the form is Hermitian exactly
-when it is symmetric, and its inertia is that of its Hermitian
+a real symmetric form by diagonal pivoting on the smallest |pivot| and,
+when the whole diagonal vanishes, after the congruence v_i <- v_i + v_j
+inside the same loop.  The entries are real, so the form is Hermitian
+exactly when it is symmetric, and its inertia is that of its Hermitian
 complexification.
 """
 
@@ -31,8 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-from .exactnum import ExactNum, is_rational_real, real_sign
 
 __all__ = [
     "DependencyError",
@@ -76,7 +72,7 @@ def rref(matrix):
         rows[r], rows[pr] = rows[pr], rows[r]
         top = rows[r]
         if top[c] != 1:
-            inv = Fraction(1) / top[c] if isinstance(top[c], (int, Fraction)) else top[c].inverse()
+            inv = Fraction(1) / top[c]
             top = rows[r] = {j: x * inv for j, x in top.items()}
         for row in rows:
             f = row.get(c)
@@ -99,21 +95,17 @@ def rank(matrix) -> int:
 def _integer_rows(rows):
     """Sparse rows {column: entry} scaled to ints, each by the lcm s_i of
     its denominators, as numerator * (s_i // denominator), and the list of
-    the s_i; the rows themselves and None if an entry is a surd."""
-    if not all(is_rational_real(x) for row in rows for x in row.values()):
-        return rows, None
-    rows = [{j: x.rational_value() if isinstance(x, ExactNum) else x
-             for j, x in row.items()} for row in rows]
+    the s_i."""
     scales = [lcm(*(x.denominator for x in row.values())) for row in rows]
     return [{j: x.numerator * (s // x.denominator) for j, x in row.items()}
             for row, s in zip(rows, scales)], scales
 
 
-def _bareiss_step(top, c, rows, prev, integral):
-    """Clear column c of ``rows`` against the pivot row ``top``: each row
-    becomes (top[c] * row - row[c] * top) / prev.  Every entry stays a
-    minor of the input, so the division by the previous pivot is exact;
-    on ints it is floor division."""
+def _bareiss_step(top, c, rows, prev):
+    """Clear column c of the int ``rows`` against the pivot row ``top``:
+    each row becomes (top[c] * row - row[c] * top) / prev.  Every entry
+    stays a minor of the input, so the floor division by the previous
+    pivot is exact."""
     piv = top[c]
     out = []
     for row in rows:
@@ -122,24 +114,17 @@ def _bareiss_step(top, c, rows, prev, integral):
         if f is not None:
             for j, b in top.items():
                 new[j] = new.get(j, 0) - f * b
-        if integral:
-            out.append({j: x // prev for j, x in new.items() if x})
-        else:
-            out.append({j: x / prev for j, x in new.items() if x})
+        out.append({j: x // prev for j, x in new.items() if x})
     return out
 
 
 def rank_fraction_free(matrix) -> int:
-    """Rank by Bareiss elimination (independent of :func:`rref`).
-
-    All-rational input runs on integers after scaling each row by the lcm
-    of its denominators, which leaves the rank alone.  Other entries stay
-    in their field.
-    """
+    """Rank by Bareiss elimination (independent of :func:`rref`), on
+    integers after scaling each row by the lcm of its denominators, which
+    leaves the rank alone."""
     if not matrix:
         return 0
-    rows, scales = _integer_rows(_sparse(matrix))
-    integral = scales is not None
+    rows, _ = _integer_rows(_sparse(matrix))
     prev = 1
     r = 0
     for c in sorted({j for row in rows for j in row}):
@@ -147,7 +132,7 @@ def rank_fraction_free(matrix) -> int:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r + 1:] = _bareiss_step(rows[r], c, rows[r + 1:], prev, integral)
+        rows[r + 1:] = _bareiss_step(rows[r], c, rows[r + 1:], prev)
         prev = rows[r][c]
         r += 1
         if r == len(rows):
@@ -216,7 +201,7 @@ def hermitian_signature(gram):
 
     Symmetry is checked in O(nnz).  A congruence transform never changes
     the result (Sylvester), and the elimination is a chain of them: the
-    integer lane's D G D, with D the diagonal of row scales; one Bareiss
+    integer scaling D G D, with D the diagonal of row scales; one Bareiss
     step per diagonal pivot, whose sign is that of pivot / previous pivot;
     and v_i <- v_i + v_j when the whole diagonal vanishes.  Rows that
     reach zero are null directions.  The entries are real, so symmetric
@@ -229,9 +214,7 @@ def hermitian_signature(gram):
             if rows[j].get(i, 0) != x:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
     rows, scales = _integer_rows(rows)
-    integral = scales is not None
-    if integral:
-        rows = [{j: x * scales[j] for j, x in row.items()} for row in rows]
+    rows = [{j: x * scales[j] for j, x in row.items()} for row in rows]
     live = dict(enumerate(rows))
     pos = neg = 0
     prev = 1
@@ -251,15 +234,13 @@ def hermitian_signature(gram):
             live = {k: {c: x for c, x in row.items() if x}
                     for k, row in live.items()}
             continue
-        # ints: the smallest pivot keeps the minors small
-        p = (min(diagonal, key=lambda i: abs(live[i][i])) if integral
-             else diagonal[0])
+        # the smallest pivot keeps the minors small
+        p = min(diagonal, key=lambda i: abs(live[i][i]))
         top = live.pop(p)
-        if real_sign(top[p]) == real_sign(prev):
+        if (top[p] > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        live = dict(zip(live, _bareiss_step(top, p, live.values(), prev,
-                                            integral)))
+        live = dict(zip(live, _bareiss_step(top, p, live.values(), prev)))
         prev = top[p]
     return pos, neg, n - pos - neg

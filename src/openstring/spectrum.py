@@ -52,7 +52,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ddf import DdfContext, ddf_state
-from .exactnum import real_sign
 from .fiber import Momentum, virasoro_apply
 from .fock import (
     FockVector,
@@ -114,7 +113,7 @@ class OnShellMomentum:
     def __post_init__(self):
         if self.p.minkowski_sq() + self.r != 0:
             raise ValueError(f"momentum {self.p!r} is not on the r={self.r} shell")
-        if self.r >= 0 and real_sign(self.p[0]) <= 0:
+        if self.r >= 0 and self.p[0] <= 0:
             raise ValueError("positive shell requires p^0 > 0")
 
 

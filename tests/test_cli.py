@@ -450,6 +450,32 @@ class TestTestfn:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("word,b,shell", [
+        pytest.param(word, b, shell, id=f"r={shell}") for word, b, shell in [
+            ([], "3", -6), ([], "1/2", -1), ([(1, 1)], "1", 0),
+            ([(1, 1)], "1/2", 1), ([(1, 1)], "0", 2), ([(1, 2)], "0", 4)]
+    ])
+    def test_body_samples_are_rational_shell_momenta(self, monkeypatch,
+                                                     word, b, shell):
+        # the witness and the points t - x = 1/2 and 3 on every shell, the
+        # r <= -9/4 shells included
+        from fractions import Fraction
+
+        from openstring import cli
+        from openstring.fock import ModelParams
+        from openstring.testfn import BumpProfile, make_testfunction, realify
+
+        monkeypatch.setattr(cli, "verify_support", lambda *a, **k: None)
+        params = ModelParams(4, Fraction(b))
+        tf = realify(make_testfunction(word, BumpProfile(1, 4), params))
+        assert tf.shell == shell
+        constraints, _ = cli._verify_body(tf)
+        assert constraints.passed
+        assert len(constraints.samples) == 3
+        for p in constraints.samples:
+            assert all(type(c) is Fraction for c in p.components)
+            assert p.minkowski_sq() + shell == 0
+
 
 class TestLocality:
     def test_default_separation_passes(self, capsys):
@@ -477,6 +503,24 @@ class TestLocality:
         assert lines[0] == "a0,a_space,spacelike,kernel_abs,pass"
         assert len(lines) == 3
         assert lines[2].startswith("0,1;0,False")
+
+    @pytest.mark.parametrize("flags,row,message", [
+        pytest.param([], "0", "sweep row 2 (0): separation vector too short",
+                     id="too-short"),
+        pytest.param(["--dq", "2"], "0,1,0,1",
+                     "sweep row 2 (0,1,0,1): separation must lie in the "
+                     "reduced spacetime", id="outside-reduced-spacetime"),
+    ])
+    def test_sweep_refuses_what_separation_refuses(self, capsys, flags, row,
+                                                   message):
+        # too short, and outside the --dq 2 reduced spacetime: the sweep
+        # names the row and runs none, as --separation refuses it
+        argv = ["locality", "--d", "4", "--grid", "8", *flags]
+        assert run(capsys, [*argv, "--separation", row])[0] == 2
+        code, out, err = run(capsys, [*argv, "--sweep", f"0,4,0;{row}"])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_sweep_failing_row_exits_one(self, capsys):
         # both rows are spacelike and fail the (unreachable) tolerance; the

@@ -32,7 +32,6 @@ from openstring.ddf import (
 )
 import openstring.ddf as ddf_module
 from openstring.cli import _probe_momenta, main
-from openstring.exactnum import ExactNum
 from openstring.fiber import Momentum, mass_square_apply, virasoro_apply
 from openstring.fock import (
     FockVector,
@@ -242,8 +241,6 @@ class TestScalarVertexModes:
 # one momentum per coefficient ring, all with p^0 + p^{d-1} != 0
 RING_MOMENTA = {
     "fraction": Momentum((Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 2))),
-    "surd": Momentum((ExactNum(0, 1, 2), Fraction(1), 0,
-                      ExactNum(Fraction(1, 2), 3, 2))),
     "symbolic": sym_momentum(4),
 }
 

@@ -11,7 +11,6 @@ import pytest
 
 from openstring import cli
 from openstring import fiber
-from openstring.exactnum import ExactNum
 from openstring.fiber import (
     IntegerBracketScanner,
     LorentzMatrix,
@@ -135,13 +134,6 @@ class TestAlgebraClosure:
             for m in range(-3, 4):
                 for n in range(-3, 4):
                     assert not virasoro_bracket_residual(m, n, p, v, P4), (m, n)
-
-    def test_bracket_with_surd_momentum(self):
-        root2 = ExactNum(0, 1, 2)
-        p = Momentum((root2, Fraction(1), 0, 0))
-        v = FockVector.basis_state(((1, 0), (1, 2)))
-        for m, n in [(1, -1), (2, -2), (-2, 1)]:
-            assert not virasoro_bracket_residual(m, n, p, v, P4)
 
     def test_bracket_spots_d26(self):
         rng = random.Random(43)
@@ -421,11 +413,9 @@ class TestScanEngines:
         half = Momentum((Fraction(3, 2), Fraction(1), 0, Fraction(1)))
         assert IntegerBracketScanner(half, P4).scale == 8
         assert all(not res for _, res in virasoro_bracket_scan(1, -1, 1, half, P4))
-        surd = Momentum((ExactNum(0, 1, 2), Fraction(1), 0, 0))
+        # a fiber that is not rational, such as the symbolic one, is refused
         with pytest.raises(ValueError, match="rational fiber; momentum component 0"):
-            IntegerBracketScanner(surd, P4)
-        with pytest.raises(ValueError, match="rational fiber"):
-            virasoro_bracket_scan(1, -1, 1, surd, P4)
+            IntegerBracketScanner(sym_momentum(4), P4)
         with pytest.raises(ValueError, match="rational fiber"):
             virasoro_bracket_scan(1, -1, 1, sym_momentum(4), P4)
 
@@ -640,12 +630,10 @@ class TestXResponses:
 class TestReferenceOracle:
     """Production L_m against the oracle that composes single oscillators."""
 
-    @pytest.mark.parametrize("kind", ["fraction", "surd", "symbolic"])
+    @pytest.mark.parametrize("kind", ["fraction", "symbolic"])
     def test_agrees_at_d4(self, kind):
         p = {
             "fraction": Momentum((Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 2))),
-            "surd": Momentum((ExactNum(0, 1, 2), Fraction(1), 0,
-                              ExactNum(Fraction(1, 2), 3, 2))),
             "symbolic": sym_momentum(4),
         }[kind]
         for b in (Fraction(0), Fraction(1, 2), Fraction(1)):

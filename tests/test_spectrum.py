@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from openstring.ddf import DdfContext
-from openstring.exactnum import ExactNum, sqrt_fraction
 from openstring.fiber import Momentum, virasoro_apply
 from openstring.fock import (
     FockVector,
@@ -66,8 +65,7 @@ class TestOnShellSearch:
                 assert m.p.minkowski_sq() + Fraction(r) == 0
                 assert m.p.lightcone() != 0
                 # positive shell even where not required
-                from openstring.exactnum import real_sign
-                assert real_sign(m.p[0]) > 0
+                assert m.p[0] > 0
 
     @pytest.mark.parametrize("r,p0,p3,s", [
         (-6, "29/8", "35/8", 8), (-2, "1/2", "3/2", 2), (0, 1, 1, 2),
@@ -304,21 +302,23 @@ BORDERED_GRID = [
     for level in range(4 if d <= 5 else 3)
 ]
 
-# six d = 2 points of the grid again, on the surd momenta
-# (sqrt(t_sq), x) with t_sq = x^2 + r, so that the route also runs end to
-# end over Q(sqrt s); entries (d, b, level, (t_sq, x))
-SURD_POINTS = [
-    (2, "0", 1, (2, 0)), (2, "0", 3, (6, 0)), (2, "1/2", 0, (3, 2)),
-    (2, "1", 0, (2, 2)), (2, "1", 2, (2, 0)), (2, "3/2", 1, (3, 2)),
+# six d = 2 points of the grid again, on a second rational momentum of the
+# same shell r = 2(level - b): (t, x) with t - x = s and t + x = r/s, so
+# that the route also runs end to end off the witness; entries
+# (d, b, level, s)
+SHELL_POINTS = [
+    (2, "0", 1, "1/2"), (2, "0", 3, "1/2"), (2, "1/2", 0, "3"),
+    (2, "1", 0, "3"), (2, "1", 2, "1/2"), (2, "3/2", 1, "1/2"),
 ]
 
 
 def _bordered_cases():
     for d, b, level in BORDERED_GRID:
         yield pytest.param(d, b, level, None, id=f"{d}-{b}-{level}")
-    for d, b, level, (t_sq, x) in SURD_POINTS:
-        p = Momentum((sqrt_fraction(t_sq), Fraction(x)))
-        yield pytest.param(d, b, level, p, id=f"{d}-{b}-{level}-surd")
+    for d, b, level, s in SHELL_POINTS:
+        r, s = 2 * (level - Fraction(b)), Fraction(s)
+        p = Momentum(((s + r / s) / 2, (r / s - s) / 2))
+        yield pytest.param(d, b, level, p, id=f"{d}-{b}-{level}-off-witness")
 
 
 def _on_shell_space(d, b, level, p=None):
@@ -332,7 +332,8 @@ class TestBorderedRoute:
     @pytest.mark.parametrize("d,b,level,p", _bordered_cases())
     def test_agrees_with_gram_route(self, d, b, level, p):
         space = _on_shell_space(d, b, level, p)
-        assert isinstance(space.p[0], ExactNum) == (p is not None)
+        witness = find_onshell_momentum(2 * (level - Fraction(b)), d).p
+        assert (space.p == witness) == (p is None)
         physical = physical_subspace(space)
         spurious = spurious_subspace(physical, space)
         radical, signature = gram_route(physical)

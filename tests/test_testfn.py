@@ -329,17 +329,6 @@ class TestPointwiseVerification:
         rep = verify_constraints_pointwise(tf, [find_onshell_momentum(-2, 4)])
         assert rep.passed
 
-    def test_surd_sample_is_exact_too(self, profile4):
-        # a sample whose energy is an exact square root still verifies
-        # with zero tolerance thanks to the quadratic-extension arithmetic
-        from openstring.exactnum import sqrt_fraction
-
-        tf = realify(make_testfunction([(1, 1)], profile4, P4))
-        p = Momentum((sqrt_fraction(3), Fraction(1), Fraction(1), Fraction(1)))
-        assert p.minkowski_sq() == 0
-        rep = verify_constraints_pointwise(tf, [p])
-        assert rep.passed
-
 
 class TestSupportVerification:
     def test_mass_stays_inside_declared_radius(self, profile4):
