@@ -1,23 +1,32 @@
-"""Time the kappa calibration and ``openstring ddf``.
+"""Time the kappa calibration, the DDF commutator check and ``openstring ddf``.
 
-Two measurements, each repeated ``--repeat`` times:
+Three measurements, each repeated ``--repeat`` times:
 
 * ``calibrate_normalization`` in process at d = 26 on the CLI's two probe
   momenta ``_probe_momenta(26, seed)`` for seeds 0 and 2, with the CLI's
   candidates 1, 1/2 and 2: 24 transverse directions, |m|, |n| <= 2 and the
   404 probes of level <= 2;
+* ``ddf_commutator_residual`` and ``ddf_commutator_defect`` in process on
+  480 seeded cases at d = 26: a momentum with all 26 components nonzero,
+  half of them non-integral, and for each (m, n) in {-2, -1, 1, 2}^2 and
+  probe level 0, 1, 2 ten draws of a direction in 1..24 and a basis
+  monomial, each residual compared with its defect, on one fresh context
+  per repeat;
 * ``openstring ddf`` in a fresh interpreter, at its defaults, with
   ``--seed 2``, and on the reject path ``--kappa-set 1/2 2`` (exit 3, the
   witnesses on stderr), so the time includes interpreter start; the exit
   code and the SHA-256 of stdout and stderr are recorded, so two checkouts
   can be compared for byte-identical output.
 
+The peak RSS recorded is that of this process, which runs the
+calibrations and the cases.
+
 The package is imported from ``src/`` of the checkout holding this script,
 and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
 so a copy of both scripts placed in another checkout times that checkout.
 The result is written as JSON:
 
-    python3 scripts/bench_ddf.py --out BENCH_ddf.json
+    python3 scripts/bench_ddf.py --out BENCH_23.json
 """
 
 from __future__ import annotations
@@ -25,21 +34,28 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import resource
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_bracket_grid import _git_head, _machine, time_cli  # noqa: E402
 from openstring.cli import _probe_momenta  # noqa: E402
-from openstring.ddf import calibrate_normalization  # noqa: E402
-from openstring.fock import ModelParams  # noqa: E402
+from openstring.ddf import DdfContext, calibrate_normalization, \
+    ddf_commutator_defect, ddf_commutator_residual  # noqa: E402
+from openstring.fiber import Momentum  # noqa: E402
+from openstring.fock import FockVector, ModelParams, iter_level_basis  # noqa: E402
 
 D = 26
 SEEDS = (0, 2)
+CASE_SEED = 1
+MODES = (-2, -1, 1, 2)
+PER_CELL = 10
 # name -> (argv, expected exit code)
 CLI_RUNS = {"default": (("ddf",), 0),
             "seed_2": (("ddf", "--seed", "2"), 0),
@@ -52,6 +68,43 @@ def time_calibration(seed: int) -> dict:
     t0 = time.perf_counter()
     kappa = calibrate_normalization(ModelParams(d=D), momenta)
     return {"wall_s": time.perf_counter() - t0, "kappa": str(kappa)}
+
+
+def defect_cases(seed: int) -> tuple:
+    """(momentum, [(m, i, n, basis probe)]): 480 seeded cases."""
+    rng = random.Random(seed)
+    while True:
+        dens = [1] * (D // 2) + [rng.choice((2, 3)) for _ in range(D - D // 2)]
+        rng.shuffle(dens)
+        comps = [Fraction(rng.choice((-2, -1, 1, 2, 3)), q) for q in dens]
+        if comps[0] + comps[-1]:
+            break
+    params = ModelParams(d=D)
+    basis = {lvl: list(iter_level_basis(params, lvl)) for lvl in range(3)}
+    cases = [(m, rng.randint(1, D - 2), n,
+              FockVector.basis_state(rng.choice(basis[lvl])))
+             for m in MODES for n in MODES for lvl in range(3)
+             for _ in range(PER_CELL)]
+    return Momentum(tuple(comps)), cases
+
+
+def time_defect_cases(p: Momentum, cases) -> dict:
+    """Seconds for the residuals and for the defects of ``cases`` on one
+    fresh context, and how many residuals differ from their defect."""
+    ctx = DdfContext(ModelParams(d=D), p)
+    residual_s = defect_s = 0.0
+    mismatched = nonzero = 0
+    for m, i, n, v in cases:
+        t0 = time.perf_counter()
+        res = ddf_commutator_residual(m, i, n, v, ctx)
+        t1 = time.perf_counter()
+        dft = ddf_commutator_defect(m, i, n, v, ctx)
+        defect_s += time.perf_counter() - t1
+        residual_s += t1 - t0
+        mismatched += res != dft
+        nonzero += bool(res)
+    return {"residual_s": residual_s, "defect_s": defect_s,
+            "mismatched": mismatched, "nonzero": nonzero}
 
 
 def main(argv=None) -> int:
@@ -67,9 +120,12 @@ def main(argv=None) -> int:
     machine = _machine()
     calibrations = {seed: [] for seed in SEEDS}
     clis = {name: [] for name in CLI_RUNS}
+    case_p, cases = defect_cases(CASE_SEED)
+    case_runs = []
     for _ in range(args.repeat):
         for seed in SEEDS:
             calibrations[seed].append(time_calibration(seed))
+        case_runs.append(time_defect_cases(case_p, cases))
         for name, (cli_argv, _) in CLI_RUNS.items():
             clis[name].append(time_cli(*cli_argv))
     result = {
@@ -88,6 +144,19 @@ def main(argv=None) -> int:
             }
             for seed, runs in calibrations.items()
         },
+        "defect_cases": {
+            "d": D,
+            "seed": CASE_SEED,
+            "cases": len(cases),
+            "momentum": [str(c) for c in case_p],
+            **{f"{key}_s": [r[f"{key}_s"] for r in case_runs]
+               for key in ("residual", "defect")},
+            **{f"{key}_median_s": statistics.median(
+                r[f"{key}_s"] for r in case_runs)
+               for key in ("residual", "defect")},
+            "mismatched": sorted({r["mismatched"] for r in case_runs}),
+            "nonzero": sorted({r["nonzero"] for r in case_runs}),
+        },
         "cli_ddf": {
             name: {
                 "argv": list(CLI_RUNS[name][0]),
@@ -99,16 +168,20 @@ def main(argv=None) -> int:
             }
             for name, runs in clis.items()
         },
-        "calibration_peak_rss_mb":
+        "in_process_peak_rss_mb":
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps({
         **{f"calibration_{name}_median_s": cal["wall_median_s"]
            for name, cal in result["calibration"].items()},
+        **{f"cases_{key}_median_s": result["defect_cases"][f"{key}_median_s"]
+           for key in ("residual", "defect")},
         **{f"cli_{name}_median_s": cli["wall_median_s"]
            for name, cli in result["cli_ddf"].items()}}))
     bad = any(cal["kappa"] != ["1"] for cal in result["calibration"].values()) \
+        or result["defect_cases"]["mismatched"] != [0] \
+        or 0 in result["defect_cases"]["nonzero"] \
         or any(cli["exit_codes"] != [CLI_RUNS[name][1]]
                for name, cli in result["cli_ddf"].items())
     return 1 if bad else 0

@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_22.json
+    python3 scripts/mutants.py --out MUTANTS_23.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about five minutes on a shared 2-core machine; the ``ddf``
@@ -152,16 +152,6 @@ MUTANTS = [
     ("ddf.vector-mode-filter-inverted", DDF,
      "for f in mono if f[1] == mu}):", "for f in mono if f[1] != mu}):",
      DDF_TESTS, "killed"),
-    ("ddf.lm-images-from-v", DDF,
-     "    for q, w in _vertex_images(n, k, virasoro_apply(m, p, v, params), "
-     "params):",
-     "    for q, w in images:",
-     DDF_TESTS, "killed"),
-    ("ddf.images-per-direction", DDF,
-     "res = _bracket(i, n, m, nk, p, v, terms, params)",
-     "res = _bracket(i, n, m, nk, p, v, _cell_terms(n, m, nk, p, v, params),"
-     " params)",
-     DDF_TESTS, "killed"),
     ("ddf.vector-drop-momentum-term", DDF,
      "if q else w.scaled(p[mu])", "if q else w.scaled(0)",
      DDF_TESTS, "killed"),
@@ -169,35 +159,53 @@ MUTANTS = [
      "apply_oscillator((-q, mu), w, params)",
      "apply_oscillator((-q - 1, mu), w, params)",
      DDF_TESTS, "killed"),
-    # the direction-free expansion of [L_m, A^i_n] v and its certificate
-    ("ddf.drop-annihilator-w-term", DDF,
-     "terms = [(m - q, w.scaled(q)) for q, w in images if q]",
-     "terms = []",
+    # [L_m, A^i_n] v from the lightcone images R_s and its certificates
+    ("ddf.lm-images-from-v", DDF,
+     "    out -= v_scalar_apply(t, plane.null_at(n), lowered, params)\n",
+     "    out -= vertex(t)\n",
      DDF_TESTS, "killed"),
-    ("ddf.drop-creator-e-terms", DDF,
-     "terms += [(-q, e) for q, e in errors.items() if e]",
-     "terms += [(-q, e) for q, e in errors.items() if e and not q]",
+    ("ddf.images-per-direction", DDF,
+     "elif any(s < 0 or (s, i) in tau or (not s and p[i]) for s in live):",
+     "elif True:",
      DDF_TESTS, "killed"),
-    ("ddf.drop-momentum-e-term", DDF,
-     "terms += [(-q, e) for q, e in errors.items() if e]",
-     "terms += [(-q, e) for q, e in errors.items() if e and q]",
+    ("ddf.drop-lc-bracket-term", DDF,
+     "    out = virasoro_apply(m, plane.p, vertex(t), params)\n"
+     "    out -= v_scalar_apply(t, plane.null_at(n), lowered, params)\n",
+     "    out = FockVector.zero()\n",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-shift-term", DDF,
+     ".scaled((m or n) - s)", ".scaled(0 if m else n)",
      DDF_TESTS, "killed"),
     ("ddf.drop-mode-shift-term", DDF,
-     "        if r > m:\n"
-     "            out += v_scalar_apply(n - r + m, k, x, params).scaled(m - r)\n",
-     "",
+     "(m or n) - s", "m - s",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-annihilator-w-term", DDF,
+     "elif (s, i) in tau:", "elif False:",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-creator-e-terms", DDF,
+     "            if s < 0:\n                moved, w = ",
+     "            if s < 0:\n                continue\n                moved, w = ",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-momentum-e-term", DDF,
+     "moved, w = tau, c * pi", "moved, w = tau, 0",
      DDF_TESTS, "killed"),
     ("ddf.drop-lowered-w-term", DDF,
-     "    return terms + [(m + q, w.scaled(-q)) for q in range(1, 1 - m)\n"
-     "                    if (w := v_scalar_apply(n - q, k, v, params))]",
-     "    return terms",
+     "range(n - level_of(lam) - max(0, -m), top + 1)",
+     "range(n - level_of(lam), top + 1)",
+     DDF_TESTS, "killed"),
+    ("ddf.raise-s-lower-bound", DDF,
+     "range(n - level_of(lam) - max(0, -m), top + 1)",
+     "range(n - level_of(lam) - max(0, -m) + 1, top + 1)",
+     DDF_TESTS, "killed"),
+    ("ddf.drop-residual-certificate", DDF,
+     "if res != _literal_residual(m, i, n, v, ctx):", "if False:",
      DDF_TESTS, "killed"),
     ("ddf.drop-expansion-certificate", DDF,
-     "if res != ddf_commutator_residual(m, i, n, v, ctx):",
-     "if False:",
+     "                    res = _residual(m, i, n, v, ctx)\n",
+     "                    res = _factored(_residual_image, m, i, n, v, ctx)\n",
      DDF_TESTS, "killed"),
     ("ddf.certify-first-probe-only", DDF,
-     "if not pos and (has or not j) and", "if not pos and not j and",
+     "if not pos and (has or not j):", "if not pos and not j:",
      DDF_TESTS, "killed"),
     # the fraction-free elimination step behind rank and inertia
     ("linalg.drop-hyperbolic-column-half", LINALG,
@@ -236,6 +244,12 @@ MUTANTS = [
     ("cli.sample-off-shell", CLI,
      "x = (tf.shell / s - s) / 2", "x = (tf.shell / s + s) / 2",
      SAMPLE_TESTS, "killed"),
+    # a sound variant: every R_s below the bound is zero, so starting one
+    # step lower only builds an empty image
+    ("ddf.widen-s-lower-bound", DDF,
+     "range(n - level_of(lam) - max(0, -m), top + 1)",
+     "range(n - level_of(lam) - max(0, -m) - 1, top + 1)",
+     DDF_TESTS, "survived"),
     # a sound variant: skipping the later keys instead of stopping is slower
     ("fock.skip-instead-of-stop", FOCK,
      "            if key[0] > remaining:\n"
@@ -304,7 +318,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_22.json",
+    ap.add_argument("--out", default="MUTANTS_23.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

@@ -20,14 +20,21 @@ kill everything), so all operators here are exact.  When p^0 + p^{d-1} = 0
 the null vector degenerates and every A^i_n is defined to be zero.
 
 Only the lightcone directions enter the vertex modes: k.alpha_m =
-c l_m with c = k^0 and l_m = -alpha^0_m - alpha^{d-1}_m.  V_n(k) therefore
-acts on the lightcone factors of a monomial and leaves its transverse
-factors alone.  :func:`v_scalar_apply` builds V_n(k) on each lightcone
-part once and keeps it on the null vector; a :class:`DdfContext` holds one
-null vector per n, so those images serve every direction, probe and call
-made through the context, and they go away with it.  The images carry the
-context's ring scalars (U_n(c l) = sum_q c^q U_{n,q}(l), q the number of
-factors), which is why no cache outlives its context.
+c l_m with c = k^0 and l_m = -alpha^0_m - alpha^{d-1}_m.  V_t(k) acts on
+the lightcone part lam of a monomial lam (x) tau and commutes with every
+transverse alpha^i_s (k^i = 0), and L_m splits into the L_m of the d = 2
+model of directions 0 and d-1 plus a transverse part that commutes with
+V_t.  With A^i_n = sum_s alpha^i_s V_{n-s} and alpha^i_0 = p^i,
+
+    [L_m, A^i_n] (lam (x) tau) = sum_s R_s(lam) (x) alpha^i_s tau,
+
+R_s = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam, independent of i and
+of the transverse momentum; the closed-form defect below has the same
+shape.  Distinct s give distinct monomials alpha^i_s tau, so nothing
+cancels across s.  A :class:`DdfContext` computes R_s and the defect's
+images in the d = 2 model and keeps them, and the V_t images they are
+built from, for as long as it lives: the images carry the context's ring
+scalars, so no cache outlives its context.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
@@ -35,12 +42,9 @@ family; see :func:`calibrate_normalization`.  Discrimination does not
 require transversely moving probe momenta: the zero-mode pairing
 k.alpha_0 = k.p = -kappa gives [L_1, A^i_{-2}] Omega = 2 (1 - kappa)
 alpha^i_{-1} Omega on lightcone-plane momenta, and transverse momentum
-components add [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.  As k^i = 0,
-[V_t(k), alpha^i_s] = 0, and [L_m, alpha^i_s] = -s alpha^i_{m+s} with
-alpha^i_0 = p^i, so [L_m, A^i_n] v is single oscillators alpha^i on the
-images W_t = V_t v and vertex commutators E_t = L_m W_t - V_t L_m v, plus
-terms for the modes of i in v.  The calibration builds W and E once for
-all directions, certifying the expansion on two probes per (n, m, level).
+components add [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.  Every
+factored residual is certified against the literal L_m A^i_n v -
+A^i_n L_m v once per (n, m, level, whether i occurs in v) and context.
 
 A word on what these operators do and do not satisfy.  Because the
 construction stays inside a single fiber (no momentum shift, no center-of-
@@ -120,9 +124,8 @@ class NullVector:
     p^0 + p^{d-1} makes the vector identically zero.
 
     ``images`` caches V_t(k) on lightcone basis states, keyed by
-    (t, lightcone monomial); see :func:`v_scalar_apply`.  The images carry
-    this vector's ring scalars, so the cache lives and dies with the vector
-    and a rescaled copy from ``times`` starts empty.
+    (t, lightcone monomial); see :func:`v_scalar_apply`.  They carry this
+    vector's ring scalars, so a rescaled copy from ``times`` starts empty.
     """
 
     __slots__ = ("p", "kappa", "components", "images")
@@ -264,12 +267,14 @@ def _vertex_images(n: int, k: NullVector, v: FockVector,
 class DdfContext:
     """Bundle of model, fiber momentum, and calibrated normalization.
 
-    The scaled null vectors n*k(p) are built once per n (:meth:`null_at`),
-    so every operator applied through this context shares their cached
-    V_t images; the cache lives as long as the context.
+    The scaled null vectors n*k(p) (:meth:`null_at`) and their V_t images,
+    the lightcone images of [L_m, A^i_n] and of its defect (``images``,
+    built in the d = 2 model of :meth:`plane`) and the residual cells
+    already certified live as long as the context.
     """
 
-    __slots__ = ("params", "p", "kappa", "null", "_scaled")
+    __slots__ = ("params", "p", "kappa", "null", "images", "certified",
+                 "_scaled", "_plane")
 
     def __init__(self, params: ModelParams, p: Momentum, kappa=Fraction(1)):
         if params.d != p.d:
@@ -278,7 +283,9 @@ class DdfContext:
         self.p = p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
         self.null = NullVector(p, self.kappa)
+        self.images, self.certified = {}, set()
         self._scaled = {1: self.null}
+        self._plane = None
 
     def null_at(self, n: int) -> NullVector:
         """n*k(p), the null vector that A^i_n feeds into V_t."""
@@ -286,6 +293,15 @@ class DdfContext:
         if k is None:
             k = self._scaled[n] = self.null.times(n)
         return k
+
+    def plane(self) -> "DdfContext":
+        """This fiber in the d = 2 model of directions 0 and d-1, d-1
+        relabelled 1 (which keeps the order of factors)."""
+        if self._plane is None:
+            self._plane = self if self.params.d == 2 else DdfContext(
+                ModelParams(2, self.params.b), Momentum((self.p[0], self.p[-1])),
+                self.kappa)
+        return self._plane
 
     @property
     def degenerate(self) -> bool:
@@ -344,13 +360,102 @@ def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
 
 def ddf_commutator_residual(m: int, i: int, n: int, v: FockVector,
                             ctx: DdfContext) -> FockVector:
-    """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else 0)."""
+    """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else 0).
+
+    Assembled from the context's cached images R_s (:func:`_residual_image`)
+    and certified against the literal commutator on the first call per
+    (n, m, level(v), i occurs in v); a mismatch is an InvariantError.
+    """
+    _check_transverse(i, ctx.params)
+    if ctx.degenerate:
+        return FockVector.zero()
+    return _residual(m, i, n, v, ctx)
+
+
+def _residual(m, i, n, v, ctx) -> FockVector:
+    res = _factored(_residual_image, m, i, n, v, ctx)
+    key = (n, m, v.level(), any(f[1] == i for mono in v.terms for f in mono))
+    if key not in ctx.certified:
+        if res != _literal_residual(m, i, n, v, ctx):
+            from .spectrum import InvariantError
+            raise InvariantError(f"[L_{m}, A^{i}_{n}] factored form "
+                                 f"disagrees with the literal one on {v!r}")
+        ctx.certified.add(key)
+    return res
+
+
+def _literal_residual(m, i, n, v, ctx) -> FockVector:
+    """L_m A^i_n v - A^i_n L_m v (+ n A^i_n v for m = 0): the certificate."""
     w = ddf_apply(i, n, v, ctx)
     res = virasoro_apply(m, ctx.p, w, ctx.params)
     res -= ddf_apply(i, n, virasoro_apply(m, ctx.p, v, ctx.params), ctx)
     if m == 0:
         res += w.scaled(n)
     return res
+
+
+def _split(mono, last: int) -> tuple:
+    """(lightcone part in the labels of the d = 2 model, transverse part)."""
+    return (tuple((a, 1 if mu else 0) for a, mu in mono if mu in (0, last)),
+            tuple(f for f in mono if 0 < f[1] < last))
+
+
+def _lc_images(build, m: int, n: int, lam, top: int, ctx) -> list:
+    """[(s, image)] of ``build`` on the lightcone part ``lam``, s from
+    n - level(lam) - max(0, -m) (below it every term of R_s and of the
+    defect lowers lam past its level) to ``top``.  Images are lists of
+    (monomial in d directions, coefficient), cached on the context; within
+    one call each V_t(n k) lam is built once."""
+    plane, last, vertices, out = ctx.plane(), ctx.params.d - 1, {}, []
+
+    def vertex(t: int) -> FockVector:
+        if t not in vertices:
+            vertices[t] = v_scalar_apply(t, plane.null_at(n), FockVector(
+                {lam: Fraction(1)}), plane.params)
+        return vertices[t]
+
+    for s in range(n - level_of(lam) - max(0, -m), top + 1):
+        image = ctx.images.get((build, m, n, s, lam))
+        if image is None:
+            image = ctx.images[build, m, n, s, lam] = [
+                (tuple((a, last if mu else 0) for a, mu in mono), c)
+                for mono, c in build(m, n, s, lam, plane, vertex).items()]
+        out.append((s, image))
+    return out
+
+
+def _residual_image(m, n, s, lam, plane, vertex) -> FockVector:
+    """R_s(lam) = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam, plus
+    n V_{n-s} lam for m = 0, in the d = 2 model with V at n k."""
+    params, t = plane.params, n - s
+    lowered = virasoro_apply(m, plane.p, FockVector({lam: Fraction(1)}), params)
+    out = virasoro_apply(m, plane.p, vertex(t), params)
+    out -= v_scalar_apply(t, plane.null_at(n), lowered, params)
+    out += vertex(t + m).scaled((m or n) - s)
+    return out
+
+
+def _factored(build, m, i, n, v, ctx) -> FockVector:
+    """sum_s image_s(lam) (x) alpha^i_s tau over the monomials lam (x) tau
+    of v, with alpha^i_0 = p^i; s stops at the top mode of i in tau, or 0."""
+    last, pi, out = ctx.params.d - 1, ctx.p[i], FockVector.zero()
+    for mono, c in v.items():
+        lam, tau = _split(mono, last)
+        top = max((a for a, mu in tau if mu == i), default=0)
+        for s, image in _lc_images(build, m, n, lam, top, ctx):
+            if s < 0:
+                moved, w = tuple(sorted(tau + ((-s, i),))), c
+            elif s == 0:
+                moved, w = tau, c * pi
+            elif (s, i) in tau:
+                j = tau.index((s, i))
+                moved, w = tau[:j] + tau[j + 1:], c * (tau.count((s, i)) * s)
+            else:
+                continue
+            if w:
+                for lc, a in image:
+                    out.add_term(tuple(sorted(lc + moved)), a * w)
+    return out
 
 
 def defect_threshold(m: int, n: int) -> int:
@@ -376,43 +481,37 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
         - n sum_{a != 0} (k.alpha_a) alpha^i_s V_{m+n-a-s} v
         + n (k.alpha_m) A^i_n v
 
-    where alpha^i_0 means multiplication by p^i.  All sums are finite:
-    V_t v = 0 for t > level(v), and because k is lightlike and transverse
-    every annihilation factor must contract directly against v, capping the
-    annihilation indices at level(v).  The mode bookkeeping behind the
-    formula aligns integer gradings only when k.p = -1, hence the kappa
-    restriction.
-
-    On probes below :func:`defect_threshold` and on states built from the
-    vacuum by lowering operators the result is zero; elsewhere it is the
-    exact obstruction to [L_m, A^i_n] = 0.
+    where alpha^i_0 means multiplication by p^i; it is assembled like the
+    residual, from the images of :func:`_defect_image`.  The mode
+    bookkeeping behind the formula aligns integer gradings only when
+    k.p = -1, hence the kappa restriction.  On probes below
+    :func:`defect_threshold` and on states built from the vacuum by
+    lowering operators the result is zero; elsewhere it is the exact
+    obstruction to [L_m, A^i_n] = 0.
     """
+    _check_transverse(i, ctx.params)
     if m == 0:
         raise ValueError("the closed form covers m != 0 only")
     if ctx.null.kappa != 1:
         raise ValueError("closed form derived for the calibrated kappa = 1")
-    params, p, k = ctx.params, ctx.p, ctx.null
-    nk = ctx.null_at(n)
-    level = v.level()
+    if ctx.degenerate:
+        return FockVector.zero()
+    return _factored(_defect_image, m, i, n, v, ctx)
+
+
+def _defect_image(m, n, s, lam, plane, vertex) -> FockVector:
+    """The defect's factor of alpha^i_s on lam in the d = 2 model:
+    (m+n-s) V_{m+n-s} lam - n sum_{a != 0} (k.alpha_a) V_{m+n-a-s} lam
+    + n (k.alpha_m) V_{n-s} lam.  t = m+n-a-s runs to level(lam), and so
+    does a: k is lightlike, so each k.alpha_a contracts against lam."""
+    params, k, level = plane.params, plane.null, level_of(lam)
     out = FockVector.zero()
-    # one pass over (t, s) with a = m+n-t-s covers both sums; t <= level
-    # and a <= level bound the index set, and each V_t v is built once
-    for t in range(m + n - 2 * level, level + 1):
-        w = v_scalar_apply(t, nk, v, params)
-        if not w:
-            continue
-        for s in range(m + n - t - level, level + 1):
-            x = apply_oscillator((s, i), w, params) if s else w.scaled(p[i])
-            if not x:
-                continue
-            a = m + n - t - s
-            if a == 0:
-                out += x.scaled(t)
-            else:
-                out += _contract_apply(k, a, x, 1, params).scaled(-n)
-    w = ddf_apply(i, n, v, ctx)
-    if w:
-        out += _contract_apply(k, m, w, 1, params).scaled(n)
+    for t in range(m + n - s - level, level + 1):
+        w, a = vertex(t), m + n - s - t
+        if w:
+            out += w.scaled(t) if not a else \
+                _contract_apply(k, a, w, 1, params).scaled(-n)
+    out += _contract_apply(k, m, vertex(n - s), 1, params).scaled(n)
     return out
 
 
@@ -470,40 +569,34 @@ def calibrate_normalization(params: ModelParams, momenta,
 def _first_calibration_failure(params, momenta, kappa, cells, dirs):
     """The first nonzero residual in (momentum, i, n, m, probe) order.
 
-    ``cells`` lists (n, m, level, j, v) in that order, v being the j-th
-    probe of its level.  Each cell is checked on the directions before the
-    first failing one found so far, so that order holds.  With W_t = V_t v
-    at n k, E_t = L_m W_t - V_t L_m v and alpha^i_0 = p^i, each direction
-    costs only single oscillators on W and E:
-
-      [L_m, A^i_n] v = sum_{q>0} q alpha^i_{m-q} W_{n+q} + sum_{q>=0}
-          alpha^i_{-q} E_{n+q} - sum_{0<q<=-m} q alpha^i_{m+q} W_{n-q}
-          + sum_r ([L_m, V_{n-r}] - (r-m) [r > m] V_{n-r+m}) alpha^i_r v,
-
-    r over the modes of direction i in v.  Certificate: on the first probe
-    of each (n, m, level) and on its first probe with a factor in dirs[0],
-    the expansion on dirs[0] must equal :func:`ddf_commutator_residual`.
+    ``cells`` lists (n, m, level, j, v), v the j-th basis probe lam (x) tau
+    of its level; each is checked on the directions before the first
+    failing one found so far.  Distinct s give distinct monomials
+    alpha^i_s tau, so direction i fails exactly when some R_s(lam) != 0
+    has alpha^i_s tau != 0: s < 0, s = 0 with p^i != 0, or (s, i) in tau.
+    A residual is assembled only for a witness or the certificate: dirs[0]
+    on the first probe of each (n, m, level) and on its first probe with a
+    factor in dirs[0].
     """
-    from .spectrum import InvariantError
     for p in momenta:
         ctx = DdfContext(params, p, kappa)
-        certified, active, witness = set(), dirs, None
+        active, witness = dirs, None
         for n, m, level, j, v in cells:
             if not active:
                 break
-            nk = ctx.null_at(n)
-            terms = _cell_terms(n, m, nk, p, v, params)
-            present = {f[1] for mono in v.terms for f in mono}
+            (mono, _), = v.items()
+            lam, tau = _split(mono, params.d - 1)
+            live = [s for s, image in _lc_images(
+                _residual_image, m, n, lam,
+                max((a for a, _ in tau), default=0), ctx) if image]
             for pos, i in enumerate(active):
-                if pos and not terms and i not in present:
-                    continue  # every term of the expansion vanishes
-                res = _bracket(i, n, m, nk, p, v, terms, params)
-                has = i in present
-                if not pos and (has or not j) and (n, m, level, has) not in certified:
-                    certified.add((n, m, level, has))
-                    if res != ddf_commutator_residual(m, i, n, v, ctx):
-                        raise InvariantError(f"[L_{m}, A^{i}_{n}] expansion "
-                                             f"disagrees with the literal one on {v!r}")
+                has = any(mu == i for _, mu in tau)
+                if not pos and (has or not j):
+                    res = _residual(m, i, n, v, ctx)
+                elif any(s < 0 or (s, i) in tau or (not s and p[i]) for s in live):
+                    res = _factored(_residual_image, m, i, n, v, ctx)
+                else:
+                    continue
                 if res:
                     witness = {"momentum": repr(p.components), "i": i,
                                "n": n, "m": m, "residual_terms": len(res)}
@@ -512,31 +605,3 @@ def _first_calibration_failure(params, momenta, kappa, cells, dirs):
         if witness:
             return witness
     return None
-
-
-def _cell_terms(n, m, k, p, v, params) -> list:
-    """The direction-free (s, term) pairs of [L_m, A^i_n] v: q W_{n+q},
-    E_{n+q} and -q W_{n-q}, from the :func:`_vertex_images` of v and L_m v."""
-    images = _vertex_images(n, k, v, params)
-    errors = {q: virasoro_apply(m, p, w, params) for q, w in images}
-    for q, w in _vertex_images(n, k, virasoro_apply(m, p, v, params), params):
-        errors[q] = errors[q] - w if q in errors else -w
-    terms = [(m - q, w.scaled(q)) for q, w in images if q]
-    terms += [(-q, e) for q, e in errors.items() if e]
-    return terms + [(m + q, w.scaled(-q)) for q in range(1, 1 - m)
-                    if (w := v_scalar_apply(n - q, k, v, params))]
-
-
-def _bracket(i, n, m, k, p, v, terms, params) -> FockVector:
-    """[L_m, A^i_n] v by the expansion in :func:`_first_calibration_failure`:
-    alpha^i_s on each of the :func:`_cell_terms`, then the modes of i in v."""
-    out = FockVector.zero()
-    for s, w in terms:
-        out += apply_oscillator((s, i), w, params) if s else w.scaled(p[i])
-    for r in sorted({f[0] for mono in v.terms for f in mono if f[1] == i}):
-        x = apply_oscillator((r, i), v, params)
-        out += virasoro_apply(m, p, v_scalar_apply(n - r, k, x, params), params)
-        out -= v_scalar_apply(n - r, k, virasoro_apply(m, p, x, params), params)
-        if r > m:
-            out += v_scalar_apply(n - r + m, k, x, params).scaled(m - r)
-    return out

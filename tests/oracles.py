@@ -9,7 +9,8 @@ radical and the physical signature through the Gram of a physical basis,
 L_m by composing single oscillators on whole vectors, the integer
 scanner's [T_m, T_n] by composing its own rows, U_n by enumerating
 compositions and partitions, V_t by running U_n over the whole vector,
-and V^mu_n by its two-loop definition on top of that V_t.
+V^mu_n by its two-loop definition on top of that V_t, and the closed-form
+DDF defect by its three mode sums on the whole vector.
 """
 
 from collections import Counter
@@ -240,6 +241,41 @@ def v_vector_apply_reference(mu, n, k, p, v, params):
             out += v_scalar_apply_reference(n - q, k, w, params)
     if p[mu]:
         out += v_scalar_apply_reference(n, k, v, params).scaled(p[mu])
+    return out
+
+
+def ddf_commutator_defect_reference(m, i, n, v, ctx):
+    """The closed-form defect of [L_m, A^i_n] v summed on the whole vector:
+
+        sum_s (m+n-s) alpha^i_s V_{m+n-s} v
+        - n sum_{a != 0} (k.alpha_a) alpha^i_s V_{m+n-a-s} v
+        + n (k.alpha_m) A^i_n v,
+
+    one pass over (t, s) with a = m+n-t-s, t and a capped at level(v),
+    with V_t(n k) run on all d directions and no lightcone split.
+    """
+    from openstring.ddf import _contract_apply, ddf_apply, v_scalar_apply
+
+    params, p, k = ctx.params, ctx.p, ctx.null
+    nk = ctx.null_at(n)
+    level = v.level()
+    out = FockVector()
+    for t in range(m + n - 2 * level, level + 1):
+        w = v_scalar_apply(t, nk, v, params)
+        if not w:
+            continue
+        for s in range(m + n - t - level, level + 1):
+            x = apply_oscillator((s, i), w, params) if s else w.scaled(p[i])
+            if not x:
+                continue
+            a = m + n - t - s
+            if a == 0:
+                out += x.scaled(t)
+            else:
+                out += _contract_apply(k, a, x, 1, params).scaled(-n)
+    w = ddf_apply(i, n, v, ctx)
+    if w:
+        out += _contract_apply(k, m, w, 1, params).scaled(n)
     return out
 
 

@@ -47,6 +47,7 @@ from openstring.spectrum import InvariantError
 
 from .oracles import (
     compositions,
+    ddf_commutator_defect_reference,
     random_vector,
     u_composition_apply,
     u_exponential_partition_apply,
@@ -555,9 +556,8 @@ class TestVirasoroCommutators:
             ddf_commutator_defect(1, 1, 1, FockVector.vacuum(), ctx_half)
 
     def test_defect_builds_each_vertex_image_once(self, monkeypatch):
-        # both closed-form sums read V_t(n k) v; each t is built once per
-        # call.  The third term, A^i_n v, is stubbed out so that only the
-        # defect's own calls are counted.
+        # all three closed-form sums read V_t(n k) lam; each t is built once
+        # per call (and none when the context holds the images already)
         calls = []
         original = ddf_module.v_scalar_apply
 
@@ -566,8 +566,6 @@ class TestVirasoroCommutators:
             return original(t, k, v, params)
 
         monkeypatch.setattr(ddf_module, "v_scalar_apply", counting)
-        monkeypatch.setattr(ddf_module, "ddf_apply",
-                            lambda i, n, v, ctx: FockVector.zero())
         ctx = DdfContext(P4, MOME4[0])
         for m, n in [(-2, -2), (2, 2), (1, -1)]:
             for v in basis_upto(P4, 2):
@@ -617,36 +615,34 @@ class TestCalibration:
             calibrate_normalization(P4, [])
 
     def test_directions_share_vertex_image_builds(self, monkeypatch):
-        # k^i = 0, so the images of v and of L_m v serve every direction:
-        # one direction builds them as often as all 24 do
-        builds = []
-        real = ddf_module._vertex_images
-
-        def counting(*args):
-            builds.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(ddf_module, "_vertex_images", counting)
-        counts = []
+        # k^i = 0, so the lightcone images R_s serve every direction, and a
+        # residual is assembled only for the certificate or a witness: one
+        # direction builds and assembles as often as all 24 do
+        counts = {"_residual_image": [], "_factored": []}
+        for name, calls in counts.items():
+            def counting(*args, real=getattr(ddf_module, name), calls=calls):
+                calls.append(args[:3])
+                return real(*args)
+            monkeypatch.setattr(ddf_module, name, counting)
+        totals = []
         for directions in ((1,), None):
-            builds.clear()
+            for calls in counts.values():
+                calls.clear()
             assert calibrate_normalization(
                 P26, [mom26(2, 1, 0, 1)], directions=directions) == 1
-            counts.append(len(builds))
-        assert counts[0] == counts[1] > 0
+            totals.append({name: len(calls) for name, calls in counts.items()})
+        assert totals[0] == totals[1]
+        assert min(totals[0].values()) > 0
 
     def test_dropping_the_zero_mode_image_is_caught(self, monkeypatch):
-        # without its q = 0 entry the term p^i V_n v is lost, and the first
-        # direction, where p^1 != 0, exposes it for every candidate
+        # without its q = 0 entry A^i_n loses p^i V_n v; the factored
+        # residual does not use A^i_n, so the literal certificate disagrees
+        # with it on the first probe, and kappa = 1 cannot pass
         real = ddf_module._vertex_images
         monkeypatch.setattr(ddf_module, "_vertex_images",
                             lambda *args: [(q, w) for q, w in real(*args) if q])
-        with pytest.raises(CalibrationError) as exc:
+        with pytest.raises(InvariantError, match=r"\[L_1, A\^1_-2\]"):
             calibrate_normalization(P4, MOME4[:2])
-        residuals = exc.value.residuals
-        assert set(residuals) == {"1", "1/2", "2"}
-        for witness in residuals.values():
-            assert (witness["i"], witness["n"], witness["m"]) == (1, -2, 1)
 
     def test_non_transverse_directions_rejected(self):
         for i in (0, 3):
@@ -700,42 +696,45 @@ class TestCalibration:
                 P4, MOME4[:1], candidates=(Fraction(7),), **kwargs)
 
 
+def literal_residual(i, n, m, v, ctx):
+    """L_m A^i_n v - A^i_n L_m v, plus n A^i_n v for m = 0."""
+    w = ddf_apply(i, n, v, ctx)
+    lowered = virasoro_apply(m, ctx.p, v, ctx.params)
+    res = virasoro_apply(m, ctx.p, w, ctx.params) - ddf_apply(i, n, lowered, ctx)
+    return res + w.scaled(n) if m == 0 else res
+
+
 class TestCalibrationExpansion:
-    """The calibration reads [L_m, A^i_n] v off direction-free vertex
-    commutators (``ddf._first_calibration_failure``).  Here the expansion
-    is pinned to the literal composition L_m A^i_n v - A^i_n L_m v, on
-    every cell and direction at d = 4 and on sampled cells at d = 26, and a
-    tampered expansion must trip the calibration's certificate."""
+    """The calibration and the residual read [L_m, A^i_n] v off the cached
+    lightcone images R_s (``ddf._factored`` on ``ddf._residual_image``).
+    Here that form is pinned to the literal composition on every cell and
+    direction at d = 4 and on sampled cells at d = 26, and a tampered
+    image must trip the calibration's certificate."""
 
     @staticmethod
     def expansion(i, n, m, v, ctx):
-        nk, p, params = ctx.null_at(n), ctx.p, ctx.params
-        terms = ddf_module._cell_terms(n, m, nk, p, v, params)
-        return ddf_module._bracket(i, n, m, nk, p, v, terms, params)
-
-    @staticmethod
-    def literal(i, n, m, v, ctx):
-        lowered = virasoro_apply(m, ctx.p, v, ctx.params)
-        return (virasoro_apply(m, ctx.p, ddf_apply(i, n, v, ctx), ctx.params)
-                - ddf_apply(i, n, lowered, ctx))
+        return ddf_module._factored(ddf_module._residual_image, m, i, n, v, ctx)
 
     @pytest.mark.parametrize("b,kappa", [
         (Fraction(1), Fraction(1)),
         (Fraction(1, 2), Fraction(1)),
         (Fraction(1), Fraction(1, 2)),
-    ], ids=["b1", "b1/2", "kappa1/2"])
+        (Fraction(1, 2), Fraction(1, 2)),
+    ], ids=["b1", "b1/2", "kappa1/2", "b1/2-kappa1/2"])
     def test_matches_literal_commutator_at_d4(self, b, kappa):
         params = ModelParams(d=4, b=b)
         ctx = DdfContext(params, MOME4[1], kappa=kappa)
         nonzero = 0
-        for n in range(-2, 3):
-            for m in (-2, -1, 1, 2):
-                for v in basis_upto(params, 2):
-                    for i in (1, 2):
-                        got = self.expansion(i, n, m, v, ctx)
-                        assert got == self.literal(i, n, m, v, ctx), \
-                            (i, n, m, v)
-                        nonzero += bool(got)
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                # each probe on one direction, the two taking turns
+                for j, v in enumerate(basis_upto(params, 2)):
+                    i = 1 + j % 2
+                    got = self.expansion(i, n, m, v, ctx)
+                    assert got == literal_residual(i, n, m, v, ctx), \
+                        (i, n, m, v)
+                    assert ddf_commutator_residual(m, i, n, v, ctx) == got
+                    nonzero += bool(got)
         # above the defect threshold, or off kappa = 1, the bracket is
         # mostly nonzero, so the equality is not 0 == 0
         assert nonzero > 250
@@ -753,29 +752,125 @@ class TestCalibrationExpansion:
             i = rng.choice(present) if present and rng.random() < 0.5 \
                 else rng.randint(1, 24)
             got = self.expansion(i, n, m, v, ctx)
-            assert got == self.literal(i, n, m, v, ctx), (i, n, m, v)
+            assert got == literal_residual(i, n, m, v, ctx), (i, n, m, v)
             nonzero += bool(got)
         assert nonzero > 10
 
     @pytest.mark.parametrize("where", ["first-probe", "first-factor"])
     def test_tampered_expansion_is_an_invariant_error(self, monkeypatch,
                                                       capsys, where):
-        # an extra vacuum term: on every probe, or only where v has a factor
-        # in the direction, which only the second certified probe sees
-        real = ddf_module._bracket
+        # an extra vacuum term in every image, or only in the images R_s
+        # with s > 0, which reach a probe only through a factor alpha^i_{-s}
+        # of it: only the second certified probe sees those
+        real = ddf_module._residual_image
 
-        def tampered(i, n, m, k, p, v, terms, params):
-            out = real(i, n, m, k, p, v, terms, params)
-            if where == "first-probe" or any(
-                    mu == i for mono, _ in v.items() for _, mu in mono):
+        def tampered(m, n, s, lam, plane, vertex):
+            out = real(m, n, s, lam, plane, vertex)
+            if where == "first-probe" or s > 0:
                 out += FockVector.vacuum()
             return out
 
-        monkeypatch.setattr(ddf_module, "_bracket", tampered)
+        monkeypatch.setattr(ddf_module, "_residual_image", tampered)
         with pytest.raises(InvariantError, match="disagrees"):
             calibrate_normalization(P4, MOME4[:2])
         assert main(["ddf", "--d", "4"]) == 4
         assert capsys.readouterr().err.startswith("internal error: [L_")
+
+
+class TestFactoredResidual:
+    """ddf_commutator_residual and ddf_commutator_defect assemble
+    sum_s image_s(lam) (x) alpha^i_s tau from lightcone images built in the
+    d = 2 model; both against their whole-vector forms."""
+
+    def test_multi_term_vectors_at_d26(self):
+        rng = random.Random(23)
+        ctx = DdfContext(P26, _probe_momenta(26, 2)[1])
+        nonzero = 0
+        for _ in range(30):
+            v = random_vector(rng, P26, 2, terms=4)
+            # n <= 1 keeps most cells above the defect threshold
+            m, n, i = rng.randint(-3, 3), rng.randint(-3, 1), rng.randint(1, 24)
+            got = ddf_commutator_residual(m, i, n, v, ctx)
+            assert got == literal_residual(i, n, m, v, ctx), (m, n, i, v)
+            nonzero += bool(got)
+        assert nonzero > 10
+
+    def test_word_states_at_d26(self):
+        ctx = DdfContext(P26, mom26(2, 1, 0, -1, 1))
+        nonzero = 0
+        for word in ([(1, 1)], [(2, 2)], [(1, 1), (24, 1)]):
+            psi = ddf_state(word, ctx)
+            for m in range(-3, 4):
+                for n in range(-3, 4):
+                    for i in (1, 2, 24):
+                        got = ddf_commutator_residual(m, i, n, psi, ctx)
+                        assert got == literal_residual(i, n, m, psi, ctx), \
+                            (word, m, n, i)
+                        nonzero += bool(got)
+        assert nonzero > 50
+
+    def test_symbolic_momentum(self):
+        ctx = DdfContext(P4, sym_momentum(4))
+        probes = basis_upto(P4, 1) + [FockVector({((1, 1), (1, 3)): Fraction(2)})]
+        for m, n in ((-1, -1), (1, -2), (2, 1), (0, 1)):
+            for v in probes:
+                got = ddf_commutator_residual(m, 1, n, v, ctx)
+                assert got == literal_residual(1, n, m, v, ctx), (m, n, v)
+
+    def test_degenerate_context_gives_zero(self):
+        ctx = DdfContext(P4, mom(1, 0, 0, -1))
+        for v in basis_upto(P4, 2) + mixed_vectors(65, 2):
+            for m in (-2, -1, 1, 2):
+                for n in range(-2, 3):
+                    assert not ddf_commutator_residual(m, 1, n, v, ctx)
+                    assert not ddf_commutator_defect(m, 2, n, v, ctx)
+
+    def test_non_transverse_directions_refused_first(self):
+        for ctx in (DdfContext(P4, MOME4[0]), DdfContext(P4, mom(1, 0, 0, -1))):
+            for i in (0, 3, 4):
+                with pytest.raises(InvalidDirectionError):
+                    ddf_commutator_residual(1, i, 1, FockVector.vacuum(), ctx)
+                for m in (1, 0):  # refused before the m = 0 guard
+                    with pytest.raises(InvalidDirectionError):
+                        ddf_commutator_defect(m, i, 1, FockVector.vacuum(), ctx)
+
+    @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
+    def test_defect_matches_reference(self, m):
+        ctx = DdfContext(P4, MOME4[1])
+        # level-3 probes put m = 3 above the threshold; for m < 0 the
+        # whole-vector reference runs V_t down to t = m + n - 6 on them
+        probes = basis_upto(P4, 2) + (mixed_vectors(66, 3) if m > 0 else [])
+        nonzero = 0
+        for n in range(-2, 3):
+            for v in probes:
+                for i in (1, 2):
+                    got = ddf_commutator_defect(m, i, n, v, ctx)
+                    assert got == ddf_commutator_defect_reference(
+                        m, i, n, v, ctx), (m, n, i, v)
+                    nonzero += bool(got)
+        assert nonzero > 0
+
+    def test_certificate_runs_once_per_cell(self, monkeypatch):
+        calls = []
+        real = ddf_module._literal_residual
+        monkeypatch.setattr(ddf_module, "_literal_residual",
+                            lambda *args: calls.append(args) or real(*args))
+        ctx = DdfContext(P4, MOME4[0])
+        probes = basis_upto(P4, 2)
+        for _ in range(2):
+            for v in probes:
+                ddf_commutator_residual(1, 1, -1, v, ctx)
+        cells = {(v.level(), any(mu == 1 for mono in v.terms for _, mu in mono))
+                 for v in probes}
+        assert len(calls) == len(cells) == 5
+
+    def test_tampered_image_is_an_invariant_error(self, monkeypatch):
+        real = ddf_module._residual_image
+        monkeypatch.setattr(ddf_module, "_residual_image",
+                            lambda *args: real(*args) + FockVector.vacuum())
+        with pytest.raises(InvariantError, match="disagrees"):
+            ddf_commutator_residual(1, 1, -2, FockVector.vacuum(),
+                                    DdfContext(P4, MOME4[0]))
 
 
 class TestWordStates:
@@ -915,7 +1010,9 @@ class TestTwentySixDimensions:
 
     def test_calibration_builds_each_image_once(self, monkeypatch):
         """U_n runs only on cache misses: at most 2(L + 1) calls for each
-        distinct (n k, t, lightcone part of level L) that V_t is asked for."""
+        distinct (model, n k, t, lightcone part of level L) that V_t is
+        asked for, the lightcone part read in the labels of its model (the
+        images live in the d = 2 model, the certificate's A^i_n at d = 26)."""
         calls = 0
         keys = set()
         real_u, real_v = ddf_module.u_op_apply, ddf_module.v_scalar_apply
@@ -926,11 +1023,13 @@ class TestTwentySixDimensions:
             return real_u(*args, **kwargs)
 
         def recording_v(t, k, v, params):
+            d = len(k.components)
             for mono, _ in v.items():
-                keys.add((k.kappa, t, tuple(f for f in mono if f[1] in (0, 25))))
+                keys.add((d, k.kappa, t,
+                          tuple(f for f in mono if f[1] in (0, d - 1))))
             return real_v(t, k, v, params)
 
         monkeypatch.setattr(ddf_module, "u_op_apply", counting_u)
         monkeypatch.setattr(ddf_module, "v_scalar_apply", recording_v)
         assert calibrate_normalization(P26, [self.P]) == 1
-        assert 0 < calls <= sum(2 * (level_of(lc) + 1) for _, _, lc in keys)
+        assert 0 < calls <= sum(2 * (level_of(lc) + 1) for *_, lc in keys)
