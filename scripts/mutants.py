@@ -22,7 +22,7 @@ machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
     python3 scripts/mutants.py --out MUTANTS_23.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
-table took about five minutes on a shared 2-core machine; the ``ddf``
+table took about ten minutes on a shared 2-core machine; the ``ddf``
 rows, whose selection is the slowest test module, are most of it.
 """
 
@@ -165,7 +165,7 @@ MUTANTS = [
      "    out -= vertex(t)\n",
      DDF_TESTS, "killed"),
     ("ddf.images-per-direction", DDF,
-     "elif any(s < 0 or (s, i) in tau or (not s and p[i]) for s in live):",
+     "elif any(_moved(s, i, tau, p) for s in live):",
      "elif True:",
      DDF_TESTS, "killed"),
     ("ddf.drop-lc-bracket-term", DDF,
@@ -180,14 +180,13 @@ MUTANTS = [
      "(m or n) - s", "m - s",
      DDF_TESTS, "killed"),
     ("ddf.drop-annihilator-w-term", DDF,
-     "elif (s, i) in tau:", "elif False:",
+     "    if (s, i) not in tau:\n", "    if True:\n",
      DDF_TESTS, "killed"),
     ("ddf.drop-creator-e-terms", DDF,
-     "            if s < 0:\n                moved, w = ",
-     "            if s < 0:\n                continue\n                moved, w = ",
+     "return tuple(sorted(tau + ((-s, i),))), 1", "return None",
      DDF_TESTS, "killed"),
     ("ddf.drop-momentum-e-term", DDF,
-     "moved, w = tau, c * pi", "moved, w = tau, 0",
+     "return (tau, p[i]) if p[i] else None", "return None",
      DDF_TESTS, "killed"),
     ("ddf.drop-lowered-w-term", DDF,
      "range(n - level_of(lam) - max(0, -m), top + 1)",
@@ -197,15 +196,24 @@ MUTANTS = [
      "range(n - level_of(lam) - max(0, -m), top + 1)",
      "range(n - level_of(lam) - max(0, -m) + 1, top + 1)",
      DDF_TESTS, "killed"),
-    ("ddf.drop-residual-certificate", DDF,
+    ("ddf.drop-literal-comparison", DDF,
      "if res != _literal_residual(m, i, n, v, ctx):", "if False:",
      DDF_TESTS, "killed"),
+    ("ddf.drop-residual-certificate", DDF,
+     "    return _certified(_residual_image, m, i, n, v, ctx)\n",
+     "    return _factored(_residual_image, m, i, n, v, ctx)\n",
+     DDF_TESTS, "killed"),
     ("ddf.drop-expansion-certificate", DDF,
-     "                    res = _residual(m, i, n, v, ctx)\n",
+     "                    res = _certified(_residual_image, m, i, n, v, ctx)\n",
      "                    res = _factored(_residual_image, m, i, n, v, ctx)\n",
      DDF_TESTS, "killed"),
+    ("ddf.drop-defect-certificate", DDF,
+     "    return _certified(_defect_image, m, i, n, v, ctx)\n",
+     "    return _factored(_defect_image, m, i, n, v, ctx)\n",
+     DDF_TESTS, "killed"),
     ("ddf.certify-first-probe-only", DDF,
-     "if not pos and (has or not j):", "if not pos and not j:",
+     "if not pos and (not j or any(mu == i for _, mu in tau)):",
+     "if not pos and not j:",
      DDF_TESTS, "killed"),
     # the fraction-free elimination step behind rank and inertia
     ("linalg.drop-hyperbolic-column-half", LINALG,

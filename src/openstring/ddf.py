@@ -20,21 +20,19 @@ kill everything), so all operators here are exact.  When p^0 + p^{d-1} = 0
 the null vector degenerates and every A^i_n is defined to be zero.
 
 Only the lightcone directions enter the vertex modes: k.alpha_m =
-c l_m with c = k^0 and l_m = -alpha^0_m - alpha^{d-1}_m.  V_t(k) acts on
-the lightcone part lam of a monomial lam (x) tau and commutes with every
-transverse alpha^i_s (k^i = 0), and L_m splits into the L_m of the d = 2
-model of directions 0 and d-1 plus a transverse part that commutes with
-V_t.  With A^i_n = sum_s alpha^i_s V_{n-s} and alpha^i_0 = p^i,
+c l_m with c = k^0 and l_m = -alpha^0_m - alpha^{d-1}_m.  So V_t(k) acts
+on the lightcone part lam of a monomial lam (x) tau and commutes with
+every transverse alpha^i_s, and L_m is the L_m of the d = 2 model of
+directions 0 and d-1 plus a part that commutes with V_t.  With
+A^i_n = sum_s alpha^i_s V_{n-s} and alpha^i_0 = p^i,
 
     [L_m, A^i_n] (lam (x) tau) = sum_s R_s(lam) (x) alpha^i_s tau,
 
-R_s = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam, independent of i and
-of the transverse momentum; the closed-form defect below has the same
-shape.  Distinct s give distinct monomials alpha^i_s tau, so nothing
-cancels across s.  A :class:`DdfContext` computes R_s and the defect's
-images in the d = 2 model and keeps them, and the V_t images they are
-built from, for as long as it lives: the images carry the context's ring
-scalars, so no cache outlives its context.
+R_s = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam independent of i; the
+closed-form defect below has the same shape, and distinct s give distinct
+monomials, so nothing cancels across s.  A :class:`DdfContext` builds
+these images, and the V_t images under them, in the d = 2 model and keeps
+them as long as it lives: they carry its ring scalars.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
@@ -43,8 +41,8 @@ require transversely moving probe momenta: the zero-mode pairing
 k.alpha_0 = k.p = -kappa gives [L_1, A^i_{-2}] Omega = 2 (1 - kappa)
 alpha^i_{-1} Omega on lightcone-plane momenta, and transverse momentum
 components add [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.  Every
-factored residual is certified against the literal L_m A^i_n v -
-A^i_n L_m v once per (n, m, level, whether i occurs in v) and context.
+factored residual and defect is certified against the literal L_m A^i_n
+v - A^i_n L_m v once per (n, m, level, whether i occurs in v) and context.
 
 A word on what these operators do and do not satisfy.  Because the
 construction stays inside a single fiber (no momentum shift, no center-of-
@@ -269,8 +267,8 @@ class DdfContext:
 
     The scaled null vectors n*k(p) (:meth:`null_at`) and their V_t images,
     the lightcone images of [L_m, A^i_n] and of its defect (``images``,
-    built in the d = 2 model of :meth:`plane`) and the residual cells
-    already certified live as long as the context.
+    built in the d = 2 model of :meth:`plane`) and the cells already
+    certified live as long as the context.
     """
 
     __slots__ = ("params", "p", "kappa", "null", "images", "certified",
@@ -360,21 +358,20 @@ def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
 
 def ddf_commutator_residual(m: int, i: int, n: int, v: FockVector,
                             ctx: DdfContext) -> FockVector:
-    """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else 0).
-
-    Assembled from the context's cached images R_s (:func:`_residual_image`)
-    and certified against the literal commutator on the first call per
-    (n, m, level(v), i occurs in v); a mismatch is an InvariantError.
-    """
+    """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else
+    0), from the images of :func:`_residual_image`, see :func:`_certified`."""
     _check_transverse(i, ctx.params)
     if ctx.degenerate:
         return FockVector.zero()
-    return _residual(m, i, n, v, ctx)
+    return _certified(_residual_image, m, i, n, v, ctx)
 
 
-def _residual(m, i, n, v, ctx) -> FockVector:
-    res = _factored(_residual_image, m, i, n, v, ctx)
-    key = (n, m, v.level(), any(f[1] == i for mono in v.terms for f in mono))
+def _certified(build, m, i, n, v, ctx) -> FockVector:
+    """The factored form of ``build``, checked against the literal
+    commutator (which the defect equals) on the first call per (build, n,
+    m, level(v), i occurs in v); a mismatch is an InvariantError."""
+    res = _factored(build, m, i, n, v, ctx)
+    key = (build, n, m, v.level(), any(f[1] == i for t in v.terms for f in t))
     if key not in ctx.certified:
         if res != _literal_residual(m, i, n, v, ctx):
             from .spectrum import InvariantError
@@ -435,24 +432,28 @@ def _residual_image(m, n, s, lam, plane, vertex) -> FockVector:
     return out
 
 
+def _moved(s: int, i: int, tau, p: Momentum):
+    """alpha^i_s tau as (monomial, factor), alpha^i_0 = p^i; None if zero."""
+    if s < 0:
+        return tuple(sorted(tau + ((-s, i),))), 1
+    if not s:
+        return (tau, p[i]) if p[i] else None
+    if (s, i) not in tau:
+        return None
+    j = tau.index((s, i))
+    return tau[:j] + tau[j + 1:], tau.count((s, i)) * s
+
+
 def _factored(build, m, i, n, v, ctx) -> FockVector:
     """sum_s image_s(lam) (x) alpha^i_s tau over the monomials lam (x) tau
-    of v, with alpha^i_0 = p^i; s stops at the top mode of i in tau, or 0."""
-    last, pi, out = ctx.params.d - 1, ctx.p[i], FockVector.zero()
+    of v; s stops at the top mode of i in tau, or 0."""
+    out = FockVector.zero()
     for mono, c in v.items():
-        lam, tau = _split(mono, last)
+        lam, tau = _split(mono, ctx.params.d - 1)
         top = max((a for a, mu in tau if mu == i), default=0)
         for s, image in _lc_images(build, m, n, lam, top, ctx):
-            if s < 0:
-                moved, w = tuple(sorted(tau + ((-s, i),))), c
-            elif s == 0:
-                moved, w = tau, c * pi
-            elif (s, i) in tau:
-                j = tau.index((s, i))
-                moved, w = tau[:j] + tau[j + 1:], c * (tau.count((s, i)) * s)
-            else:
-                continue
-            if w:
+            if hit := _moved(s, i, tau, ctx.p):
+                moved, w = hit[0], c * hit[1]
                 for lc, a in image:
                     out.add_term(tuple(sorted(lc + moved)), a * w)
     return out
@@ -481,10 +482,10 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
         - n sum_{a != 0} (k.alpha_a) alpha^i_s V_{m+n-a-s} v
         + n (k.alpha_m) A^i_n v
 
-    where alpha^i_0 means multiplication by p^i; it is assembled like the
-    residual, from the images of :func:`_defect_image`.  The mode
-    bookkeeping behind the formula aligns integer gradings only when
-    k.p = -1, hence the kappa restriction.  On probes below
+    where alpha^i_0 means multiplication by p^i; it is assembled and
+    certified like the residual, from the images of :func:`_defect_image`.
+    The mode bookkeeping behind the formula aligns integer gradings only
+    when k.p = -1, hence the kappa restriction.  On probes below
     :func:`defect_threshold` and on states built from the vacuum by
     lowering operators the result is zero; elsewhere it is the exact
     obstruction to [L_m, A^i_n] = 0.
@@ -496,7 +497,7 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
         raise ValueError("closed form derived for the calibrated kappa = 1")
     if ctx.degenerate:
         return FockVector.zero()
-    return _factored(_defect_image, m, i, n, v, ctx)
+    return _certified(_defect_image, m, i, n, v, ctx)
 
 
 def _defect_image(m, n, s, lam, plane, vertex) -> FockVector:
@@ -573,10 +574,9 @@ def _first_calibration_failure(params, momenta, kappa, cells, dirs):
     of its level; each is checked on the directions before the first
     failing one found so far.  Distinct s give distinct monomials
     alpha^i_s tau, so direction i fails exactly when some R_s(lam) != 0
-    has alpha^i_s tau != 0: s < 0, s = 0 with p^i != 0, or (s, i) in tau.
-    A residual is assembled only for a witness or the certificate: dirs[0]
-    on the first probe of each (n, m, level) and on its first probe with a
-    factor in dirs[0].
+    has alpha^i_s tau != 0 (:func:`_moved`).  A residual is assembled
+    only for a witness or the certificate: dirs[0] on the first probe of
+    each (n, m, level) and on its first probe with a factor in dirs[0].
     """
     for p in momenta:
         ctx = DdfContext(params, p, kappa)
@@ -590,10 +590,9 @@ def _first_calibration_failure(params, momenta, kappa, cells, dirs):
                 _residual_image, m, n, lam,
                 max((a for a, _ in tau), default=0), ctx) if image]
             for pos, i in enumerate(active):
-                has = any(mu == i for _, mu in tau)
-                if not pos and (has or not j):
-                    res = _residual(m, i, n, v, ctx)
-                elif any(s < 0 or (s, i) in tau or (not s and p[i]) for s in live):
+                if not pos and (not j or any(mu == i for _, mu in tau)):
+                    res = _certified(_residual_image, m, i, n, v, ctx)
+                elif any(_moved(s, i, tau, p) for s in live):
                     res = _factored(_residual_image, m, i, n, v, ctx)
                 else:
                     continue

@@ -557,12 +557,15 @@ class TestVirasoroCommutators:
 
     def test_defect_builds_each_vertex_image_once(self, monkeypatch):
         # all three closed-form sums read V_t(n k) lam; each t is built once
-        # per call (and none when the context holds the images already)
+        # per call (and none when the context holds the images already).
+        # Counted in the d = 2 model of the images: the certificate's
+        # literal A^i_n runs its own V_t at d = 4.
         calls = []
         original = ddf_module.v_scalar_apply
 
         def counting(t, k, v, params):
-            calls.append(t)
+            if params.d == 2:
+                calls.append(t)
             return original(t, k, v, params)
 
         monkeypatch.setattr(ddf_module, "v_scalar_apply", counting)
@@ -727,14 +730,13 @@ class TestCalibrationExpansion:
         nonzero = 0
         for n in range(-3, 4):
             for m in range(-3, 4):
-                # each probe on one direction, the two taking turns
-                for j, v in enumerate(basis_upto(params, 2)):
-                    i = 1 + j % 2
-                    got = self.expansion(i, n, m, v, ctx)
-                    assert got == literal_residual(i, n, m, v, ctx), \
-                        (i, n, m, v)
-                    assert ddf_commutator_residual(m, i, n, v, ctx) == got
-                    nonzero += bool(got)
+                for v in basis_upto(params, 2):
+                    for i in (1, 2):
+                        got = self.expansion(i, n, m, v, ctx)
+                        assert got == literal_residual(i, n, m, v, ctx), \
+                            (i, n, m, v)
+                        assert ddf_commutator_residual(m, i, n, v, ctx) == got
+                        nonzero += bool(got)
         # above the defect threshold, or off kappa = 1, the bracket is
         # mostly nonzero, so the equality is not 0 == 0
         assert nonzero > 250
@@ -780,7 +782,8 @@ class TestCalibrationExpansion:
 class TestFactoredResidual:
     """ddf_commutator_residual and ddf_commutator_defect assemble
     sum_s image_s(lam) (x) alpha^i_s tau from lightcone images built in the
-    d = 2 model; both against their whole-vector forms."""
+    d = 2 model; both against their whole-vector forms, and both certified
+    against the literal commutator."""
 
     def test_multi_term_vectors_at_d26(self):
         rng = random.Random(23)
@@ -860,17 +863,23 @@ class TestFactoredResidual:
         for _ in range(2):
             for v in probes:
                 ddf_commutator_residual(1, 1, -1, v, ctx)
+                ddf_commutator_defect(1, 1, -1, v, ctx)
         cells = {(v.level(), any(mu == 1 for mono in v.terms for _, mu in mono))
                  for v in probes}
-        assert len(calls) == len(cells) == 5
+        # once for the residual and once for the defect
+        assert len(calls) == 2 * len(cells) == 10
 
-    def test_tampered_image_is_an_invariant_error(self, monkeypatch):
-        real = ddf_module._residual_image
-        monkeypatch.setattr(ddf_module, "_residual_image",
+    @pytest.mark.parametrize("image,apply", [
+        ("_residual_image", ddf_commutator_residual),
+        ("_defect_image", ddf_commutator_defect),
+    ], ids=["residual", "defect"])
+    def test_tampered_image_is_an_invariant_error(self, monkeypatch, image,
+                                                  apply):
+        real = getattr(ddf_module, image)
+        monkeypatch.setattr(ddf_module, image,
                             lambda *args: real(*args) + FockVector.vacuum())
         with pytest.raises(InvariantError, match="disagrees"):
-            ddf_commutator_residual(1, 1, -2, FockVector.vacuum(),
-                                    DdfContext(P4, MOME4[0]))
+            apply(1, 1, -2, FockVector.vacuum(), DdfContext(P4, MOME4[0]))
 
 
 class TestWordStates:
