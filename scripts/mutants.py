@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_23.json
+    python3 scripts/mutants.py --out MUTANTS_24.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about ten minutes on a shared 2-core machine; the ``ddf``
@@ -165,8 +165,8 @@ MUTANTS = [
      "    out -= vertex(t)\n",
      DDF_TESTS, "killed"),
     ("ddf.images-per-direction", DDF,
-     "elif any(_moved(s, i, tau, p) for s in live):",
-     "elif True:",
+     "if i in failing or certify and not pos]:",
+     "if True]:",
      DDF_TESTS, "killed"),
     ("ddf.drop-lc-bracket-term", DDF,
      "    out = virasoro_apply(m, plane.p, vertex(t), params)\n"
@@ -197,23 +197,41 @@ MUTANTS = [
      "range(n - level_of(lam) - max(0, -m) + 1, top + 1)",
      DDF_TESTS, "killed"),
     ("ddf.drop-literal-comparison", DDF,
-     "if res != _literal_residual(m, i, n, v, ctx):", "if False:",
+     "if res != literal:", "if False:",
      DDF_TESTS, "killed"),
     ("ddf.drop-residual-certificate", DDF,
      "    return _certified(_residual_image, m, i, n, v, ctx)\n",
      "    return _factored(_residual_image, m, i, n, v, ctx)\n",
      DDF_TESTS, "killed"),
     ("ddf.drop-expansion-certificate", DDF,
-     "                    res = _certified(_residual_image, m, i, n, v, ctx)\n",
-     "                    res = _factored(_residual_image, m, i, n, v, ctx)\n",
+     "res = (_certified if certify and not pos else _factored)(",
+     "res = _factored(",
      DDF_TESTS, "killed"),
     ("ddf.drop-defect-certificate", DDF,
      "    return _certified(_defect_image, m, i, n, v, ctx)\n",
      "    return _factored(_defect_image, m, i, n, v, ctx)\n",
      DDF_TESTS, "killed"),
     ("ddf.certify-first-probe-only", DDF,
-     "if not pos and (not j or any(mu == i for _, mu in tau)):",
-     "if not pos and not j:",
+     "certify = not j or any(mu == active[0] for _, mu in tau)",
+     "certify = not j",
+     DDF_TESTS, "killed"),
+    # one literal per (m, i, n, v) for both builders
+    ("ddf.literal-memo-without-v", DDF,
+     "if (j, u) != (i, v.terms):", "if j != i:",
+     DDF_TESTS, "killed"),
+    # the full-d V_t images read off the d = 2 model
+    ("ddf.linked-relabel-to-zero", DDF,
+     "tuple((a, 1 if mu else 0) for a, mu in lc)",
+     "tuple((a, 0) for a, mu in lc)",
+     DDF_TESTS, "killed"),
+    # the calibration's failing directions, read off the live s
+    ("ddf.failing-without-momentum-directions", DDF,
+     "i for i in active if 0 in live and p[i]}",
+     "i for i in active if False}",
+     DDF_TESTS, "killed"),
+    ("ddf.failing-without-all-at-negative-s", DDF,
+     "failing = set(active) if min(live, default=0) < 0 else {",
+     "failing = {",
      DDF_TESTS, "killed"),
     # the fraction-free elimination step behind rank and inertia
     ("linalg.drop-hyperbolic-column-half", LINALG,
@@ -326,7 +344,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_23.json",
+    ap.add_argument("--out", default="MUTANTS_24.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

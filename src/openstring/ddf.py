@@ -32,7 +32,8 @@ R_s = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam independent of i; the
 closed-form defect below has the same shape, and distinct s give distinct
 monomials, so nothing cancels across s.  A :class:`DdfContext` builds
 these images, and the V_t images under them, in the d = 2 model and keeps
-them as long as it lives: they carry its ring scalars.
+them as long as it lives (they carry its ring scalars); its null vectors
+at full d read their V_t images off these too.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
@@ -42,7 +43,8 @@ k.alpha_0 = k.p = -kappa gives [L_1, A^i_{-2}] Omega = 2 (1 - kappa)
 alpha^i_{-1} Omega on lightcone-plane momenta, and transverse momentum
 components add [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.  Every
 factored residual and defect is certified against the literal L_m A^i_n
-v - A^i_n L_m v once per (n, m, level, whether i occurs in v) and context.
+v - A^i_n L_m v, composed once per (m, i, n, v), once per (n, m, level,
+whether i occurs in v) and context.
 
 A word on what these operators do and do not satisfy.  Because the
 construction stays inside a single fiber (no momentum shift, no center-of-
@@ -122,16 +124,17 @@ class NullVector:
     p^0 + p^{d-1} makes the vector identically zero.
 
     ``images`` caches V_t(k) on lightcone basis states, keyed by
-    (t, lightcone monomial); see :func:`v_scalar_apply`.  They carry this
-    vector's ring scalars, so a rescaled copy from ``times`` starts empty.
+    (t, lightcone monomial); see :func:`v_scalar_apply`.  A vector linked
+    to ``plane``, itself in the d = 2 model (:meth:`DdfContext.null_at`),
+    reads them off that one's.  A copy from ``times`` starts unlinked.
     """
 
-    __slots__ = ("p", "kappa", "components", "images")
+    __slots__ = ("p", "kappa", "components", "images", "plane")
 
     def __init__(self, p: Momentum, kappa):
         self.p = p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
-        self.images = {}
+        self.images, self.plane = {}, None
         w = p.lightcone()
         d = p.d
         if not w or not self.kappa:
@@ -207,26 +210,35 @@ def v_scalar_apply(n: int, k: NullVector, v: FockVector,
 
     V_n(k) acts on each monomial's lightcone factors; the transverse ones
     ride along.  The image of a lightcone part, the p-sum up to its level
-    (every omitted term annihilates it), is built by :func:`u_op_apply` on
-    first use and kept in ``k.images`` under (n, lightcone part), where
-    every later call with the same ``k`` finds it.
+    (every omitted term annihilates it), is kept by :func:`_image`.
     """
     last = len(k.components) - 1
-    images = k.images
     out = FockVector.zero()
     for mono, c in v.items():
         lc = tuple(f for f in mono if f[1] == 0 or f[1] == last)
-        image = images.get((n, lc))
-        if image is None:
-            image = images[(n, lc)] = _lightcone_image(n, k, lc, params)
-        if len(lc) == len(mono):
-            for img, a in image.items():
-                out.add_term(img, a * c)
-            continue
         spectators = tuple(f for f in mono if 0 < f[1] < last)
-        for img, a in image.items():
-            out.add_term(tuple(sorted(img + spectators)), a * c)
+        for img, a in _image(n, k, lc, params).items():
+            out.add_term(tuple(sorted(img + spectators)) if spectators
+                         else img, a * c)
     return out
+
+
+def _image(n: int, k: NullVector, lc, params: ModelParams) -> FockVector:
+    """V_n(k) on the lightcone basis state ``lc``, kept in ``k.images``:
+    :func:`_lightcone_image`, or the image of a linked k's plane."""
+    image = k.images.get((n, lc))
+    if image is None:
+        image = k.images[n, lc] = _lightcone_image(n, k, lc, params) \
+            if k.plane is None else _lifted(_image(
+                n, k.plane, tuple((a, 1 if mu else 0) for a, mu in lc),
+                ModelParams(2, params.b)), params.d - 1)
+    return image
+
+
+def _lifted(image: FockVector, last: int) -> FockVector:
+    """A d = 2 image with direction 1 relabelled ``last`` (same order)."""
+    return FockVector({tuple((a, last if mu else 0) for a, mu in mono): c
+                       for mono, c in image.items()})
 
 
 def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVector:
@@ -267,29 +279,29 @@ class DdfContext:
 
     The scaled null vectors n*k(p) (:meth:`null_at`) and their V_t images,
     the lightcone images of [L_m, A^i_n] and of its defect (``images``,
-    built in the d = 2 model of :meth:`plane`) and the cells already
-    certified live as long as the context.
+    built in the d = 2 model of :meth:`plane`) and the certified cells
+    and their ``literals`` (:func:`_certified`) live as long as the context.
     """
 
     __slots__ = ("params", "p", "kappa", "null", "images", "certified",
-                 "_scaled", "_plane")
+                 "literals", "_scaled", "_plane")
 
     def __init__(self, params: ModelParams, p: Momentum, kappa=Fraction(1)):
         if params.d != p.d:
             raise ValueError("momentum dimension does not match the model")
-        self.params = params
-        self.p = p
+        self.params, self.p = params, p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
         self.null = NullVector(p, self.kappa)
-        self.images, self.certified = {}, set()
-        self._scaled = {1: self.null}
-        self._plane = None
+        self.images, self.certified, self.literals = {}, set(), {}
+        self._scaled, self._plane = {}, None
 
     def null_at(self, n: int) -> NullVector:
-        """n*k(p), the null vector that A^i_n feeds into V_t."""
+        """n*k(p) for A^i_n, linked at d > 2 to the plane's (same k^0)."""
         k = self._scaled.get(n)
         if k is None:
             k = self._scaled[n] = self.null.times(n)
+            if self.params.d > 2:
+                k.plane = self.plane().null_at(n)
         return k
 
     def plane(self) -> "DdfContext":
@@ -307,17 +319,14 @@ class DdfContext:
         return self.null.is_zero
 
     def __repr__(self):
-        return (
-            f"DdfContext(d={self.params.d}, p={self.p.components!r}, "
-            f"kappa={self.kappa!r})"
-        )
+        return (f"DdfContext(d={self.params.d}, p={self.p.components!r}, "
+                f"kappa={self.kappa!r})")
 
 
 def _check_transverse(i: int, params: ModelParams) -> None:
     if not 1 <= i <= params.d - 2:
         raise InvalidDirectionError(
-            f"direction {i} is not transverse (need 1..{params.d - 2})"
-        )
+            f"direction {i} is not transverse (need 1..{params.d - 2})")
 
 
 def ddf_apply(i: int, n: int, v: FockVector, ctx: DdfContext) -> FockVector:
@@ -344,11 +353,8 @@ def ddf_state(word, ctx: DdfContext) -> FockVector:
 
 def mass_project(r, v: FockVector, params: ModelParams) -> FockVector:
     """Keep exactly the terms whose level n satisfies 2(n - b) = r."""
-    out = FockVector.zero()
-    for mono, coeff in v.items():
-        if 2 * (level_of(mono) - params.b) == r:
-            out.add_term(mono, coeff)
-    return out
+    return FockVector({mono: c for mono, c in v.items()
+                       if 2 * (level_of(mono) - params.b) == r})
 
 
 def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
@@ -361,23 +367,31 @@ def ddf_commutator_residual(m: int, i: int, n: int, v: FockVector,
     """[L_m, A^i_n] v minus its expected value (-n A^i_n v for m = 0, else
     0), from the images of :func:`_residual_image`, see :func:`_certified`."""
     _check_transverse(i, ctx.params)
-    if ctx.degenerate:
-        return FockVector.zero()
     return _certified(_residual_image, m, i, n, v, ctx)
 
 
 def _certified(build, m, i, n, v, ctx) -> FockVector:
     """The factored form of ``build``, checked against the literal
     commutator (which the defect equals) on the first call per (build, n,
-    m, level(v), i occurs in v); a mismatch is an InvariantError."""
+    m, level(v), i occurs in v); a mismatch is an InvariantError.  The
+    literal waits in ``ctx.literals`` for the other builder of its cell,
+    which reuses it on the same (i, v); zero on a degenerate context."""
+    if ctx.degenerate:
+        return FockVector.zero()
     res = _factored(build, m, i, n, v, ctx)
-    key = (build, n, m, v.level(), any(f[1] == i for t in v.terms for f in t))
-    if key not in ctx.certified:
-        if res != _literal_residual(m, i, n, v, ctx):
+    cell = (n, m, v.level(), any(f[1] == i for t in v.terms for f in t))
+    if (build, *cell) not in ctx.certified:
+        j, u, literal = ctx.literals.pop(cell, (None, None, None))
+        if (j, u) != (i, v.terms):
+            literal = _literal_residual(m, i, n, v, ctx)
+        if res != literal:
             from .spectrum import InvariantError
             raise InvariantError(f"[L_{m}, A^{i}_{n}] factored form "
                                  f"disagrees with the literal one on {v!r}")
-        ctx.certified.add(key)
+        ctx.certified.add((build, *cell))
+        other = _defect_image if build is _residual_image else _residual_image
+        if m and ctx.kappa == 1 and (other, *cell) not in ctx.certified:
+            ctx.literals[cell] = i, dict(v.terms), literal
     return res
 
 
@@ -400,9 +414,9 @@ def _split(mono, last: int) -> tuple:
 def _lc_images(build, m: int, n: int, lam, top: int, ctx) -> list:
     """[(s, image)] of ``build`` on the lightcone part ``lam``, s from
     n - level(lam) - max(0, -m) (below it every term of R_s and of the
-    defect lowers lam past its level) to ``top``.  Images are lists of
-    (monomial in d directions, coefficient), cached on the context; within
-    one call each V_t(n k) lam is built once."""
+    defect lowers lam past its level) to ``top``.  Images are in d
+    directions, cached on the context; within one call each V_t(n k) lam is
+    built once."""
     plane, last, vertices, out = ctx.plane(), ctx.params.d - 1, {}, []
 
     def vertex(t: int) -> FockVector:
@@ -414,9 +428,8 @@ def _lc_images(build, m: int, n: int, lam, top: int, ctx) -> list:
     for s in range(n - level_of(lam) - max(0, -m), top + 1):
         image = ctx.images.get((build, m, n, s, lam))
         if image is None:
-            image = ctx.images[build, m, n, s, lam] = [
-                (tuple((a, last if mu else 0) for a, mu in mono), c)
-                for mono, c in build(m, n, s, lam, plane, vertex).items()]
+            image = ctx.images[build, m, n, s, lam] = _lifted(
+                build(m, n, s, lam, plane, vertex), last)
         out.append((s, image))
     return out
 
@@ -454,7 +467,7 @@ def _factored(build, m, i, n, v, ctx) -> FockVector:
         for s, image in _lc_images(build, m, n, lam, top, ctx):
             if hit := _moved(s, i, tau, ctx.p):
                 moved, w = hit[0], c * hit[1]
-                for lc, a in image:
+                for lc, a in image.items():
                     out.add_term(tuple(sorted(lc + moved)), a * w)
     return out
 
@@ -495,8 +508,6 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
         raise ValueError("the closed form covers m != 0 only")
     if ctx.null.kappa != 1:
         raise ValueError("closed form derived for the calibrated kappa = 1")
-    if ctx.degenerate:
-        return FockVector.zero()
     return _certified(_defect_image, m, i, n, v, ctx)
 
 
@@ -574,8 +585,9 @@ def _first_calibration_failure(params, momenta, kappa, cells, dirs):
     of its level; each is checked on the directions before the first
     failing one found so far.  Distinct s give distinct monomials
     alpha^i_s tau, so direction i fails exactly when some R_s(lam) != 0
-    has alpha^i_s tau != 0 (:func:`_moved`).  A residual is assembled
-    only for a witness or the certificate: dirs[0] on the first probe of
+    has alpha^i_s tau != 0 (:func:`_moved`): every i for s < 0, p^i != 0
+    for s = 0, (s, i) in tau for s > 0.  A residual is assembled only for
+    a failing direction or the certificate: dirs[0] on the first probe of
     each (n, m, level) and on its first probe with a factor in dirs[0].
     """
     for p in momenta:
@@ -586,16 +598,18 @@ def _first_calibration_failure(params, momenta, kappa, cells, dirs):
                 break
             (mono, _), = v.items()
             lam, tau = _split(mono, params.d - 1)
-            live = [s for s, image in _lc_images(
+            live = {s for s, image in _lc_images(
                 _residual_image, m, n, lam,
-                max((a for a, _ in tau), default=0), ctx) if image]
-            for pos, i in enumerate(active):
-                if not pos and (not j or any(mu == i for _, mu in tau)):
-                    res = _certified(_residual_image, m, i, n, v, ctx)
-                elif any(_moved(s, i, tau, p) for s in live):
-                    res = _factored(_residual_image, m, i, n, v, ctx)
-                else:
-                    continue
+                max((a for a, _ in tau), default=0), ctx) if image}
+            failing = set(active) if min(live, default=0) < 0 else {
+                mu for a, mu in tau if a in live} | {
+                i for i in active if 0 in live and p[i]}
+            certify = not j or any(mu == active[0] for _, mu in tau)
+            for pos in [pos for pos, i in enumerate(active)
+                        if i in failing or certify and not pos]:
+                i = active[pos]
+                res = (_certified if certify and not pos else _factored)(
+                    _residual_image, m, i, n, v, ctx)
                 if res:
                     witness = {"momentum": repr(p.components), "i": i,
                                "n": n, "m": m, "residual_terms": len(res)}

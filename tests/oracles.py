@@ -9,8 +9,9 @@ radical and the physical signature through the Gram of a physical basis,
 L_m by composing single oscillators on whole vectors, the integer
 scanner's [T_m, T_n] by composing its own rows, U_n by enumerating
 compositions and partitions, V_t by running U_n over the whole vector,
-V^mu_n by its two-loop definition on top of that V_t, and the closed-form
-DDF defect by its three mode sums on the whole vector.
+V^mu_n by its two-loop definition on top of that V_t, the closed-form
+DDF defect by its three mode sums on the whole vector, and the kappa
+calibration's failing directions by testing each direction in turn.
 """
 
 from collections import Counter
@@ -252,12 +253,13 @@ def ddf_commutator_defect_reference(m, i, n, v, ctx):
         + n (k.alpha_m) A^i_n v,
 
     one pass over (t, s) with a = m+n-t-s, t and a capped at level(v),
-    with V_t(n k) run on all d directions and no lightcone split.
+    with V_t(n k) run on all d directions and no lightcone split (and not
+    through the images of the d = 2 model).
     """
     from openstring.ddf import _contract_apply, ddf_apply, v_scalar_apply
 
     params, p, k = ctx.params, ctx.p, ctx.null
-    nk = ctx.null_at(n)
+    nk = k.times(n)
     level = v.level()
     out = FockVector()
     for t in range(m + n - 2 * level, level + 1):
@@ -277,6 +279,42 @@ def ddf_commutator_defect_reference(m, i, n, v, ctx):
     if w:
         out += _contract_apply(k, m, w, 1, params).scaled(n)
     return out
+
+
+def first_calibration_failure_reference(params, momenta, kappa, cells, dirs):
+    """``ddf._first_calibration_failure`` with each active direction
+    tested in turn: i fails on a cell when some live s (an R_s(lam) != 0)
+    has alpha^i_s tau != 0.  Same cells, certificate and witness order.
+    """
+    from openstring.ddf import (DdfContext, _certified, _factored,
+                                _lc_images, _moved, _residual_image, _split)
+
+    for p in momenta:
+        ctx = DdfContext(params, p, kappa)
+        active, witness = dirs, None
+        for n, m, level, j, v in cells:
+            if not active:
+                break
+            (mono, _), = v.items()
+            lam, tau = _split(mono, params.d - 1)
+            live = [s for s, image in _lc_images(
+                _residual_image, m, n, lam,
+                max((a for a, _ in tau), default=0), ctx) if image]
+            for pos, i in enumerate(active):
+                if not pos and (not j or any(mu == i for _, mu in tau)):
+                    res = _certified(_residual_image, m, i, n, v, ctx)
+                elif any(_moved(s, i, tau, p) for s in live):
+                    res = _factored(_residual_image, m, i, n, v, ctx)
+                else:
+                    continue
+                if res:
+                    witness = {"momentum": repr(p.components), "i": i,
+                               "n": n, "m": m, "residual_terms": len(res)}
+                    active = active[:pos]
+                    break
+        if witness:
+            return witness
+    return None
 
 
 def radial_fourier_shells(profile, rho):

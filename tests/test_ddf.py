@@ -48,6 +48,7 @@ from openstring.spectrum import InvariantError
 from .oracles import (
     compositions,
     ddf_commutator_defect_reference,
+    first_calibration_failure_reference,
     random_vector,
     u_composition_apply,
     u_exponential_partition_apply,
@@ -296,6 +297,48 @@ class TestLightconeImages:
             for v in mixed_vectors(62, 2):
                 assert ddf_apply(i, n, v, ctx) == \
                     ddf_apply_reference(i, n, v, p, nk), (n, i)
+
+    @pytest.mark.parametrize("ring", sorted(RING_MOMENTA))
+    def test_linked_images_match_unlinked(self, ring):
+        # n k(p) at d = 4 reads its V_t images off the plane's n k(p), with
+        # direction 1 of the d = 2 model relabelled 3; an unlinked copy
+        # builds them at d = 4 from U_n
+        p = RING_MOMENTA[ring]
+        ctx = DdfContext(P4, p)
+        lightcone = [FockVector.basis_state(mono) for level in range(4)
+                     for mono in iter_level_basis(P4, level)
+                     if all(mu in (0, 3) for _, mu in mono)]
+        assert len(lightcone) == 1 + 2 + 5 + 10
+        for n in (1, -1, 2, -3):
+            k = ctx.null_at(n)
+            assert k.plane is ctx.plane().null_at(n)
+            unlinked = NullVector(p, Fraction(n))
+            assert unlinked.plane is None
+            for v in lightcone:
+                for t in range(-3, 4):
+                    assert v_scalar_apply(t, k, v, P4) == \
+                        v_scalar_apply(t, unlinked, v, P4), (n, t, v)
+            assert k.images and k.images.keys() == unlinked.images.keys()
+
+    def test_certificates_build_images_only_in_the_plane(self, monkeypatch):
+        # the literal A^i_n of both certificates runs V_t at d = 26, but
+        # every lightcone image is built in the d = 2 model
+        dims = []
+        real = ddf_module._lightcone_image
+        monkeypatch.setattr(ddf_module, "_lightcone_image",
+                            lambda n, k, lc, params: dims.append(params.d)
+                            or real(n, k, lc, params))
+        ctx = DdfContext(P26, _probe_momenta(26, 2)[1])
+        probes = [FockVector.vacuum(),
+                  FockVector({((1, 0), (1, 3)): Fraction(1)}),
+                  FockVector({((1, 2), (1, 25)): Fraction(2),
+                              ((2, 0),): Fraction(-1)})]
+        for m, n in ((1, -2), (-1, -1), (2, 1)):
+            for v in probes:
+                res = ddf_commutator_residual(m, 3, n, v, ctx)
+                assert res == ddf_commutator_defect(m, 3, n, v, ctx)
+        assert len(ctx.certified) == 2 * 3 * 3
+        assert dims and set(dims) == {2}
 
     def test_interleaved_contexts_keep_their_own_images(self):
         a, b = DdfContext(P4, MOME4[0]), DdfContext(P4, MOME4[1])
@@ -684,6 +727,63 @@ class TestCalibration:
         res = ddf_commutator_residual(1, 1, -2, FockVector.vacuum(), ctx)
         assert dict(res.items()) == {((1, 1),): Fraction(-4)}
 
+    @pytest.mark.parametrize("momenta", [
+        MOME4[:2], MOME4[:1], [mom(2, 0, 0, 1), mom(3, 0, 0, 1)]],
+        ids=["transverse", "p2-zero", "plane"])
+    def test_direction_set_matches_per_direction_loop(self, monkeypatch,
+                                                      momenta):
+        # the failing directions read off the live s against testing each
+        # direction in turn: the same kappa or the same witnesses
+        def outcome():
+            try:
+                return calibrate_normalization(P4, momenta, candidates=cands,
+                                               directions=dirs)
+            except CalibrationError as exc:
+                return exc.residuals
+
+        for cands in ((Fraction(1, 2), Fraction(2)), (Fraction(3),),
+                      (Fraction(1),)):
+            for dirs in ((1, 2), (2, 1), (2,)):
+                got = outcome()
+                with monkeypatch.context() as patch:
+                    patch.setattr(ddf_module, "_first_calibration_failure",
+                                  first_calibration_failure_reference)
+                    assert outcome() == got, (cands, dirs)
+
+    @pytest.mark.parametrize("momentum", [MOME4[0], mom(2, 0, 0, 1)],
+                             ids=["p1-only", "plane"])
+    def test_direction_set_matches_on_uncertified_cells(self, monkeypatch,
+                                                        momentum):
+        # each cell alone, for every (n, m) of |n|, |m| <= 2 on every probe
+        # of level <= 2, above the threshold too, with j = 1: only a probe
+        # with a factor in dirs[0] is certified, so the direction set alone
+        # finds the failing direction.  Every call shares one context, so
+        # the images are built once (its plane before the patch).
+        shared = DdfContext(P4, momentum, Fraction(1, 2))
+        shared.plane()
+        monkeypatch.setattr(ddf_module, "DdfContext", lambda *args: shared)
+        for dirs in ((1, 2), (2, 1)):
+            for n in range(-2, 3):
+                for m in (-2, -1, 1, 2):
+                    for v in basis_upto(P4, 2):
+                        args = (P4, [momentum], Fraction(1, 2),
+                                [(n, m, v.level(), 1, v)], dirs)
+                        assert ddf_module._first_calibration_failure(
+                            *args) == first_calibration_failure_reference(
+                                *args), (dirs, n, m, v)
+
+    @pytest.mark.parametrize("seed", [0, 2, 81])
+    def test_direction_set_matches_on_cli_rejects(self, monkeypatch, seed):
+        momenta = _probe_momenta(26, seed)
+        cands = (Fraction(1, 2), Fraction(2))
+        with pytest.raises(CalibrationError) as got:
+            calibrate_normalization(P26, momenta, candidates=cands)
+        monkeypatch.setattr(ddf_module, "_first_calibration_failure",
+                            first_calibration_failure_reference)
+        with pytest.raises(CalibrationError) as want:
+            calibrate_normalization(P26, momenta, candidates=cands)
+        assert got.value.residuals == want.value.residuals
+
     @pytest.mark.parametrize("kwargs,empty", [
         ({"directions": ()}, "direction"),
         ({"mode_cap": 0}, "probe set"),
@@ -866,8 +966,29 @@ class TestFactoredResidual:
                 ddf_commutator_defect(1, 1, -1, v, ctx)
         cells = {(v.level(), any(mu == 1 for mono in v.terms for _, mu in mono))
                  for v in probes}
-        # once for the residual and once for the defect
-        assert len(calls) == 2 * len(cells) == 10
+        # one literal per cell serves both builders, and both are certified
+        assert len(calls) == len(cells) == 5
+        assert ctx.certified == {
+            (build, -1, 1, *cell) for cell in cells
+            for build in (ddf_module._residual_image, ddf_module._defect_image)}
+        assert len(ctx.certified) == 10
+        assert not ctx.literals
+
+    def test_each_builder_compares_its_own_probe(self, monkeypatch):
+        # the residual's literal on alpha^0_{-1} vac is not the defect's on
+        # alpha^2_{-1} vac, although both probes share a cell
+        calls = []
+        real = ddf_module._literal_residual
+        monkeypatch.setattr(ddf_module, "_literal_residual",
+                            lambda *args: calls.append(args) or real(*args))
+        ctx = DdfContext(P4, MOME4[1])
+        v, w = (FockVector.basis_state(((1, mu),)) for mu in (0, 2))
+        assert real(1, 1, -1, v, ctx) != real(1, 1, -1, w, ctx)
+        ddf_commutator_residual(1, 1, -1, v, ctx)
+        assert ctx.literals
+        assert ddf_commutator_defect(1, 1, -1, w, ctx) == \
+            literal_residual(1, -1, 1, w, ctx)
+        assert len(calls) == 2 and not ctx.literals
 
     @pytest.mark.parametrize("image,apply", [
         ("_residual_image", ddf_commutator_residual),
