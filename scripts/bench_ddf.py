@@ -11,7 +11,10 @@ Three measurements, each repeated ``--repeat`` times:
   half of them non-integral, and for each (m, n) in {-2, -1, 1, 2}^2 and
   probe level 0, 1, 2 ten draws of a direction in 1..24 and a basis
   monomial, each residual compared with its defect, on one fresh context
-  per repeat;
+  per repeat.  The residual is called first, so the literal composition
+  the two builders share is timed in ``residual_s``; ``pair_s`` times each
+  case's residual and defect as one span, which does not depend on that
+  order;
 * ``openstring ddf`` in a fresh interpreter, at its defaults, with
   ``--seed 2``, and on the reject path ``--kappa-set 1/2 2`` (exit 3, the
   witnesses on stderr), so the time includes interpreter start; the exit
@@ -26,7 +29,7 @@ and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
 so a copy of both scripts placed in another checkout times that checkout.
 The result is written as JSON:
 
-    python3 scripts/bench_ddf.py --out BENCH_24.json
+    python3 scripts/bench_ddf.py --out BENCH_25.json
 """
 
 from __future__ import annotations
@@ -89,21 +92,24 @@ def defect_cases(seed: int) -> tuple:
 
 
 def time_defect_cases(p: Momentum, cases) -> dict:
-    """Seconds for the residuals and for the defects of ``cases`` on one
-    fresh context, and how many residuals differ from their defect."""
+    """Seconds for the residuals, for the defects and for each case's
+    residual and defect together (``pair_s``) of ``cases`` on one fresh
+    context, and how many residuals differ from their defect."""
     ctx = DdfContext(ModelParams(d=D), p)
-    residual_s = defect_s = 0.0
+    residual_s = defect_s = pair_s = 0.0
     mismatched = nonzero = 0
     for m, i, n, v in cases:
         t0 = time.perf_counter()
         res = ddf_commutator_residual(m, i, n, v, ctx)
         t1 = time.perf_counter()
         dft = ddf_commutator_defect(m, i, n, v, ctx)
-        defect_s += time.perf_counter() - t1
+        t2 = time.perf_counter()
         residual_s += t1 - t0
+        defect_s += t2 - t1
+        pair_s += t2 - t0
         mismatched += res != dft
         nonzero += bool(res)
-    return {"residual_s": residual_s, "defect_s": defect_s,
+    return {"residual_s": residual_s, "defect_s": defect_s, "pair_s": pair_s,
             "mismatched": mismatched, "nonzero": nonzero}
 
 
@@ -150,10 +156,10 @@ def main(argv=None) -> int:
             "cases": len(cases),
             "momentum": [str(c) for c in case_p],
             **{f"{key}_s": [r[f"{key}_s"] for r in case_runs]
-               for key in ("residual", "defect")},
+               for key in ("residual", "defect", "pair")},
             **{f"{key}_median_s": statistics.median(
                 r[f"{key}_s"] for r in case_runs)
-               for key in ("residual", "defect")},
+               for key in ("residual", "defect", "pair")},
             "mismatched": sorted({r["mismatched"] for r in case_runs}),
             "nonzero": sorted({r["nonzero"] for r in case_runs}),
         },
@@ -176,7 +182,7 @@ def main(argv=None) -> int:
         **{f"calibration_{name}_median_s": cal["wall_median_s"]
            for name, cal in result["calibration"].items()},
         **{f"cases_{key}_median_s": result["defect_cases"][f"{key}_median_s"]
-           for key in ("residual", "defect")},
+           for key in ("residual", "defect", "pair")},
         **{f"cli_{name}_median_s": cli["wall_median_s"]
            for name, cli in result["cli_ddf"].items()}}))
     bad = any(cal["kappa"] != ["1"] for cal in result["calibration"].values()) \

@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_24.json
+    python3 scripts/mutants.py --out MUTANTS_25.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about ten minutes on a shared 2-core machine; the ``ddf``
@@ -161,7 +161,7 @@ MUTANTS = [
      DDF_TESTS, "killed"),
     # [L_m, A^i_n] v from the lightcone images R_s and its certificates
     ("ddf.lm-images-from-v", DDF,
-     "    out -= v_scalar_apply(t, plane.null_at(n), lowered, params)\n",
+     "    out -= v_scalar_apply(t, ctx.null_at(n), lowered, params)\n",
      "    out -= vertex(t)\n",
      DDF_TESTS, "killed"),
     ("ddf.images-per-direction", DDF,
@@ -169,8 +169,8 @@ MUTANTS = [
      "if True]:",
      DDF_TESTS, "killed"),
     ("ddf.drop-lc-bracket-term", DDF,
-     "    out = virasoro_apply(m, plane.p, vertex(t), params)\n"
-     "    out -= v_scalar_apply(t, plane.null_at(n), lowered, params)\n",
+     "    out = virasoro_apply(m, ctx._lc, vertex(t), params)\n"
+     "    out -= v_scalar_apply(t, ctx.null_at(n), lowered, params)\n",
      "    out = FockVector.zero()\n",
      DDF_TESTS, "killed"),
     ("ddf.drop-shift-term", DDF,
@@ -219,10 +219,22 @@ MUTANTS = [
     ("ddf.literal-memo-without-v", DDF,
      "if (j, u) != (i, v.terms):", "if j != i:",
      DDF_TESTS, "killed"),
-    # the full-d V_t images read off the d = 2 model
-    ("ddf.linked-relabel-to-zero", DDF,
-     "tuple((a, 1 if mu else 0) for a, mu in lc)",
-     "tuple((a, 0) for a, mu in lc)",
+    # the V_t images kept once in the d = 2 model and lifted to full d
+    ("ddf.split-relabel-to-zero", DDF,
+     "tuple((a, 1 if mu else 0) for a, mu in mono if mu in (0, last))",
+     "tuple((a, 0) for a, mu in mono if mu in (0, last))",
+     DDF_TESTS, "killed"),
+    ("ddf.image-cache-without-last", DDF,
+     "    image = k.images.get((t, lam, last))\n"
+     "    if image is None:\n"
+     "        image = k.images[t, lam, last] = _lifted(\n",
+     "    image = k.images.get((t, lam))\n"
+     "    if image is None:\n"
+     "        image = k.images[t, lam] = _lifted(\n",
+     DDF_TESTS, "killed"),
+    ("ddf.contract-last-from-k", DDF,
+     "w += apply_oscillator((mode, params.d - 1), v, params)",
+     "w += apply_oscillator((mode, len(k.components) - 1), v, params)",
      DDF_TESTS, "killed"),
     # the calibration's failing directions, read off the live s
     ("ddf.failing-without-momentum-directions", DDF,
@@ -344,7 +356,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_24.json",
+    ap.add_argument("--out", default="MUTANTS_25.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

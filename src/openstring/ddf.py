@@ -32,8 +32,9 @@ R_s = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam independent of i; the
 closed-form defect below has the same shape, and distinct s give distinct
 monomials, so nothing cancels across s.  A :class:`DdfContext` builds
 these images, and the V_t images under them, in the d = 2 model and keeps
-them as long as it lives (they carry its ring scalars); its null vectors
-at full d read their V_t images off these too.
+them as long as it lives (they carry its ring scalars).  Only k^0 enters
+V_t, so each of its null vectors keeps a V_t image once, in the labels of
+the d = 2 model, and lifts it to full d for A^i_n.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
@@ -115,7 +116,7 @@ class CalibrationError(RuntimeError):
         self.residuals = residuals
 
 
-class NullVector:
+class NullVector(Momentum):
     """The lightlike contraction vector k(p), scaled by the normalization.
 
     Only the 0 and d-1 components are nonzero; they are opposite, so k.k = 0
@@ -123,28 +124,21 @@ class NullVector:
     feeds n * k(p) into V^i_n).  A vanishing lightcone combination
     p^0 + p^{d-1} makes the vector identically zero.
 
-    ``images`` caches V_t(k) on lightcone basis states, keyed by
-    (t, lightcone monomial); see :func:`v_scalar_apply`.  A vector linked
-    to ``plane``, itself in the d = 2 model (:meth:`DdfContext.null_at`),
-    reads them off that one's.  A copy from ``times`` starts unlinked.
+    ``images`` caches V_t(k) on lightcone basis states, which needs only
+    k^0: keyed by (t, lightcone monomial in the labels of the d = 2 model,
+    the direction ``last`` that label 1 stands for); see :func:`_image`.
+    A copy from ``times`` starts empty.
     """
 
-    __slots__ = ("p", "kappa", "components", "images", "plane")
+    __slots__ = ("p", "kappa", "images")
 
     def __init__(self, p: Momentum, kappa):
         self.p = p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
-        self.images, self.plane = {}, None
+        self.images = {}
         w = p.lightcone()
-        d = p.d
-        if not w or not self.kappa:
-            self.components = (Fraction(0),) * d
-        else:
-            k0 = self.kappa / w
-            self.components = (k0,) + (Fraction(0),) * (d - 2) + (-k0,)
-
-    def __getitem__(self, mu):
-        return self.components[mu]
+        k0 = self.kappa / w if w and self.kappa else Fraction(0)
+        super().__init__((k0,) + (Fraction(0),) * (p.d - 2) + (-k0,))
 
     @property
     def is_zero(self) -> bool:
@@ -153,12 +147,6 @@ class NullVector:
     def times(self, c) -> "NullVector":
         return NullVector(self.p, self.kappa * c)
 
-    def dot(self, other) -> object:
-        total = -(self.components[0] * other[0])
-        for a, b in zip(self.components[1:], list(other)[1:]):
-            total = total + a * b
-        return total
-
     def __repr__(self):
         return f"NullVector(p={self.p!r}, kappa={self.kappa!r})"
 
@@ -166,12 +154,13 @@ class NullVector:
 def _contract_apply(k: NullVector, mode: int, v: FockVector, sign: int,
                     params: ModelParams) -> FockVector:
     """Apply (sign * k) . alpha_mode = -sign k^0 (alpha^0 + alpha^{d-1})_mode
-    to v: eta^{00} k^0 and eta^{d-1,d-1} k^{d-1} are both -k^0."""
-    k0 = k.components[0]
+    to v, d that of ``params`` (so k may live in more directions):
+    eta^{00} k^0 and eta^{d-1,d-1} k^{d-1} are both -k^0."""
+    k0 = k[0]
     if not k0:
         return FockVector.zero()
     w = apply_oscillator((mode, 0), v, params)
-    w += apply_oscillator((mode, len(k.components) - 1), v, params)
+    w += apply_oscillator((mode, params.d - 1), v, params)
     return w.scaled(-k0 if sign == 1 else k0)
 
 
@@ -212,26 +201,31 @@ def v_scalar_apply(n: int, k: NullVector, v: FockVector,
     ride along.  The image of a lightcone part, the p-sum up to its level
     (every omitted term annihilates it), is kept by :func:`_image`.
     """
-    last = len(k.components) - 1
+    last = params.d - 1
     out = FockVector.zero()
     for mono, c in v.items():
-        lc = tuple(f for f in mono if f[1] == 0 or f[1] == last)
-        spectators = tuple(f for f in mono if 0 < f[1] < last)
-        for img, a in _image(n, k, lc, params).items():
-            out.add_term(tuple(sorted(img + spectators)) if spectators
-                         else img, a * c)
+        lam, tau = _split(mono, last)
+        for img, a in _image(n, k, lam, last, params.b).items():
+            out.add_term(tuple(sorted(img + tau)) if tau else img, a * c)
     return out
 
 
-def _image(n: int, k: NullVector, lc, params: ModelParams) -> FockVector:
-    """V_n(k) on the lightcone basis state ``lc``, kept in ``k.images``:
-    :func:`_lightcone_image`, or the image of a linked k's plane."""
-    image = k.images.get((n, lc))
+def _split(mono, last: int) -> tuple:
+    """(lightcone part in the labels of the d = 2 model, transverse part)."""
+    return (tuple((a, 1 if mu else 0) for a, mu in mono if mu in (0, last)),
+            tuple(f for f in mono if 0 < f[1] < last))
+
+
+def _image(t: int, k: NullVector, lam, last: int, b) -> FockVector:
+    """V_t(k) on the lightcone basis state ``lam`` of the d = 2 model, with
+    direction 1 relabelled ``last``, kept in ``k.images``: the d = 2 image
+    of :func:`_lightcone_image` is built once and lifted once per ``last``.
+    Readers must not mutate it."""
+    image = k.images.get((t, lam, last))
     if image is None:
-        image = k.images[n, lc] = _lightcone_image(n, k, lc, params) \
-            if k.plane is None else _lifted(_image(
-                n, k.plane, tuple((a, 1 if mu else 0) for a, mu in lc),
-                ModelParams(2, params.b)), params.d - 1)
+        image = k.images[t, lam, last] = _lifted(
+            _image(t, k, lam, 1, b), last) if last != 1 else \
+            _lightcone_image(t, k, lam, ModelParams(2, b))
     return image
 
 
@@ -279,12 +273,13 @@ class DdfContext:
 
     The scaled null vectors n*k(p) (:meth:`null_at`) and their V_t images,
     the lightcone images of [L_m, A^i_n] and of its defect (``images``,
-    built in the d = 2 model of :meth:`plane`) and the certified cells
-    and their ``literals`` (:func:`_certified`) live as long as the context.
+    built in the d = 2 model of directions 0 and d-1, relabelled 0 and 1,
+    with momentum ``_lc`` = (p^0, p^{d-1})) and the certified cells and
+    their ``literals`` (:func:`_certified`) live as long as the context.
     """
 
     __slots__ = ("params", "p", "kappa", "null", "images", "certified",
-                 "literals", "_scaled", "_plane")
+                 "literals", "_scaled", "_lc")
 
     def __init__(self, params: ModelParams, p: Momentum, kappa=Fraction(1)):
         if params.d != p.d:
@@ -293,25 +288,14 @@ class DdfContext:
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
         self.null = NullVector(p, self.kappa)
         self.images, self.certified, self.literals = {}, set(), {}
-        self._scaled, self._plane = {}, None
+        self._scaled, self._lc = {}, Momentum((p[0], p[-1]))
 
     def null_at(self, n: int) -> NullVector:
-        """n*k(p) for A^i_n, linked at d > 2 to the plane's (same k^0)."""
+        """n*k(p) for A^i_n, one per n."""
         k = self._scaled.get(n)
         if k is None:
             k = self._scaled[n] = self.null.times(n)
-            if self.params.d > 2:
-                k.plane = self.plane().null_at(n)
         return k
-
-    def plane(self) -> "DdfContext":
-        """This fiber in the d = 2 model of directions 0 and d-1, d-1
-        relabelled 1 (which keeps the order of factors)."""
-        if self._plane is None:
-            self._plane = self if self.params.d == 2 else DdfContext(
-                ModelParams(2, self.params.b), Momentum((self.p[0], self.p[-1])),
-                self.kappa)
-        return self._plane
 
     @property
     def degenerate(self) -> bool:
@@ -405,42 +389,29 @@ def _literal_residual(m, i, n, v, ctx) -> FockVector:
     return res
 
 
-def _split(mono, last: int) -> tuple:
-    """(lightcone part in the labels of the d = 2 model, transverse part)."""
-    return (tuple((a, 1 if mu else 0) for a, mu in mono if mu in (0, last)),
-            tuple(f for f in mono if 0 < f[1] < last))
-
-
 def _lc_images(build, m: int, n: int, lam, top: int, ctx) -> list:
     """[(s, image)] of ``build`` on the lightcone part ``lam``, s from
     n - level(lam) - max(0, -m) (below it every term of R_s and of the
     defect lowers lam past its level) to ``top``.  Images are in d
-    directions, cached on the context; within one call each V_t(n k) lam is
-    built once."""
-    plane, last, vertices, out = ctx.plane(), ctx.params.d - 1, {}, []
-
-    def vertex(t: int) -> FockVector:
-        if t not in vertices:
-            vertices[t] = v_scalar_apply(t, plane.null_at(n), FockVector(
-                {lam: Fraction(1)}), plane.params)
-        return vertices[t]
-
+    directions, cached on the context; ``build`` reads each V_t(n k) lam
+    off :func:`_image`, so the context builds it once."""
+    k, b, last, out = ctx.null_at(n), ctx.params.b, ctx.params.d - 1, []
     for s in range(n - level_of(lam) - max(0, -m), top + 1):
         image = ctx.images.get((build, m, n, s, lam))
         if image is None:
-            image = ctx.images[build, m, n, s, lam] = _lifted(
-                build(m, n, s, lam, plane, vertex), last)
+            image = ctx.images[build, m, n, s, lam] = _lifted(build(
+                m, n, s, lam, ctx, lambda t: _image(t, k, lam, 1, b)), last)
         out.append((s, image))
     return out
 
 
-def _residual_image(m, n, s, lam, plane, vertex) -> FockVector:
+def _residual_image(m, n, s, lam, ctx, vertex) -> FockVector:
     """R_s(lam) = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam, plus
     n V_{n-s} lam for m = 0, in the d = 2 model with V at n k."""
-    params, t = plane.params, n - s
-    lowered = virasoro_apply(m, plane.p, FockVector({lam: Fraction(1)}), params)
-    out = virasoro_apply(m, plane.p, vertex(t), params)
-    out -= v_scalar_apply(t, plane.null_at(n), lowered, params)
+    params, t = ModelParams(2, ctx.params.b), n - s
+    lowered = virasoro_apply(m, ctx._lc, FockVector({lam: Fraction(1)}), params)
+    out = virasoro_apply(m, ctx._lc, vertex(t), params)
+    out -= v_scalar_apply(t, ctx.null_at(n), lowered, params)
     out += vertex(t + m).scaled((m or n) - s)
     return out
 
@@ -511,12 +482,12 @@ def ddf_commutator_defect(m: int, i: int, n: int, v: FockVector,
     return _certified(_defect_image, m, i, n, v, ctx)
 
 
-def _defect_image(m, n, s, lam, plane, vertex) -> FockVector:
+def _defect_image(m, n, s, lam, ctx, vertex) -> FockVector:
     """The defect's factor of alpha^i_s on lam in the d = 2 model:
     (m+n-s) V_{m+n-s} lam - n sum_{a != 0} (k.alpha_a) V_{m+n-a-s} lam
     + n (k.alpha_m) V_{n-s} lam.  t = m+n-a-s runs to level(lam), and so
     does a: k is lightlike, so each k.alpha_a contracts against lam."""
-    params, k, level = plane.params, plane.null, level_of(lam)
+    params, k, level = ModelParams(2, ctx.params.b), ctx.null, level_of(lam)
     out = FockVector.zero()
     for t in range(m + n - s - level, level + 1):
         w, a = vertex(t), m + n - s - t

@@ -253,17 +253,18 @@ def ddf_commutator_defect_reference(m, i, n, v, ctx):
         + n (k.alpha_m) A^i_n v,
 
     one pass over (t, s) with a = m+n-t-s, t and a capped at level(v),
-    with V_t(n k) run on all d directions and no lightcone split (and not
-    through the images of the d = 2 model).
+    with V_t(n k) run on all d directions by ``v_scalar_apply_reference``,
+    so with no lightcone split and not through the images of the d = 2
+    model.
     """
-    from openstring.ddf import _contract_apply, ddf_apply, v_scalar_apply
+    from openstring.ddf import _contract_apply, ddf_apply
 
     params, p, k = ctx.params, ctx.p, ctx.null
     nk = k.times(n)
     level = v.level()
     out = FockVector()
     for t in range(m + n - 2 * level, level + 1):
-        w = v_scalar_apply(t, nk, v, params)
+        w = v_scalar_apply_reference(t, nk, v, params)
         if not w:
             continue
         for s in range(m + n - t - level, level + 1):

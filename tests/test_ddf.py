@@ -300,25 +300,25 @@ class TestLightconeImages:
 
     @pytest.mark.parametrize("ring", sorted(RING_MOMENTA))
     def test_linked_images_match_unlinked(self, ring):
-        # n k(p) at d = 4 reads its V_t images off the plane's n k(p), with
-        # direction 1 of the d = 2 model relabelled 3; an unlinked copy
-        # builds them at d = 4 from U_n
-        p = RING_MOMENTA[ring]
-        ctx = DdfContext(P4, p)
+        # n k(p) at d = 4 keeps each V_t image once in the d = 2 model
+        # (last = 1) and its relabelling of direction 1 to 3 (last = 3);
+        # the reference builds V_t at d = 4 from U_n on the whole vector
+        ctx = DdfContext(P4, RING_MOMENTA[ring])
         lightcone = [FockVector.basis_state(mono) for level in range(4)
                      for mono in iter_level_basis(P4, level)
                      if all(mu in (0, 3) for _, mu in mono)]
         assert len(lightcone) == 1 + 2 + 5 + 10
         for n in (1, -1, 2, -3):
             k = ctx.null_at(n)
-            assert k.plane is ctx.plane().null_at(n)
-            unlinked = NullVector(p, Fraction(n))
-            assert unlinked.plane is None
             for v in lightcone:
                 for t in range(-3, 4):
                     assert v_scalar_apply(t, k, v, P4) == \
-                        v_scalar_apply(t, unlinked, v, P4), (n, t, v)
-            assert k.images and k.images.keys() == unlinked.images.keys()
+                        v_scalar_apply_reference(t, k, v, P4), (n, t, v)
+            assert k.images and {last for *_, last in k.images} == {1, 3}
+            for t, lam, last in k.images:
+                if last == 3:
+                    assert k.images[t, lam, 3] == ddf_module._lifted(
+                        k.images[t, lam, 1], 3), (n, t, lam)
 
     def test_certificates_build_images_only_in_the_plane(self, monkeypatch):
         # the literal A^i_n of both certificates runs V_t at d = 26, but
@@ -339,6 +339,29 @@ class TestLightconeImages:
                 assert res == ddf_commutator_defect(m, 3, n, v, ctx)
         assert len(ctx.certified) == 2 * 3 * 3
         assert dims and set(dims) == {2}
+
+    def test_factored_engine_builds_no_second_context(self, monkeypatch):
+        # the d = 2 images live on the context and its null vectors: the
+        # residual, the defect and the calibration make one DdfContext per
+        # momentum and candidate, and no null vector points at another
+        made = []
+        real = DdfContext.__init__
+
+        def counting(self, params, p, kappa=Fraction(1)):
+            made.append((params.d, p, kappa))
+            real(self, params, p, kappa)
+
+        monkeypatch.setattr(DdfContext, "__init__", counting)
+        momenta = _probe_momenta(26, 2)
+        ctx = DdfContext(P26, momenta[1])
+        v = FockVector({((1, 2), (1, 25)): Fraction(2), ((2, 0),): Fraction(-1)})
+        for m, n in ((1, -2), (-1, -1), (2, 1)):
+            assert ddf_commutator_residual(m, 3, n, v, ctx) == \
+                ddf_commutator_defect(m, 3, n, v, ctx)
+            assert not hasattr(ctx.null_at(n), "plane")
+        assert made == [(26, momenta[1], 1)]
+        assert calibrate_normalization(P26, momenta) == 1
+        assert made[1:] == [(26, p, 1) for p in momenta]
 
     def test_interleaved_contexts_keep_their_own_images(self):
         a, b = DdfContext(P4, MOME4[0]), DdfContext(P4, MOME4[1])
@@ -619,6 +642,21 @@ class TestVirasoroCommutators:
                 ddf_commutator_defect(m, 1, n, v, ctx)
                 assert len(calls) == len(set(calls)), (m, n, v)
 
+    def test_defect_builds_each_lightcone_image_once(self, monkeypatch):
+        # the closed-form sums read V_t(n k) lam off the null vectors' own
+        # cache, without v_scalar_apply: each (n k, t, lam) is built once
+        # per context, for the images and the certificate's literal alike
+        built = []
+        real = ddf_module._lightcone_image
+        monkeypatch.setattr(ddf_module, "_lightcone_image",
+                            lambda t, k, lam, params: built.append(
+                                (id(k), t, lam)) or real(t, k, lam, params))
+        ctx = DdfContext(P4, MOME4[0])
+        for m, n in [(-2, -2), (2, 2), (1, -1)]:
+            for v in basis_upto(P4, 2):
+                ddf_commutator_defect(m, 1, n, v, ctx)
+        assert built and len(built) == len(set(built))
+
 
 class TestCalibration:
     def test_selects_unit_normalization(self):
@@ -758,9 +796,8 @@ class TestCalibration:
         # of level <= 2, above the threshold too, with j = 1: only a probe
         # with a factor in dirs[0] is certified, so the direction set alone
         # finds the failing direction.  Every call shares one context, so
-        # the images are built once (its plane before the patch).
+        # the images are built once.
         shared = DdfContext(P4, momentum, Fraction(1, 2))
-        shared.plane()
         monkeypatch.setattr(ddf_module, "DdfContext", lambda *args: shared)
         for dirs in ((1, 2), (2, 1)):
             for n in range(-2, 3):
