@@ -29,7 +29,7 @@ and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
 so a copy of both scripts placed in another checkout times that checkout.
 The result is written as JSON:
 
-    python3 scripts/bench_ddf.py --out BENCH_25.json
+    python3 scripts/bench_ddf.py --out BENCH_26.json
 """
 
 from __future__ import annotations

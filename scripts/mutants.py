@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_25.json
+    python3 scripts/mutants.py --out MUTANTS_26.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about ten minutes on a shared 2-core machine; the ``ddf``
@@ -148,16 +148,27 @@ MUTANTS = [
      "if m != n and scanner._split_residual(m, n, first) != ",
      "if False and scanner._split_residual(m, n, first) != ",
      FIBER_TESTS, "killed"),
-    # V^mu_n and the shared vertex images of the kappa calibration
+    # the one assembly sum_s image_s(lam) (x) alpha^i_s tau, and A^i_n's
+    # V_{n-s} images in it; A^i_n shares _moved with the builders, so the
+    # _moved rows below are killed by the tests against the two-loop form
     ("ddf.vector-mode-filter-inverted", DDF,
-     "for f in mono if f[1] == mu}):", "for f in mono if f[1] != mu}):",
+     "top = max((a for a, mu in tau if mu == i), default=0)",
+     "top = max((a for a, mu in tau if mu != i), default=0)",
      DDF_TESTS, "killed"),
     ("ddf.vector-drop-momentum-term", DDF,
-     "if q else w.scaled(p[mu])", "if q else w.scaled(0)",
+     "for s in range(n - level_of(lam), top + 1)])",
+     "for s in range(n - level_of(lam), top + 1) if s])",
      DDF_TESTS, "killed"),
     ("ddf.vector-mode-shift", DDF,
-     "apply_oscillator((-q, mu), w, params)",
-     "apply_oscillator((-q - 1, mu), w, params)",
+     "if hit := _moved(s, i, tau, p):", "if hit := _moved(s - 1, i, tau, p):",
+     DDF_TESTS, "killed"),
+    ("ddf.vector-raise-s-lower-bound", DDF,
+     "range(n - level_of(lam), top + 1)",
+     "range(n - level_of(lam) + 1, top + 1)",
+     DDF_TESTS, "killed"),
+    ("ddf.vector-image-t-shift", DDF,
+     "(s, _image(n - s, k, lam, params.d - 1, params.b))",
+     "(s, _image(n - s + 1, k, lam, params.d - 1, params.b))",
      DDF_TESTS, "killed"),
     # [L_m, A^i_n] v from the lightcone images R_s and its certificates
     ("ddf.lm-images-from-v", DDF,
@@ -288,6 +299,12 @@ MUTANTS = [
      "range(n - level_of(lam) - max(0, -m), top + 1)",
      "range(n - level_of(lam) - max(0, -m) - 1, top + 1)",
      DDF_TESTS, "survived"),
+    # a sound variant: V_{n-s} lam = 0 for s < n - level(lam), so A^i_n
+    # starting one step lower only builds an empty image
+    ("ddf.vector-widen-s-lower-bound", DDF,
+     "range(n - level_of(lam), top + 1)",
+     "range(n - level_of(lam) - 1, top + 1)",
+     DDF_TESTS, "survived"),
     # a sound variant: skipping the later keys instead of stopping is slower
     ("fock.skip-instead-of-stop", FOCK,
      "            if key[0] > remaining:\n"
@@ -356,7 +373,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_25.json",
+    ap.add_argument("--out", default="MUTANTS_26.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

@@ -30,11 +30,11 @@ A^i_n = sum_s alpha^i_s V_{n-s} and alpha^i_0 = p^i,
 
 R_s = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam independent of i; the
 closed-form defect below has the same shape, and distinct s give distinct
-monomials, so nothing cancels across s.  A :class:`DdfContext` builds
-these images, and the V_t images under them, in the d = 2 model and keeps
-them as long as it lives (they carry its ring scalars).  Only k^0 enters
-V_t, so each of its null vectors keeps a V_t image once, in the labels of
-the d = 2 model, and lifts it to full d for A^i_n.
+monomials, so nothing cancels across s.  One loop assembles A^i_n, the
+residual and the defect from their lightcone images, which a
+:class:`DdfContext` builds in the d = 2 model and keeps as long as it
+lives (they carry its ring scalars).  Only k^0 enters V_t, so each of its
+null vectors keeps a V_t image once, in d = 2 labels, and lifts it to full d.
 
 The normalization kappa is *calibrated*, not assumed: candidate values are
 searched until the commutators [L_m, A^i_n] (m != 0) vanish on a probe
@@ -45,7 +45,8 @@ alpha^i_{-1} Omega on lightcone-plane momenta, and transverse momentum
 components add [L_1, A^i_{-1}] Omega = p^i (1 - kappa) Omega.  Every
 factored residual and defect is certified against the literal L_m A^i_n
 v - A^i_n L_m v, composed once per (m, i, n, v), once per (n, m, level,
-whether i occurs in v) and context.
+whether i occurs in v) and context.  The literal composes the factored
+A^i_n, itself checked against the two-loop V^mu_n and the ladder algebra.
 
 A word on what these operators do and do not satisfy.  Because the
 construction stays inside a single fiber (no momentum shift, no center-of-
@@ -249,23 +250,30 @@ def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVect
 def v_vector_apply(mu: int, n: int, k: NullVector, p: Momentum, v: FockVector,
                    params: ModelParams) -> FockVector:
     """Apply V^mu_n = sum_{q>0}[alpha^mu_{-q} V_{n+q} + V_{n-q} alpha^mu_q]
-    + p^mu V_n, with level-bound truncations q <= level - n and q <= level:
-    alpha^mu_{-q} on each of the :func:`_vertex_images` (p^mu at q = 0),
-    plus V_{n-q} alpha^mu_q v for the modes q > 0 of mu that occur in v."""
+    + p^mu V_n, mu transverse only (else InvalidDirectionError), as
+    sum_s V_{n-s}(k) lam (x) alpha^mu_s tau by :func:`_assembled`, s from
+    n - level(lam) on (below it V_{n-s} lam = 0), images from :func:`_image`."""
+    _check_transverse(mu, params)
+    return _assembled(v, mu, p, params.d - 1, lambda lam, top: [
+        (s, _image(n - s, k, lam, params.d - 1, params.b))
+        for s in range(n - level_of(lam), top + 1)])
+
+
+def _assembled(v: FockVector, i: int, p: Momentum, last: int,
+               images) -> FockVector:
+    """sum_s image_s(lam) (x) alpha^i_s tau over the monomials lam (x) tau
+    of v (:func:`_moved`), ``images(lam, top)`` listing the (s, full-d
+    image) with s up to ``top``, the top mode of i in tau or 0."""
     out = FockVector.zero()
-    for q, w in _vertex_images(n, k, v, params):
-        out += apply_oscillator((-q, mu), w, params) if q else w.scaled(p[mu])
-    for q in sorted({f[0] for mono, _ in v.items() for f in mono if f[1] == mu}):
-        out += v_scalar_apply(n - q, k, apply_oscillator((q, mu), v, params),
-                              params)
+    for mono, c in v.items():
+        lam, tau = _split(mono, last)
+        top = max((a for a, mu in tau if mu == i), default=0)
+        for s, image in images(lam, top):
+            if hit := _moved(s, i, tau, p):
+                moved, w = hit[0], c * hit[1]
+                for lc, a in image.items():
+                    out.add_term(tuple(sorted(lc + moved)), a * w)
     return out
-
-
-def _vertex_images(n: int, k: NullVector, v: FockVector,
-                   params: ModelParams) -> list:
-    """[(q, V_{n+q}(k) v)] for 0 <= q <= level(v) - n, zero images dropped."""
-    return [(q, w) for q in range(v.level() - n + 1)
-            if (w := v_scalar_apply(n + q, k, v, params))]
 
 
 class DdfContext:
@@ -429,18 +437,9 @@ def _moved(s: int, i: int, tau, p: Momentum):
 
 
 def _factored(build, m, i, n, v, ctx) -> FockVector:
-    """sum_s image_s(lam) (x) alpha^i_s tau over the monomials lam (x) tau
-    of v; s stops at the top mode of i in tau, or 0."""
-    out = FockVector.zero()
-    for mono, c in v.items():
-        lam, tau = _split(mono, ctx.params.d - 1)
-        top = max((a for a, mu in tau if mu == i), default=0)
-        for s, image in _lc_images(build, m, n, lam, top, ctx):
-            if hit := _moved(s, i, tau, ctx.p):
-                moved, w = hit[0], c * hit[1]
-                for lc, a in image.items():
-                    out.add_term(tuple(sorted(lc + moved)), a * w)
-    return out
+    """``build``'s :func:`_lc_images`, assembled on v by :func:`_assembled`."""
+    return _assembled(v, i, ctx.p, ctx.params.d - 1, lambda lam, top:
+                      _lc_images(build, m, n, lam, top, ctx))
 
 
 def defect_threshold(m: int, n: int) -> int:

@@ -29,6 +29,7 @@ from openstring.ddf import (
     mass_project,
     u_op_apply,
     v_scalar_apply,
+    v_vector_apply,
 )
 import openstring.ddf as ddf_module
 from openstring.cli import _probe_momenta, main
@@ -400,8 +401,9 @@ SHARED_IMAGE_CASES = {
 
 
 class TestSharedVertexImages:
-    """ddf_apply, which builds the direction-free images V_{n+q}(n k) v once
-    and assembles A^i_n from them, against the literal two-loop form."""
+    """ddf_apply, which assembles A^i_n (lam (x) tau) = sum_s V_{n-s}(n k)
+    lam (x) alpha^i_s tau from the direction-free lightcone images
+    V_t(n k) lam, against the literal two-loop form on whole vectors."""
 
     @pytest.mark.parametrize("case", sorted(SHARED_IMAGE_CASES))
     def test_ddf_apply_matches_two_loop_reference(self, case):
@@ -486,6 +488,10 @@ class TestOperatorBasics:
         for i in (0, 3, 4, -1):
             with pytest.raises(InvalidDirectionError):
                 ddf_apply(i, 1, FockVector.vacuum(), ctx)
+            # the factored V^mu_n holds for transverse mu only
+            with pytest.raises(InvalidDirectionError):
+                v_vector_apply(i, 1, ctx.null_at(1), ctx.p,
+                               FockVector.vacuum(), P4)
 
     def test_degenerate_fiber_gives_zero(self):
         ctx = DdfContext(P4, mom(1, 2, 3, -1))
@@ -621,27 +627,6 @@ class TestVirasoroCommutators:
         with pytest.raises(ValueError):
             ddf_commutator_defect(1, 1, 1, FockVector.vacuum(), ctx_half)
 
-    def test_defect_builds_each_vertex_image_once(self, monkeypatch):
-        # all three closed-form sums read V_t(n k) lam; each t is built once
-        # per call (and none when the context holds the images already).
-        # Counted in the d = 2 model of the images: the certificate's
-        # literal A^i_n runs its own V_t at d = 4.
-        calls = []
-        original = ddf_module.v_scalar_apply
-
-        def counting(t, k, v, params):
-            if params.d == 2:
-                calls.append(t)
-            return original(t, k, v, params)
-
-        monkeypatch.setattr(ddf_module, "v_scalar_apply", counting)
-        ctx = DdfContext(P4, MOME4[0])
-        for m, n in [(-2, -2), (2, 2), (1, -1)]:
-            for v in basis_upto(P4, 2):
-                calls.clear()
-                ddf_commutator_defect(m, 1, n, v, ctx)
-                assert len(calls) == len(set(calls)), (m, n, v)
-
     def test_defect_builds_each_lightcone_image_once(self, monkeypatch):
         # the closed-form sums read V_t(n k) lam off the null vectors' own
         # cache, without v_scalar_apply: each (n k, t, lam) is built once
@@ -719,12 +704,16 @@ class TestCalibration:
         assert min(totals[0].values()) > 0
 
     def test_dropping_the_zero_mode_image_is_caught(self, monkeypatch):
-        # without its q = 0 entry A^i_n loses p^i V_n v; the factored
-        # residual does not use A^i_n, so the literal certificate disagrees
-        # with it on the first probe, and kappa = 1 cannot pass
-        real = ddf_module._vertex_images
-        monkeypatch.setattr(ddf_module, "_vertex_images",
-                            lambda *args: [(q, w) for q, w in real(*args) if q])
+        # without its s = 0 term A^i_n loses p^i V_n lam (x) tau; the
+        # factored residual does not use A^i_n, so the literal certificate
+        # disagrees with it on the first probe, and kappa = 1 cannot pass
+        real = ddf_module.v_vector_apply
+
+        def without_zero_mode(mu, n, k, p, v, params):
+            return real(mu, n, k, p, v, params) - v_scalar_apply(
+                n, k, v, params).scaled(p[mu])
+
+        monkeypatch.setattr(ddf_module, "v_vector_apply", without_zero_mode)
         with pytest.raises(InvariantError, match=r"\[L_1, A\^1_-2\]"):
             calibrate_normalization(P4, MOME4[:2])
 
@@ -1176,27 +1165,25 @@ class TestTwentySixDimensions:
         ) == 1
 
     def test_calibration_builds_each_image_once(self, monkeypatch):
-        """U_n runs only on cache misses: at most 2(L + 1) calls for each
-        distinct (model, n k, t, lightcone part of level L) that V_t is
-        asked for, the lightcone part read in the labels of its model (the
-        images live in the d = 2 model, the certificate's A^i_n at d = 26)."""
+        """U_n runs only on image builds: each (n k, t, lightcone part lam
+        in d = 2 labels) reaches _lightcone_image once, for the residual
+        images and the certificate's A^i_n alike, and U_n runs at most
+        2(L + 1) times for each built lam of level L."""
         calls = 0
-        keys = set()
-        real_u, real_v = ddf_module.u_op_apply, ddf_module.v_scalar_apply
+        built = []
+        real_u, real_image = ddf_module.u_op_apply, ddf_module._lightcone_image
 
         def counting_u(*args, **kwargs):
             nonlocal calls
             calls += 1
             return real_u(*args, **kwargs)
 
-        def recording_v(t, k, v, params):
-            d = len(k.components)
-            for mono, _ in v.items():
-                keys.add((d, k.kappa, t,
-                          tuple(f for f in mono if f[1] in (0, d - 1))))
-            return real_v(t, k, v, params)
+        def recording_image(t, k, lam, params):
+            built.append((id(k), t, lam))
+            return real_image(t, k, lam, params)
 
         monkeypatch.setattr(ddf_module, "u_op_apply", counting_u)
-        monkeypatch.setattr(ddf_module, "v_scalar_apply", recording_v)
+        monkeypatch.setattr(ddf_module, "_lightcone_image", recording_image)
         assert calibrate_normalization(P26, [self.P]) == 1
-        assert 0 < calls <= sum(2 * (level_of(lc) + 1) for *_, lc in keys)
+        assert built and len(built) == len(set(built))
+        assert 0 < calls <= sum(2 * (level_of(lam) + 1) for *_, lam in built)
