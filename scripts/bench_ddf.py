@@ -1,6 +1,6 @@
 """Time the kappa calibration, the DDF commutator check and ``openstring ddf``.
 
-Three measurements, each repeated ``--repeat`` times:
+Four measurements, each repeated ``--repeat`` times:
 
 * ``calibrate_normalization`` in process at d = 26 on the CLI's two probe
   momenta ``_probe_momenta(26, seed)`` for seeds 0 and 2, with the CLI's
@@ -15,21 +15,30 @@ Three measurements, each repeated ``--repeat`` times:
   the two builders share is timed in ``residual_s``; ``pair_s`` times each
   case's residual and defect as one span, which does not depend on that
   order;
+* the same 480 cases at the symbolic momentum ``sym_momentum(26)``, where
+  every coefficient is an ``LcRational`` and a zero residual minus defect
+  is a polynomial identity in p;
 * ``openstring ddf`` in a fresh interpreter, at its defaults, with
   ``--seed 2``, and on the reject path ``--kappa-set 1/2 2`` (exit 3, the
   witnesses on stderr), so the time includes interpreter start; the exit
   code and the SHA-256 of stdout and stderr are recorded, so two checkouts
   can be compared for byte-identical output.
 
-The peak RSS recorded is that of this process, which runs the
-calibrations and the cases.
+The in-process spans are recorded raw and scaled to the reference speed
+by ``perfbench/refclock.py``, as ``bench_bracket_grid.py`` scales its
+grid: a fixed loop is timed every ``BURST_INTERVAL`` seconds while they
+run, each span's time less the bursts inside it is divided by the mean
+burst, and the raw times keep the bursts.  The machine is shared and its
+speed switches by up to 1.5x, which the raw medians follow.  The CLI
+times are raw.  The peak RSS recorded is that of this process, which
+runs the calibrations and the cases.
 
 The package is imported from ``src/`` of the checkout holding this script,
 and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
 so a copy of both scripts placed in another checkout times that checkout.
 The result is written as JSON:
 
-    python3 scripts/bench_ddf.py --out BENCH_26.json
+    python3 scripts/bench_ddf.py --out BENCH_27.json
 """
 
 from __future__ import annotations
@@ -47,18 +56,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_bracket_grid import _git_head, _machine, time_cli  # noqa: E402
+from bench_bracket_grid import BURST_INTERVAL, _git_head, _machine, \
+    _spread, time_cli  # noqa: E402
+from refclock import RefClock, scaled  # noqa: E402
 from openstring.cli import _probe_momenta  # noqa: E402
 from openstring.ddf import DdfContext, calibrate_normalization, \
     ddf_commutator_defect, ddf_commutator_residual  # noqa: E402
 from openstring.fiber import Momentum  # noqa: E402
 from openstring.fock import FockVector, ModelParams, iter_level_basis  # noqa: E402
+from openstring.poly import sym_momentum  # noqa: E402
 
 D = 26
 SEEDS = (0, 2)
 CASE_SEED = 1
 MODES = (-2, -1, 1, 2)
 PER_CELL = 10
+#: span -> (start, end) among the three marks around a case's residual
+#: and defect
+SPANS = {"residual": (0, 1), "defect": (1, 2), "pair": (0, 2)}
 # name -> (argv, expected exit code)
 CLI_RUNS = {"default": (("ddf",), 0),
             "seed_2": (("ddf", "--seed", "2"), 0),
@@ -66,11 +81,17 @@ CLI_RUNS = {"default": (("ddf",), 0),
 
 
 def time_calibration(seed: int) -> dict:
-    """Seconds for one calibration on the CLI's momenta at ``seed``."""
+    """Seconds for one calibration on the CLI's momenta at ``seed``, raw
+    and at the reference speed."""
     momenta = _probe_momenta(D, seed)
+    # the wall time is taken around the whole block, so it holds the
+    # burst RefClock adds on exit when none fired inside
     t0 = time.perf_counter()
-    kappa = calibrate_normalization(ModelParams(d=D), momenta)
-    return {"wall_s": time.perf_counter() - t0, "kappa": str(kappa)}
+    with RefClock(BURST_INTERVAL) as clock:
+        kappa = calibrate_normalization(ModelParams(d=D), momenta)
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "scaled_s": scaled(wall, *clock.summary()),
+            "kappa": str(kappa)}
 
 
 def defect_cases(seed: int) -> tuple:
@@ -94,23 +115,47 @@ def defect_cases(seed: int) -> tuple:
 def time_defect_cases(p: Momentum, cases) -> dict:
     """Seconds for the residuals, for the defects and for each case's
     residual and defect together (``pair_s``) of ``cases`` on one fresh
-    context, and how many residuals differ from their defect."""
+    context at ``p``, raw and at the reference speed, and how many
+    residuals differ from their defect."""
     ctx = DdfContext(ModelParams(d=D), p)
-    residual_s = defect_s = pair_s = 0.0
+    raw = dict.fromkeys(SPANS, 0.0)
+    bursts = dict.fromkeys(SPANS, 0.0)
     mismatched = nonzero = 0
-    for m, i, n, v in cases:
-        t0 = time.perf_counter()
-        res = ddf_commutator_residual(m, i, n, v, ctx)
-        t1 = time.perf_counter()
-        dft = ddf_commutator_defect(m, i, n, v, ctx)
-        t2 = time.perf_counter()
-        residual_s += t1 - t0
-        defect_s += t2 - t1
-        pair_s += t2 - t0
-        mismatched += res != dft
-        nonzero += bool(res)
-    return {"residual_s": residual_s, "defect_s": defect_s, "pair_s": pair_s,
+    with RefClock(BURST_INTERVAL) as clock:
+        for m, i, n, v in cases:
+            marks = [(time.perf_counter(), len(clock.bursts))]
+            res = ddf_commutator_residual(m, i, n, v, ctx)
+            marks.append((time.perf_counter(), len(clock.bursts)))
+            dft = ddf_commutator_defect(m, i, n, v, ctx)
+            marks.append((time.perf_counter(), len(clock.bursts)))
+            for key, (a, b) in SPANS.items():
+                raw[key] += marks[b][0] - marks[a][0]
+                bursts[key] += sum(clock.bursts[marks[a][1]:marks[b][1]])
+            mismatched += res != dft
+            nonzero += bool(res)
+    mean_burst = clock.summary()[1]
+    return {**{f"{key}_s": raw[key] for key in SPANS},
+            **{f"scaled_{key}_s": scaled(raw[key], bursts[key], mean_burst)
+               for key in SPANS},
             "mismatched": mismatched, "nonzero": nonzero}
+
+
+def _cases_summary(p, cases, runs: list) -> dict:
+    """Raw and scaled times of repeated runs of the cases at ``p``, with
+    the median and quartiles of each, and the mismatch counts."""
+    out = {"d": D, "seed": CASE_SEED, "cases": len(cases),
+           "momentum": [str(c) for c in p]}
+    for key in SPANS:
+        for name in (f"{key}_s", f"scaled_{key}_s"):
+            values = [r[name] for r in runs]
+            spread = _spread(values)
+            stem = name[:-2]
+            out[name] = values
+            out[f"{stem}_median_s"] = spread["median"]
+            out[f"{stem}_quartiles_s"] = spread["quartiles"]
+    out["mismatched"] = sorted({r["mismatched"] for r in runs})
+    out["nonzero"] = sorted({r["nonzero"] for r in runs})
+    return out
 
 
 def main(argv=None) -> int:
@@ -127,11 +172,13 @@ def main(argv=None) -> int:
     calibrations = {seed: [] for seed in SEEDS}
     clis = {name: [] for name in CLI_RUNS}
     case_p, cases = defect_cases(CASE_SEED)
-    case_runs = []
+    momenta = {"defect_cases": case_p, "symbolic_cases": sym_momentum(D)}
+    case_runs = {name: [] for name in momenta}
     for _ in range(args.repeat):
         for seed in SEEDS:
             calibrations[seed].append(time_calibration(seed))
-        case_runs.append(time_defect_cases(case_p, cases))
+        for name, p in momenta.items():
+            case_runs[name].append(time_defect_cases(p, cases))
         for name, (cli_argv, _) in CLI_RUNS.items():
             clis[name].append(time_cli(*cli_argv))
     result = {
@@ -144,25 +191,17 @@ def main(argv=None) -> int:
                 "d": D,
                 "momenta": [[str(c) for c in p]
                             for p in _probe_momenta(D, seed)],
-                "wall_s": [r["wall_s"] for r in runs],
+                **{name: [r[name] for r in runs]
+                   for name in ("wall_s", "scaled_s")},
                 "wall_median_s": statistics.median(r["wall_s"] for r in runs),
+                "scaled_median_s": statistics.median(
+                    r["scaled_s"] for r in runs),
                 "kappa": sorted({r["kappa"] for r in runs}),
             }
             for seed, runs in calibrations.items()
         },
-        "defect_cases": {
-            "d": D,
-            "seed": CASE_SEED,
-            "cases": len(cases),
-            "momentum": [str(c) for c in case_p],
-            **{f"{key}_s": [r[f"{key}_s"] for r in case_runs]
-               for key in ("residual", "defect", "pair")},
-            **{f"{key}_median_s": statistics.median(
-                r[f"{key}_s"] for r in case_runs)
-               for key in ("residual", "defect", "pair")},
-            "mismatched": sorted({r["mismatched"] for r in case_runs}),
-            "nonzero": sorted({r["nonzero"] for r in case_runs}),
-        },
+        **{name: _cases_summary(p, cases, case_runs[name])
+           for name, p in momenta.items()},
         "cli_ddf": {
             name: {
                 "argv": list(CLI_RUNS[name][0]),
@@ -179,15 +218,17 @@ def main(argv=None) -> int:
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps({
-        **{f"calibration_{name}_median_s": cal["wall_median_s"]
-           for name, cal in result["calibration"].items()},
-        **{f"cases_{key}_median_s": result["defect_cases"][f"{key}_median_s"]
-           for key in ("residual", "defect", "pair")},
+        **{f"calibration_{name}_{key}_median_s": cal[f"{key}_median_s"]
+           for name, cal in result["calibration"].items()
+           for key in ("wall", "scaled")},
+        **{f"{name}_{stem}_median_s": result[name][f"{stem}_median_s"]
+           for name in momenta for key in SPANS
+           for stem in (key, f"scaled_{key}")},
         **{f"cli_{name}_median_s": cli["wall_median_s"]
            for name, cli in result["cli_ddf"].items()}}))
     bad = any(cal["kappa"] != ["1"] for cal in result["calibration"].values()) \
-        or result["defect_cases"]["mismatched"] != [0] \
-        or 0 in result["defect_cases"]["nonzero"] \
+        or any(result[name]["mismatched"] != [0]
+               or 0 in result[name]["nonzero"] for name in momenta) \
         or any(cli["exit_codes"] != [CLI_RUNS[name][1]]
                for name, cli in result["cli_ddf"].items())
     return 1 if bad else 0

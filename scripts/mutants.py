@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_26.json
+    python3 scripts/mutants.py --out MUTANTS_27.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about ten minutes on a shared 2-core machine; the ``ddf``
@@ -49,6 +49,7 @@ FOCK = "src/openstring/fock.py"
 SPECTRUM = "src/openstring/spectrum.py"
 EXACTNUM = "src/openstring/exactnum.py"
 CLI = "src/openstring/cli.py"
+POLY = "src/openstring/poly.py"
 FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
 DDF_TESTS = ("tests/test_ddf.py",)
@@ -56,6 +57,7 @@ FOCK_TESTS = ("tests/test_fock.py",)
 WORD_TESTS = ("tests/test_spectrum.py::TestDdfSpan",)
 EXACTNUM_TESTS = ("tests/test_exactnum.py",)
 SAMPLE_TESTS = ("tests/test_cli.py::TestTestfn",)
+POLY_TESTS = ("tests/test_poly.py", "tests/test_testfn.py")
 
 #: (id, file, old text, new text, pytest selection, expected verdict)
 MUTANTS = [
@@ -293,6 +295,22 @@ MUTANTS = [
     ("cli.sample-off-shell", CLI,
      "x = (tf.shell / s - s) / 2", "x = (tf.shell / s + s) / 2",
      SAMPLE_TESTS, "killed"),
+    # the symbolic ring: one Laurent polynomial in (w, p^1, ..., p^{d-1})
+    ("poly.shear-sign-flipped", POLY,
+     "c * comb(a, k) * sign ** k", "c * comb(a, k) * (-sign) ** k",
+     POLY_TESTS, "killed"),
+    ("poly.gamma-from-highest-w", POLY,
+     "max(0, -min((e[0] for e in self._lc.terms), default=0))",
+     "max(0, -max((e[0] for e in self._lc.terms), default=0))",
+     POLY_TESTS, "killed"),
+    ("poly.divide-non-pure-w-power", POLY,
+     "if len(self._lc.terms) != 1 or any(exps[1:]):",
+     "if len(self._lc.terms) != 1:",
+     POLY_TESTS, "killed"),
+    ("poly.cleared-off-by-one", POLY,
+     "return _shear(self._lc * _w_power(self.d, gamma), 1)",
+     "return _shear(self._lc * _w_power(self.d, gamma + 1), 1)",
+     POLY_TESTS, "killed"),
     # a sound variant: every R_s below the bound is zero, so starting one
     # step lower only builds an empty image
     ("ddf.widen-s-lower-bound", DDF,
@@ -373,7 +391,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_26.json",
+    ap.add_argument("--out", default="MUTANTS_27.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

@@ -2,13 +2,15 @@
 rational extension the oscillator construction needs.
 
 ``Poly`` is a multivariate polynomial over Fraction in the d variables
-p^0..p^{d-1}.  ``LcRational`` adjoins a single denominator, powers of the
-lightcone combination w = p^0 + p^{d-1}: every coefficient produced by
-running the oscillator machinery at a symbolic momentum has the shape
-q(p)/w^gamma, because w is the only thing the construction ever divides
-by.  Normalization cancels w out of the numerator eagerly (w is a prime
-element, so the reduced form is unique), which is what later lets a global
-w^gamma prefactor clear all denominators at once.
+p^0..p^{d-1}.  ``LcRational`` adjoins the inverse of the lightcone
+combination w = p^0 + p^{d-1}: every coefficient produced by running the
+oscillator machinery at a symbolic momentum has the shape q(p)/w^gamma,
+because w is the only thing the construction ever divides by.  It is kept
+as one Laurent polynomial in the lightcone coordinates (w, p^1, ...,
+p^{d-1}), where the exponent of w may be negative.  That form is unique,
+so sums, products and equality are Poly's own, gamma is read off the
+lowest power of w, and a global w^gamma prefactor clears all denominators
+at once.
 
 Division is deliberately *not* closed: only ``scalar / LcRational`` with a
 pure w-power argument is defined, precisely the shape k^0 = kappa / w
@@ -27,8 +29,8 @@ The two structural rewrites used by the verification layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from math import comb
+from operator import add, mul, sub
 
 __all__ = ["LcRational", "Poly", "sym_momentum"]
 
@@ -174,66 +176,23 @@ class Poly:
         return Poly(self.d, out)
 
     def reduce_shell(self, r) -> "Poly":
-        """Normal form modulo (p^0)^2 - |vec p|^2 - r; p^0-degree <= 1."""
-        r = _as_fraction(r)
-        cur = self
-        while cur.degree_in(0) > 1:
-            out = Poly(self.d)
-            for exps, c in cur.terms.items():
-                if exps[0] > 1:
-                    rest = (exps[0] - 2,) + exps[1:]
-                    base = Poly(self.d, {rest: c})
-                    sq = Poly.const(self.d, r)
-                    for i in range(1, self.d):
-                        ei = [0] * self.d
-                        ei[i] = 2
-                        sq = sq + Poly(self.d, {tuple(ei): Fraction(1)})
-                    out = out + base * sq
-                else:
-                    out = out + Poly(self.d, {exps: c})
-            cur = out
-        return cur
+        """Normal form modulo (p^0)^2 - |vec p|^2 - r; p^0-degree <= 1.
 
-    def substitute_lightcone_zero(self) -> "Poly":
-        """The remainder of division by w: substitute p^0 -> -p^{d-1}."""
-        out = {}
-        last = self.d - 1
-        for exps, c in self.terms.items():
-            e0 = exps[0]
-            new = (0,) + exps[1:last] + (exps[last] + e0,)
-            out[new] = out.get(new, 0) + (-c if e0 % 2 else c)
-        return Poly(self.d, out)
-
-    def divide_lightcone(self):
-        """Exact quotient by w = p^0 + p^{d-1}, or None if not divisible.
-
-        Synthetic division in p^0 with coefficients in the remaining
-        variables: writing q = sum_j c_j (p^0)^j, the quotient satisfies
-        h_{j-1} = c_j - p^{d-1} h_j downward from the top degree.  A nonzero
-        remainder is found first, without dividing.
+        One pass: c (p^0)^(2j+e) rest becomes c (p^0)^e rest s^j with
+        s = |vec p|^2 + r, and each power of s is built once.
         """
-        if not self:
-            return Poly(self.d)
-        if self.substitute_lightcone_zero():
-            return None
-        top = self.degree_in(0)
-        # collect c_j as polynomials with a zero p^0 exponent slot
-        cs = [Poly(self.d) for _ in range(top + 1)]
+        s = sum((Poly.variable(self.d, i) ** 2 for i in range(1, self.d)),
+                Poly.const(self.d, r))
+        powers = [Poly.const(self.d, 1)]
+        out = {}
         for exps, c in self.terms.items():
-            j = exps[0]
-            cs[j] = cs[j] + Poly(self.d, {(0,) + exps[1:]: c})
-        y = Poly.variable(self.d, self.d - 1)
-        h = [Poly(self.d) for _ in range(top)]  # quotient coefficients
-        carry = Poly(self.d)
-        for j in range(top, 0, -1):
-            hj = cs[j] - y * carry if j < top else cs[j]
-            h[j - 1] = hj
-            carry = hj
-        out = Poly(self.d)
-        for j, hj in enumerate(h):
-            for exps, c in hj.terms.items():
-                out = out + Poly(self.d, {(j,) + exps[1:]: c})
-        return out
+            j, e = divmod(exps[0], 2)
+            while len(powers) <= j:
+                powers.append(powers[-1] * s)
+            for es, cs in powers[j].terms.items():
+                key = (e,) + tuple(map(add, exps[1:], es[1:]))
+                out[key] = out.get(key, 0) + c * cs
+        return Poly(self.d, out)
 
     def __repr__(self):
         if not self.terms:
@@ -248,94 +207,100 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-class LcRational:
-    """q(p) / w^gamma with w = p^0 + p^{d-1}, kept in lowest terms."""
+def _shear(q: Poly, sign: int) -> Poly:
+    """q with x^0 -> x^0 + sign * x^{d-1}.
 
-    __slots__ = ("num", "gamma")
+    sign = -1 rewrites a polynomial in p in the lightcone coordinates
+    (w, p^1, ..., p^{d-1}), since p^0 = w - p^{d-1}; sign = +1 rewrites it
+    back, since w = p^0 + p^{d-1}.  The exponent of x^0 must be
+    nonnegative.
+    """
+    out = {}
+    for exps, c in q.terms.items():
+        a, mid, b = exps[0], exps[1:-1], exps[-1]
+        for k in range(a + 1):
+            e = (a - k,) + mid + (b + k,)
+            out[e] = out.get(e, 0) + c * comb(a, k) * sign ** k
+    return Poly(q.d, out)
+
+
+def _w_power(d: int, e: int) -> Poly:
+    """w^e in the lightcone coordinates, for any integer e."""
+    return Poly(d, {(e,) + (0,) * (d - 1): 1})
+
+
+class LcRational:
+    """q(p) / w^gamma with w = p^0 + p^{d-1}, stored as its unique Laurent
+    polynomial ``_lc`` in the lightcone coordinates (w, p^1, ..., p^{d-1})."""
+
+    __slots__ = ("_lc",)
 
     def __init__(self, num: Poly, gamma: int = 0):
         if gamma < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        while gamma > 0:
-            q = num.divide_lightcone()
-            if q is None:
-                break
-            num, gamma = q, gamma - 1
-        if not num:
-            gamma = 0
-        self.num = num
-        self.gamma = gamma
+        self._lc = _shear(num, -1) * _w_power(num.d, -gamma)
 
     @classmethod
-    def _reduced(cls, num: Poly, gamma: int) -> "LcRational":
-        """num / w^gamma, already in lowest terms: no reduction is tried."""
+    def _laurent(cls, lc: Poly) -> "LcRational":
+        """The section whose Laurent polynomial is ``lc``."""
         out = cls.__new__(cls)
-        out.num, out.gamma = num, gamma
+        out._lc = lc
         return out
 
     @property
     def d(self) -> int:
-        return self.num.d
+        return self._lc.d
+
+    @property
+    def gamma(self) -> int:
+        """The least power of w that clears the denominator."""
+        return max(0, -min((e[0] for e in self._lc.terms), default=0))
+
+    @property
+    def num(self) -> Poly:
+        """The numerator over w^gamma, in p coordinates."""
+        return self.cleared(self.gamma)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._lc)
 
     def _coerce(self, other):
+        """other as an operand of ``_lc``'s Poly arithmetic, or None."""
         if isinstance(other, LcRational):
-            return other
+            return other._lc
         if isinstance(other, Poly):
-            return LcRational(other)
+            return _shear(other, -1)
         if isinstance(other, (int, Fraction)):
-            return LcRational(Poly.const(self.d, other))
+            return other
         return None
+
+    def _lifted(self, other, op):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._laurent(op(self._lc, o))
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.gamma == o.gamma and self.num == o.num
+        return NotImplemented if o is None else self._lc == o
 
     def __hash__(self):
-        return hash((self.num, self.gamma))
+        return hash(self._lc)
 
     def __neg__(self):
-        return LcRational(-self.num, self.gamma)
+        return LcRational._laurent(-self._lc)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.gamma == o.gamma:
-            return LcRational(self.num + o.num, self.gamma)
-        # the numerator with the larger gamma is reduced and the other
-        # carries a factor w, so the sum is not divisible by w
-        hi, lo = (self, o) if self.gamma > o.gamma else (o, self)
-        w = _lightcone_power(self.d, hi.gamma - lo.gamma)
-        return LcRational._reduced(hi.num + lo.num * w, hi.gamma)
+        return self._lifted(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._lifted(other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._lifted(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational factor cannot make a reduced numerator divisible by w
-            return LcRational._reduced(self.num * other,
-                                       self.gamma if other else 0)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.gamma and o.gamma:
-            # both numerators are reduced and w is prime: so is the product
-            return LcRational._reduced(self.num * o.num, self.gamma + o.gamma)
-        return LcRational(self.num * o.num, self.gamma + o.gamma)
+        return self._lifted(other, mul)
 
     __rmul__ = __mul__
 
@@ -345,22 +310,12 @@ class LcRational:
             return NotImplemented
         if not self:
             raise ZeroDivisionError("division by the zero section")
-        num, drop = self.num, 0
-        while True:
-            q = num.divide_lightcone()
-            if q is None:
-                break
-            num, drop = q, drop + 1
-        const = num.terms.get((0,) * self.d)
-        if const is None or len(num.terms) != 1:
+        exps, c = next(iter(self._lc.terms.items()))
+        if len(self._lc.terms) != 1 or any(exps[1:]):
             raise TypeError(
                 "only pure lightcone powers can be inverted in this ring"
             )
-        c = _as_fraction(other) / const
-        e = self.gamma - drop
-        if e >= 0:
-            return LcRational(Poly.const(self.d, c) * _lightcone_power(self.d, e))
-        return LcRational(Poly.const(self.d, c), -e)
+        return LcRational._laurent(_w_power(self.d, -exps[0]) * (other / c))
 
     def evaluate(self, point):
         w = point[0] + point[self.d - 1]
@@ -378,18 +333,12 @@ class LcRational:
             raise ValueError(
                 f"prefactor power {gamma} below denominator power {self.gamma}"
             )
-        return self.num * _lightcone_power(self.d, gamma - self.gamma)
+        return _shear(self._lc * _w_power(self.d, gamma), 1)
 
     def __repr__(self):
         if self.gamma:
             return f"LcRational({self.num!r}, w^-{self.gamma})"
         return f"LcRational({self.num!r})"
-
-
-@lru_cache(maxsize=128)
-def _lightcone_power(d: int, e: int) -> Poly:
-    """w^e for w = p^0 + p^{d-1} (Poly is immutable, so powers are shared)."""
-    return Poly.lightcone(d) ** e
 
 
 def sym_momentum(d: int):

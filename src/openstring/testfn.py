@@ -242,29 +242,21 @@ def make_testfunction(word, profile: BumpProfile, params: ModelParams,
     The word is a sequence of (direction, mode) pairs with positive modes.
     gamma is the largest lightcone-denominator power occurring across the
     coefficients; multiplying through by w^gamma turns every coefficient
-    into an honest polynomial (the constructor of LcRational keeps
-    denominators reduced, so gamma is minimal, and ``cleared`` would raise
-    if the prefactor were somehow insufficient).
+    into an honest polynomial.  Each coefficient's Laurent form in w is
+    unique, so its power, and with it gamma, is minimal (and ``cleared``
+    would raise if the prefactor were somehow insufficient).
     """
     if profile.d != params.d:
         raise ValueError("profile dimension does not match the model")
     word = tuple((int(i), int(n)) for i, n in word)
     ps = sym_momentum(params.d)
     ctx = DdfContext(params, ps, kappa=kappa)
-    state = ddf_state(list(word), ctx)
-    g = 0
-    for _, c in state.items():
-        if isinstance(c, LcRational):
-            g = max(g, c.gamma)
+    zero = LcRational(Poly(params.d))
+    coeffs = {m: zero + c for m, c in ddf_state(list(word), ctx).items()}
+    g = max((c.gamma for c in coeffs.values()), default=0)
     body = FockVector()
-    w_poly = Poly.lightcone(params.d)
-    for mono, c in state.items():
-        if isinstance(c, LcRational):
-            body.add_term(mono, c.cleared(g))
-        elif isinstance(c, Poly):
-            body.add_term(mono, c * w_poly ** g)
-        else:
-            body.add_term(mono, Poly.const(params.d, c) * w_poly ** g)
+    for mono, c in coeffs.items():
+        body.add_term(mono, c.cleared(g))
     return TestFunction(
         profile=profile, params=params, word=word, gamma=g,
         body=body, level=sum(n for _, n in word),
