@@ -19,7 +19,7 @@ must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
 machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_27.json
+    python3 scripts/mutants.py --out MUTANTS_28.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about ten minutes on a shared 2-core machine; the ``ddf``
@@ -50,6 +50,7 @@ SPECTRUM = "src/openstring/spectrum.py"
 EXACTNUM = "src/openstring/exactnum.py"
 CLI = "src/openstring/cli.py"
 POLY = "src/openstring/poly.py"
+TESTFN = "src/openstring/testfn.py"
 FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
 DDF_TESTS = ("tests/test_ddf.py",)
@@ -58,6 +59,7 @@ WORD_TESTS = ("tests/test_spectrum.py::TestDdfSpan",)
 EXACTNUM_TESTS = ("tests/test_exactnum.py",)
 SAMPLE_TESTS = ("tests/test_cli.py::TestTestfn",)
 POLY_TESTS = ("tests/test_poly.py", "tests/test_testfn.py")
+TESTFN_TESTS = ("tests/test_testfn.py",)
 
 #: (id, file, old text, new text, pytest selection, expected verdict)
 MUTANTS = [
@@ -311,6 +313,35 @@ MUTANTS = [
      "return _shear(self._lc * _w_power(self.d, gamma), 1)",
      "return _shear(self._lc * _w_power(self.d, gamma + 1), 1)",
      POLY_TESTS, "killed"),
+    # ring values hash like the values they equal
+    ("poly.constant-hashed-by-terms", POLY,
+     "if not any(map(any, self.terms)):", "if False:",
+     POLY_TESTS, "killed"),
+    ("poly.section-hashed-by-laurent-form", POLY,
+     "return hash(self._lc if self.gamma else self.num)",
+     "return hash(self._lc)",
+     POLY_TESTS, "killed"),
+    # the support slices by FFT and the Gauss-Legendre rules built once
+    ("testfn.output-fftshift-dropped", TESTFN,
+     "len(h) * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(h)))",
+     "len(h) * np.fft.ifft(np.fft.ifftshift(h))",
+     TESTFN_TESTS, "killed"),
+    ("testfn.output-shift-off-by-one-on-odd-grids", TESTFN,
+     "np.fft.fftshift(np.fft.ifft(", "np.fft.ifftshift(np.fft.ifft(",
+     TESTFN_TESTS, "killed"),
+    ("testfn.input-shift-off-by-one-on-odd-grids", TESTFN,
+     "np.fft.ifft(np.fft.ifftshift(h))", "np.fft.ifft(np.fft.fftshift(h))",
+     TESTFN_TESTS, "killed"),
+    ("testfn.mask-recentred-on-profile-center", TESTFN,
+     "mass[np.abs(x) > R_dec]",
+     "mass[np.abs(x - float(tf.profile.center[mu])) > R_dec]",
+     TESTFN_TESTS, "killed"),
+    ("testfn.rule-cache-dropped", TESTFN,
+     "@lru_cache(maxsize=64)\n", "",
+     TESTFN_TESTS, "killed"),
+    ("testfn.cached-rule-writeable", TESTFN,
+     "    nodes.flags.writeable = weights.flags.writeable = False\n", "",
+     TESTFN_TESTS, "killed"),
     # a sound variant: every R_s below the bound is zero, so starting one
     # step lower only builds an empty image
     ("ddf.widen-s-lower-bound", DDF,
@@ -391,7 +422,7 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_27.json",
+    ap.add_argument("--out", default="MUTANTS_28.json",
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 

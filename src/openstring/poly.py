@@ -87,6 +87,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes like that scalar
+        if not any(map(any, self.terms)):
+            return hash(self.terms.get((0,) * self.d, 0))
         return hash((self.d, frozenset(self.terms.items())))
 
     def __neg__(self):
@@ -283,7 +286,9 @@ class LcRational:
         return NotImplemented if o is None else self._lc == o
 
     def __hash__(self):
-        return hash(self._lc)
+        # at gamma = 0 the section equals the Poly ``num``, so it hashes
+        # like it; a section with a denominator equals no Poly or scalar
+        return hash(self._lc if self.gamma else self.num)
 
     def __neg__(self):
         return LcRational._laurent(-self._lc)

@@ -4,7 +4,8 @@ Everything here recomputes results through a different route than the
 production code: basis sizes by enumerating integer partitions directly,
 inner products by recursively migrating annihilators with the bare
 commutation relation, level dimensions by explicit series multiplication,
-radial transforms by a shell-and-angle double quadrature, the spurious
+radial transforms by a shell-and-angle double quadrature, the support
+slices by a dense phase matrix instead of an FFT, the spurious
 radical and the physical signature through the Gram of a physical basis,
 L_m by composing single oscillators on whole vectors, the integer
 scanner's [T_m, T_n] by composing its own rows, U_n by enumerating
@@ -340,6 +341,46 @@ def radial_fourier_shells(profile, rho):
     for k, r in enumerate(rho):
         out[k] = radial @ (np.cos(np.outer(s * r, np.cos(theta))) @ angular)
     return (2.0 * pi) ** (-d / 2.0) * area * out
+
+
+def slice_values_dense(h, x, rho):
+    """sum_k exp(i x_j rho_k) h_k through the dense len(x) x len(rho)
+    phase matrix.
+
+    Costs len(x) * len(rho) complex exponentials; the production code
+    reads the same sums off one FFT of the centred grids instead.
+    """
+    return np.exp(1j * np.outer(x, rho)) @ h
+
+
+def support_fractions_dense(tf, grid=1024, declared_radius=None):
+    """{axis: worst fraction of squared slice mass outside the declared
+    radius about the origin}, the figure ``verify_support`` reports,
+    with every axis restriction evaluated term by term on the momentum
+    grid and transformed by ``slice_values_dense``.
+    """
+    R = float(tf.profile.R)
+    R_dec = R if declared_radius is None else float(declared_radius)
+    window = 8.0 * max(R, R_dec)
+    n, d = grid, tf.params.d
+    rho = (np.arange(n) - n // 2) * (2.0 * pi / window)
+    x = (np.arange(n) - n // 2) * (window / n)
+    g = tf.profile.radial_fourier(np.abs(rho))
+    out = {}
+    for mu in range(d):
+        comps = [np.zeros(n)] * d
+        comps[mu] = rho
+        worst = 0.0
+        for _, q in tf.body.items():
+            vals = sum(float(c) * np.prod([v ** e for v, e in zip(comps, exps)],
+                                          axis=0)
+                       for exps, c in q.terms.items())
+            if not np.any(vals):
+                continue
+            mass = np.abs(slice_values_dense(vals * g, x, rho)) ** 2
+            worst = max(worst, mass[np.abs(x) > R_dec].sum() / mass.sum())
+        out[mu] = float(worst)
+    return out
 
 
 def gram_route(physical):

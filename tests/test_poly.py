@@ -194,6 +194,52 @@ class TestLcRational:
         assert LcRational(var(1)) == var(1)
 
 
+scalars = st.one_of(st.integers(min_value=-3, max_value=3), rats)
+sections = st.builds(LcRational, polys, st.integers(min_value=0, max_value=2))
+ring_values = st.one_of(scalars, scalars.map(lambda c: Poly.const(D, c)),
+                        polys, sections,
+                        st.sampled_from(tuple(sym_momentum(D))))
+
+
+def same_value_forms(x):
+    """x written as every type of the ring that can hold its value."""
+    if isinstance(x, (int, Fraction)):
+        x = Poly.const(D, x)
+    if isinstance(x, Poly):
+        x = LcRational(x)
+    forms = [x, x + 0, x * 1, LcRational(x.num * W, x.gamma + 1)]
+    if not x.gamma:
+        forms.append(x.num)
+        if not any(map(any, x.num.terms)):
+            c = x.num.terms.get((0,) * D, Fraction(0))
+            forms += [c, int(c)] if c.denominator == 1 else [c]
+    return forms
+
+
+class TestHashing:
+    @given(ring_values)
+    def test_equal_values_hash_alike(self, x):
+        for a in [x, *same_value_forms(x)]:
+            for b in same_value_forms(x):
+                assert a == b and b == a
+                assert hash(a) == hash(b)
+
+    @given(ring_values, ring_values)
+    def test_equality_implies_equal_hashes(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_symbolic_components_hash_like_their_polynomials(self):
+        p = sym_momentum(D)
+        for mu, comp in enumerate(p):
+            assert comp == var(mu) and hash(comp) == hash(var(mu))
+        w = p.lightcone()
+        assert w == W and hash(w) == hash(W)
+        assert (1 / w) * w == 1 and hash((1 / w) * w) == hash(1)
+        assert len({LcRational(Poly.const(D, 1)), Poly.const(D, 1), 1,
+                    Fraction(1)}) == 1
+
+
 class TestSymbolicMomentum:
     def test_minkowski_square(self):
         p = sym_momentum(D)

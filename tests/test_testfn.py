@@ -4,7 +4,8 @@ The numeric transforms are checked against closed forms (d=3 reduces the
 angular kernel to sin(u)/u, d=1 is a plain cosine transform, and the
 half-power profile at d=4 has a spherical-Bessel transform), one
 end-to-end projection-slice oracle at d=2, and, at d=26, the shell-and-angle
-double quadrature the production path replaced.  The exact side — cleared
+double quadrature the production path replaced; the support slices are
+checked against the dense phase-matrix sum the FFT replaced.  The exact side — cleared
 polynomial bodies, reality flips, constraint residuals — is all
 frozen-value or identity work with zero tolerance.
 """
@@ -19,7 +20,12 @@ from openstring.fiber import Momentum, virasoro_apply
 from openstring.fock import FockVector, ModelParams
 from openstring.poly import Poly, sym_momentum
 from openstring.spectrum import OnShellMomentum, find_onshell_momentum
-from tests.oracles import radial_fourier_shells
+from tests.oracles import (
+    radial_fourier_shells,
+    slice_values_dense,
+    support_fractions_dense,
+)
+from openstring import testfn
 from openstring.testfn import (
     BumpProfile,
     OffShellSampleError,
@@ -376,6 +382,75 @@ class TestSupportVerification:
         tf = make_testfunction([], profile4, P4)
         with pytest.raises(ValueError):
             verify_support(tf, declared_radius=0)
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_slice_values_match_the_dense_sum(self, profile4, n):
+        # the values, not only their moduli: an input shift off by one
+        # on an odd grid only turns each value's phase
+        window = 8.0
+        rho = (np.arange(n) - n // 2) * (2 * np.pi / window)
+        x = (np.arange(n) - n // 2) * (window / n)
+        g = profile4.radial_fourier(np.abs(rho))
+        for power in range(3):
+            h = rho ** power * g
+            want = slice_values_dense(h, x, rho)
+            got = testfn._slice_values(h)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_half_radius_fractions_match_the_dense_route(self, profile4, n):
+        tf = realify(make_testfunction([(1, 1)], profile4, P4))
+        rep = verify_support(tf, grid=n, declared_radius=Fraction(1, 2))
+        want = support_fractions_dense(tf, grid=n,
+                                       declared_radius=Fraction(1, 2))
+        assert not rep.passed and rep.worst_fraction > 0.1
+        assert set(rep.fractions) == set(want)
+        for mu, frac in want.items():
+            assert abs(rep.fractions[mu] - frac) <= 1e-12 * max(frac, 1e-300)
+
+    @pytest.mark.parametrize("center", [(0, 3, 0, 0), (0, Fraction(1, 2), 0, 0),
+                                        (1, -2, Fraction(1, 3), 5)])
+    def test_off_centre_profile_certified_like_the_centred_one(self, profile4,
+                                                                center):
+        # the slices transform the origin-centred profile, so the mass is
+        # measured about the origin whatever the center
+        moved = make_testfunction([(1, 1)], BumpProfile(1, 4, center=center), P4)
+        rep = verify_support(moved, grid=1024)
+        want = verify_support(make_testfunction([(1, 1)], profile4, P4),
+                              grid=1024)
+        assert rep.passed
+        assert rep.fractions == want.fractions
+
+
+class TestQuadratureRules:
+    def test_each_rule_built_once(self, monkeypatch):
+        legendre = np.polynomial.legendre
+        built = []
+        real = legendre.leggauss
+
+        def counted(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(legendre, "leggauss", counted)
+        testfn._leggauss_on.cache_clear()
+        prof = BumpProfile(1, 4)
+        rho = np.linspace(0.0, 5.0, 7)
+        first = prof.radial_fourier(rho, n_s=200)
+        second = prof.radial_fourier(rho, n_s=200)
+        assert sorted(built) == [192, 200]
+        assert np.array_equal(first, second)
+        prof.radial_fourier(rho, n_s=201)
+        assert sorted(built) == [192, 200, 201]
+
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = testfn._leggauss_on(0.0, 1.0, 192)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[:] = 1.0
+        again = testfn._leggauss_on(0.0, 1.0, 192)
+        assert again[0] is nodes and again[1] is weights
 
 
 class TestSerialization:
