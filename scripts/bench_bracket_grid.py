@@ -117,18 +117,41 @@ def _summary(p, grids: list) -> dict:
     }
 
 
+#: ``openstring *argv`` that also writes its peak resident set to the file
+#: descriptor given as the first argument: VmHWM, which exec resets, while
+#: the ru_maxrss of a forked child starts from this process's size
+CLI_CHILD = """
+import os, sys
+fd = int(sys.argv.pop(1))
+from openstring.cli import main
+try:
+    code = main()
+finally:
+    with open("/proc/self/status") as status:
+        os.write(fd, "".join(line for line in status
+                             if line.startswith("VmHWM")).encode())
+sys.exit(code)
+"""
+
+
 def time_cli(*argv) -> dict:
-    """Wall time, exit code and the digests of stdout (the report) and of
-    stderr (a refusal's evidence) of ``openstring *argv`` run in a fresh
-    interpreter."""
+    """Wall time, peak RSS (Linux), exit code and the digests of stdout
+    (the report) and of stderr (a refusal's evidence) of
+    ``openstring *argv`` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    cmd = [sys.executable, "-c",
-           "import sys; from openstring.cli import main; sys.exit(main())",
-           *argv]
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
-    wall = time.perf_counter() - t0
+    read, write = os.pipe()
+    cmd = [sys.executable, "-c", CLI_CHILD, str(write), *argv]
+    with os.fdopen(read) as pipe:
+        try:
+            t0 = time.perf_counter()
+            proc = subprocess.run(cmd, env=env, capture_output=True,
+                                  check=False, pass_fds=(write,))
+            wall = time.perf_counter() - t0
+        finally:
+            os.close(write)
+        peak_kb = pipe.read().split()[1:2]
     return {"wall_s": wall, "exit": proc.returncode,
+            "peak_rss_mb": int(peak_kb[0]) / 1024 if peak_kb else None,
             "report_sha256": hashlib.sha256(proc.stdout).hexdigest(),
             "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest()}
 
