@@ -15,47 +15,37 @@ Six measurements, all in process, each repeated ``--repeat`` times:
 * ``rank_fraction_free`` on the same rows, the audit of the constraint
   rank.
 
-The level-3 matrices are built once, outside the timed calls, as the
-{column: entry} dict rows the scan eliminates; a shape is rows x
-columns, and ``nonzeros`` counts the nonzero dict entries.  The
-package is imported from ``src/`` of the checkout holding this script,
-and the machine metadata comes from ``bench_bracket_grid.py`` next to it,
-so a copy of both scripts placed in another checkout times that
-checkout.  The result is written as JSON:
+The in-process calls other than the scan are timed raw and scaled to
+the reference speed by ``benchkit.py``; the scan rows are timed by the
+scan itself, raw.  The level-3 matrices are built once, outside the
+timed calls, as the {column: entry} dict rows the scan eliminates; a
+shape is rows x columns, and ``nonzeros`` counts the nonzero dict
+entries.  The package is imported through ``benchkit.py`` next to this
+script, so a copy of all of ``scripts/`` placed in another checkout
+times that checkout.  The result is written as JSON:
 
-    python3 scripts/bench_noghost.py --out BENCH_17.json
+    python3 scripts/bench_noghost.py --out noghost.json
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import resource
 import statistics
 import sys
-import time
 from fractions import Fraction
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_bracket_grid import _git_head, _machine  # noqa: E402
-from openstring.fock import ModelParams  # noqa: E402
-from openstring.linalg import hermitian_signature, rank_fraction_free, \
-    rref  # noqa: E402
-from openstring import spectrum  # noqa: E402
+import benchkit
+from openstring.fock import ModelParams
+from openstring.linalg import hermitian_signature, rank_fraction_free, rref
+from openstring import spectrum
 
 D = 26
 LEVEL = 3
 FRACTIONAL = ([4, 10], Fraction(1, 3), 3)  # d_list, b, max_level
 
 
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
+def _csv_sha256(reports) -> str:
+    return hashlib.sha256(spectrum.noghost_csv(reports).encode()).hexdigest()
 
 
 def level_three_inputs() -> dict:
@@ -78,51 +68,34 @@ def _nonzeros(rows) -> int:
     return sum(1 for row in rows for x in row.values() if x)
 
 
-def _series(runs: list, key: str) -> dict:
-    values = [run[key] for run in runs]
-    return {"wall_s": values, "wall_median_s": statistics.median(values)}
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=3,
-                    help="runs of the scan and of each elimination "
-                         "(default 3)")
-    ap.add_argument("--out", default="BENCH_17.json",
-                    help="where to write the JSON result")
-    args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-
-    machine = _machine()
-    scans, csvs, runs, answers = [], set(), [], set()
-    fractional_csvs = set()
+    args = benchkit.parse_args(__doc__, 3, argv)
+    machine = benchkit.machine()
     inputs = level_three_inputs()
+    calls = {
+        "fractional": lambda: spectrum.noghost_scan(*FRACTIONAL),
+        "schur": lambda: hermitian_signature(inputs["schur"]),
+        "spurious": lambda: hermitian_signature(inputs["spurious_gram"]),
+        "rref": lambda: len(rref(inputs["constraints"])[1]),
+        "rank": lambda: rank_fraction_free(inputs["constraints"]),
+    }
+    scans, csvs, fractional_csvs, runs, answers = [], set(), set(), [], set()
     for _ in range(args.repeat):
         reports = spectrum.noghost_scan([D], max_level=LEVEL)
         scans.append([rep.elapsed_ms / 1000.0 for rep in reports])
-        csvs.add(hashlib.sha256(
-            spectrum.noghost_csv(reports).encode()).hexdigest())
-        run = {}
-        run["fractional_s"], reports = _timed(spectrum.noghost_scan,
-                                              *FRACTIONAL)
-        fractional_csvs.add(hashlib.sha256(
-            spectrum.noghost_csv(reports).encode()).hexdigest())
-        run["schur_s"], sig_s = _timed(hermitian_signature, inputs["schur"])
-        run["spurious_s"], sig_g = _timed(hermitian_signature,
-                                          inputs["spurious_gram"])
-        run["rref_s"], (_, pivots) = _timed(rref, inputs["constraints"])
-        run["rank_s"], rank = _timed(rank_fraction_free,
-                                     inputs["constraints"])
+        csvs.add(_csv_sha256(reports))
+        run = {name: benchkit.time_calls(call) for name, call in calls.items()}
+        out = {name: timed.pop("results")[0] for name, timed in run.items()}
+        fractional_csvs.add(_csv_sha256(out.pop("fractional")))
+        answers.add(tuple(out.values()))
         runs.append(run)
-        answers.add((sig_s, sig_g, len(pivots), rank))
     signature_s, signature_g, rref_rank, constraint_rank = sorted(answers)[0]
+
+    def series(name):
+        return benchkit.summary([run[name] for run in runs], "wall", "scaled")
+
     constraint_shape = [len(inputs["constraints"]), inputs["dim"]]
-    result = {
-        "commit": _git_head(),
-        "machine": machine,
-        "loadavg_after": list(os.getloadavg()),
-        "repeat": args.repeat,
+    body = {
         "scan": {
             "d": D, "max_level": LEVEL,
             "row_s": {str(level): [scan[level] for scan in scans]
@@ -134,35 +107,32 @@ def main(argv=None) -> int:
         "fractional_scan": {
             "d_list": FRACTIONAL[0], "b": str(FRACTIONAL[1]),
             "max_level": FRACTIONAL[2],
-            "csv_sha256": sorted(fractional_csvs),
-            **_series(runs, "fractional_s")},
+            "csv_sha256": sorted(fractional_csvs), **series("fractional")},
         "schur_signature": {
             "shape": [len(inputs["schur"])] * 2,
             "nonzeros": _nonzeros(inputs["schur"]),
-            "signature": list(signature_s), **_series(runs, "schur_s")},
+            "signature": list(signature_s), **series("schur")},
         "spurious_gram_signature": {
             "shape": [len(inputs["spurious_gram"])] * 2,
-            "signature": list(signature_g), **_series(runs, "spurious_s")},
+            "signature": list(signature_g), **series("spurious")},
         "constraint_rref": {
             "shape": constraint_shape,
             "nonzeros": _nonzeros(inputs["constraints"]),
-            "rank": rref_rank, **_series(runs, "rref_s")},
+            "rank": rref_rank, **series("rref")},
         "constraint_rank": {
             "shape": constraint_shape,
-            "rank": constraint_rank, **_series(runs, "rank_s")},
+            "rank": constraint_rank, **series("rank")},
         "distinct_answers": len(answers),
-        "peak_rss_mb":
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps({
-        "level_3_row_median_s": result["scan"]["row_median_s"][str(LEVEL)],
-        "fractional_scan_median_s": result["fractional_scan"]["wall_median_s"],
-        **{f"{name}_median_s": result[name]["wall_median_s"]
+    headline = {
+        "level_3_row_median_s": body["scan"]["row_median_s"][str(LEVEL)],
+        "fractional_scan_median_s": body["fractional_scan"]["wall_median_s"],
+        **{f"{name}_median_s": body[name]["wall_median_s"]
            for name in ("schur_signature", "spurious_gram_signature",
-                        "constraint_rref", "constraint_rank")}}))
-    distinct = (len(answers), len(csvs), len(fractional_csvs))
-    return 0 if distinct == (1, 1, 1) else 1
+                        "constraint_rref", "constraint_rank")}}
+    ok = (len(answers), len(csvs), len(fractional_csvs)) == (1, 1, 1)
+    return benchkit.finish(args.out, machine, args.repeat, body,
+                           "peak_rss_mb", headline, ok)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Digest the output of a fixed matrix of ``openstring`` invocations.
 
-Each invocation runs in a fresh interpreter, in its own empty working
-directory, with the package imported from ``src/`` of the checkout
-holding this script, so a copy of the script placed in another checkout
-digests that checkout.  Cases that need a config file write it there as
-``run.json`` first, so no temporary path reaches the output.  One JSON
-line per case gives the argv, the config text (if any), the exit code
-and the SHA-256 of stdout and of stderr:
+Each invocation runs through ``benchkit.run_cli``: in a fresh
+interpreter, in its own empty working directory, with the package
+imported from ``src/`` of the checkout holding this script, so a copy
+of all of ``scripts/`` placed in another checkout digests that checkout.
+Cases that need a config file write it there as ``run.json`` first, so
+no temporary path reaches the output.  One JSON line per case gives the
+argv, the config text (if any), the exit code and the SHA-256 of stdout
+and of stderr:
 
     python3 scripts/cli_reports.py > change.jsonl
     python3 ../parent/scripts/cli_reports.py > parent.jsonl
@@ -20,15 +21,9 @@ most of it.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import subprocess
-import sys
-import tempfile
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import benchkit
 
 # (argv, config file text or None)
 CASES = [
@@ -106,29 +101,21 @@ CASES = [
     (["locality", "--d", "4", "--grid", "8", "--sweep", "0"], None),
     (["locality", "--d", "4", "--grid", "8", "--dq", "2",
       "--sweep", "0,4,0;0,1,0,1"], None),
+    # observable and testfn at their defaults: d = 26, radius 1
+    (["observable"], None),
+    (["testfn"], None),
 ]
 
 
-def run_case(argv: list, config) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    cmd = [sys.executable, "-c",
-           "import sys; from openstring.cli import main; sys.exit(main())",
-           *argv]
-    with tempfile.TemporaryDirectory() as cwd:
-        if config is not None:
-            Path(cwd, "run.json").write_text(config, encoding="utf-8")
-        proc = subprocess.run(cmd, env=env, cwd=cwd, capture_output=True,
-                              check=False)
-    return {"argv": argv, "config": config, "exit": proc.returncode,
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
-            "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest()}
-
-
 def main() -> int:
-    if not (SRC / "openstring" / "__init__.py").is_file():
-        raise SystemExit(f"cli_reports.py: no openstring package under {SRC}")
+    if not (benchkit.SRC / "openstring" / "__init__.py").is_file():
+        raise SystemExit(
+            f"cli_reports.py: no openstring package under {benchkit.SRC}")
     for argv, config in CASES:
-        print(json.dumps(run_case(argv, config)), flush=True)
+        run = benchkit.run_cli(*argv, config=config)
+        print(json.dumps({"argv": argv, "config": config, **{
+            key: run[key] for key in ("exit", "stdout_sha256",
+                                      "stderr_sha256")}}), flush=True)
     return 0
 
 

@@ -17,9 +17,10 @@ selection in a fresh interpreter.  The verdict is
 Before the mutants, every selection runs once on an unmutated copy and
 must pass, or a kill would mean nothing.  The checkout itself is never
 written to.  The result, with each row's verdict and time and the
-machine metadata of ``scripts/bench_bracket_grid.py``, is written as JSON:
+machine metadata of ``benchkit.py`` next to this script, is written as
+JSON:
 
-    python3 scripts/mutants.py --out MUTANTS_28.json
+    python3 scripts/mutants.py --out mutants.json
 
 The exit code is 0 when every row meets its expected verdict.  The whole
 table took about ten minutes on a shared 2-core machine; the ``ddf``
@@ -38,9 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-
-from bench_bracket_grid import _git_head, _machine  # noqa: E402
+import benchkit
 
 FIBER = "src/openstring/fiber.py"
 LINALG = "src/openstring/linalg.py"
@@ -372,8 +371,8 @@ MUTANTS = [
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+        shutil.copytree(benchkit.ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(benchkit.ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
 def _pytest(where: Path, selection) -> tuple[int, float]:
@@ -422,11 +421,11 @@ def baseline(selections) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="MUTANTS_28.json",
+    ap.add_argument("--out", required=True,
                     help="where to write the JSON result")
     args = ap.parse_args(argv)
 
-    machine = _machine()
+    machine = benchkit.machine()
     base = baseline(sorted({row[4] for row in MUTANTS}))
     results = []
     if all(b["pytest_exit"] == 0 for b in base.values()):
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
             results.append(run_row(row))
             print(json.dumps(results[-1]), flush=True)
     result = {
-        "commit": _git_head(),
+        "commit": benchkit.git_head(),
         "machine": machine,
         "loadavg_after": list(os.getloadavg()),
         "baseline": base,

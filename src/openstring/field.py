@@ -41,7 +41,7 @@ import numpy as np
 
 from .fock import monomial_norm
 from .poly import Poly
-from .testfn import TestFunction
+from .testfn import TestFunction, _poly_on_grid
 
 __all__ = [
     "LocalityReport",
@@ -111,25 +111,6 @@ class QuadratureSpec:
         """The momentum grids and omega = sqrt(|p|^2 + r) on them."""
         grids = self.grids()
         return grids, np.sqrt(sum(g * g for g in grids) + float(r))
-
-
-def _poly_on_grid(q: Poly, comps):
-    """Evaluate a momentum polynomial on broadcast grid components."""
-    out = 0.0
-    for exps, c in q.terms.items():
-        term = float(c)
-        dead = False
-        for mu, e in enumerate(exps):
-            if not e:
-                continue
-            comp = comps[mu]
-            if comp is None:
-                dead = True
-                break
-            term = term * comp ** e
-        if not dead:
-            out = out + term
-    return out
 
 
 class SmearedState:

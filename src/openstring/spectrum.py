@@ -21,12 +21,17 @@ bordered matrix [[D, R^T], [R, 0]] (Haynsworth inertia additivity;
 Chabrillac–Crouzeix 1984): the radical is D^-1 R^T ker S, and the
 inertia on ker R is (n_plus(D) + n_minus(S) - r, n_minus(D) + n_plus(S) - r,
 n_null(S)).  At d = 26, level 2, S is 27 x 27 where the physical Gram is
-350 x 350.  The results carry cheap certificates instead of second
-eliminations: the constraint rank is audited by the fraction-free route,
-A annihilates both bases, and the spurious basis has Gram signature
-(0, 0, k).  The physical basis is read straight off R, one vector
-e_f - sum_i R[i][f] e_pivot(i) per free column f, so it is the identity on
-the free columns by construction.
+350 x 350.  The results carry three certificates.  A annihilates both
+bases, one pass over the nonzeros of A.  The constraint rank is audited
+by a second, fraction-free elimination of A (Bareiss), the costliest
+step of the scan: at d = 26, level 3 it took 0.27 s of the 0.63 s row,
+against 0.01 s for the rref, in one ``scripts/bench_noghost.py --repeat 1``
+run on a shared 2-core machine.  The spurious basis has Gram signature
+(0, 0, k): ``gram_signature`` builds their k x k Gram (k = 375 there)
+and eliminates it after an independence check, which took 0.18 s of a
+0.54 s row when timed inside one scan.  The physical basis is
+read straight off R, one vector e_f - sum_i R[i][f] e_pivot(i) per free
+column f, so it is the identity on the free columns by construction.
 
 The no-ghost scan drives this pipeline over a (d, level) grid and reports
 one row per point, each audited against itself first; the headline
@@ -402,8 +407,10 @@ def noghost_scan(d_list, b=Fraction(1), max_level: int = 2):
     the physical basis is never built.  Each report records its wall time
     in ``elapsed_ms``, and any ``invariant_violations`` raise
     :class:`InvariantError`.  Level 3 at d = 26 is a 377 -> 3978 jump in
-    dimension, with 404 constraint rows; that row takes about 1.2 s
-    (against 0.02 s for level 2) on a shared 2-core machine.
+    dimension, with 404 constraint rows; that row took 0.63 s, 0.27 s of
+    it in the rank audit, against 0.01 s for level 2 (``scan.row_s`` and
+    ``constraint_rank`` of one ``scripts/bench_noghost.py --repeat 1`` run
+    on a shared 2-core machine).
     """
     b = Fraction(b)
     reports = []

@@ -372,12 +372,23 @@ class SupportReport:
     fractions: dict = field(repr=False)
 
 
-def _axis_profile(q: Poly, mu: int):
-    """Coefficients of q restricted to the mu-axis, as {power: float}."""
-    out = {}
+def _poly_on_grid(q: Poly, comps):
+    """Evaluate a momentum polynomial on broadcast grid components; a
+    component given as None kills every term with a power of it."""
+    out = 0.0
     for exps, c in q.terms.items():
-        if all(e == 0 for j, e in enumerate(exps) if j != mu):
-            out[exps[mu]] = out.get(exps[mu], 0.0) + float(c)
+        term = float(c)
+        dead = False
+        for mu, e in enumerate(exps):
+            if not e:
+                continue
+            comp = comps[mu]
+            if comp is None:
+                dead = True
+                break
+            term = term * comp ** e
+        if not dead:
+            out = out + term
     return out
 
 
@@ -419,14 +430,10 @@ def verify_support(tf: TestFunction, grid: int = 1024, tol: float = 1e-3,
     terms = list(tf.body.items())
     for mu in axes:
         worst = 0.0
+        comps = [None] * d
+        comps[mu] = rho
         for mono, q in terms:
-            prof = _axis_profile(q, mu)
-            if not prof:
-                continue
-            poly_vals = np.zeros_like(rho)
-            for power, c in prof.items():
-                poly_vals += c * rho ** power
-            h = poly_vals * g
+            h = _poly_on_grid(q, comps) * g
             peak = float(np.max(np.abs(h)))
             if peak == 0.0:
                 continue
