@@ -22,7 +22,8 @@ Four measurements, each repeated ``--repeat`` times:
   ``--seed 2``, and on the reject path ``--kappa-set 1/2 2`` (exit 3, the
   witnesses on stderr), so the time includes interpreter start; the exit
   code and the SHA-256 of stdout and stderr are recorded, so two checkouts
-  can be compared for byte-identical output.
+  can be compared for byte-identical output, and so is whether the command
+  had loaded numpy, which an exact command must not.
 
 The in-process spans are recorded raw and scaled to the reference speed
 by ``benchkit.py``.  The CLI times are raw.  The peak RSS recorded is
@@ -150,6 +151,7 @@ def main(argv=None) -> int:
         and all(body[name]["mismatched"] == [0]
                 and 0 not in body[name]["nonzero"] for name in momenta) \
         and all(cli["exit_codes"] == [CLI_RUNS[name][1]]
+                and all(loaded is False for loaded in cli["numpy_loaded"])
                 for name, cli in body["cli_ddf"].items())
     return benchkit.finish(args.out, machine, args.repeat, body,
                            "in_process_peak_rss_mb", headline, ok)

@@ -1,6 +1,6 @@
 """Time the no-ghost scan at d = 26 to level 3 and its exact eliminations.
 
-Six measurements, all in process, each repeated ``--repeat`` times:
+Seven measurements, all in process, each repeated ``--repeat`` times:
 
 * every row of ``noghost_scan([26], max_level=3)``, from its own
   ``elapsed_ms``; the SHA-256 of the scan's CSV is recorded, so two
@@ -10,6 +10,10 @@ Six measurements, all in process, each repeated ``--repeat`` times:
 * ``hermitian_signature`` on the level-3 Schur complement S (403 x 403);
 * ``hermitian_signature`` on the Gram of the level-3 spurious vectors,
   the matrix ``gram_signature`` eliminates after its independence check;
+* the whole spurious certificate the level-3 scan row pays:
+  ``gram_signature`` on the level-3 spurious vectors, that is the
+  independence check, the Gram of ``inner_indefinite`` on every pair, and
+  its signature;
 * ``rref`` on the stacked L_1..L_3 constraint rows, the one elimination
   the physical and spurious bases and the signature are read off;
 * ``rank_fraction_free`` on the same rows, the audit of the constraint
@@ -49,8 +53,9 @@ def _csv_sha256(reports) -> str:
 
 
 def level_three_inputs() -> dict:
-    """The level-3 S, spurious Gram and stacked constraint rows, with the
-    dimension of the level-3 space, the number of columns of the rows."""
+    """The level-3 S, spurious vectors and their Gram, and stacked
+    constraint rows, with the dimension of the level-3 space, the number
+    of columns of the rows."""
     b = Fraction(1)
     shell = spectrum.find_onshell_momentum(2 * (LEVEL - b), D)
     space = spectrum.LevelSpace(ModelParams(d=D, b=b), shell.p, LEVEL)
@@ -58,6 +63,7 @@ def level_three_inputs() -> dict:
                                           space)
     return {
         "schur": space.schur,
+        "spurious": spurious,
         "spurious_gram": spectrum._gram(spurious),
         "constraints": spectrum._stacked_constraint_matrix(space)[0],
         "dim": space.dim,
@@ -76,6 +82,7 @@ def main(argv=None) -> int:
         "fractional": lambda: spectrum.noghost_scan(*FRACTIONAL),
         "schur": lambda: hermitian_signature(inputs["schur"]),
         "spurious": lambda: hermitian_signature(inputs["spurious_gram"]),
+        "certificate": lambda: spectrum.gram_signature(inputs["spurious"]),
         "rref": lambda: len(rref(inputs["constraints"])[1]),
         "rank": lambda: rank_fraction_free(inputs["constraints"]),
     }
@@ -89,7 +96,8 @@ def main(argv=None) -> int:
         fractional_csvs.add(_csv_sha256(out.pop("fractional")))
         answers.add(tuple(out.values()))
         runs.append(run)
-    signature_s, signature_g, rref_rank, constraint_rank = sorted(answers)[0]
+    signature_s, signature_g, signature_c, rref_rank, constraint_rank = \
+        sorted(answers)[0]
 
     def series(name):
         return benchkit.summary([run[name] for run in runs], "wall", "scaled")
@@ -115,6 +123,9 @@ def main(argv=None) -> int:
         "spurious_gram_signature": {
             "shape": [len(inputs["spurious_gram"])] * 2,
             "signature": list(signature_g), **series("spurious")},
+        "spurious_certificate": {
+            "vectors": len(inputs["spurious"]),
+            "signature": list(signature_c), **series("certificate")},
         "constraint_rref": {
             "shape": constraint_shape,
             "nonzeros": _nonzeros(inputs["constraints"]),
@@ -129,8 +140,10 @@ def main(argv=None) -> int:
         "fractional_scan_median_s": body["fractional_scan"]["wall_median_s"],
         **{f"{name}_median_s": body[name]["wall_median_s"]
            for name in ("schur_signature", "spurious_gram_signature",
-                        "constraint_rref", "constraint_rank")}}
-    ok = (len(answers), len(csvs), len(fractional_csvs)) == (1, 1, 1)
+                        "spurious_certificate", "constraint_rref",
+                        "constraint_rank")}}
+    ok = (len(answers), len(csvs), len(fractional_csvs)) == (1, 1, 1) \
+        and signature_c == signature_g
     return benchkit.finish(args.out, machine, args.repeat, body,
                            "peak_rss_mb", headline, ok)
 

@@ -135,9 +135,10 @@ def summary(runs: list, *stems: str) -> dict:
     return out
 
 
-#: ``openstring *argv`` that also writes its peak resident set to the file
-#: descriptor given as the first argument: VmHWM, which exec resets, while
-#: the ru_maxrss of a forked child starts from this process's size
+#: ``openstring *argv`` that also writes, to the file descriptor given as
+#: the first argument, its peak resident set (VmHWM, which exec resets,
+#: while the ru_maxrss of a forked child starts from this process's size)
+#: and whether the command had loaded numpy when it ended
 CLI_CHILD = """
 import os, sys
 fd = int(sys.argv.pop(1))
@@ -146,18 +147,20 @@ try:
     code = main()
 finally:
     with open("/proc/self/status") as status:
-        os.write(fd, "".join(line for line in status
-                             if line.startswith("VmHWM")).encode())
+        lines = [line for line in status if line.startswith("VmHWM")]
+    lines.append(f"numpy: {int('numpy' in sys.modules)}\\n")
+    os.write(fd, "".join(lines).encode())
 sys.exit(code)
 """
 
 
 def run_cli(*argv: str, config: str | None = None) -> dict:
-    """Wall time, exit code, peak RSS (Linux) and the SHA-256 of stdout
-    (the report) and of stderr (a refusal's evidence) of ``openstring
-    *argv`` in a fresh interpreter.  It runs in its own empty working
-    directory, where ``config``, if given, is written as ``run.json``
-    first, so no temporary path reaches the output."""
+    """Wall time, exit code, peak RSS (Linux), whether numpy was loaded at
+    the end, and the SHA-256 of stdout (the report) and of stderr (a
+    refusal's evidence) of ``openstring *argv`` in a fresh interpreter.
+    It runs in its own empty working directory, where ``config``, if
+    given, is written as ``run.json`` first, so no temporary path reaches
+    the output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     with tempfile.TemporaryDirectory() as cwd:
         if config is not None:
@@ -173,19 +176,23 @@ def run_cli(*argv: str, config: str | None = None) -> dict:
                 wall = time.perf_counter() - t0
             finally:
                 os.close(write)
-            peak_kb = pipe.read().split()[1:2]
+            fields = dict(line.split(":", 1) for line in pipe)
+    peak_kb = fields.get("VmHWM", "").split()[:1]
+    loaded = fields.get("numpy", "").strip()
     return {"wall_s": wall, "exit": proc.returncode,
             "peak_rss_mb": int(peak_kb[0]) / 1024 if peak_kb else None,
+            "numpy_loaded": bool(int(loaded)) if loaded else None,
             "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
             "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest()}
 
 
 def cli_summary(argv, runs: list) -> dict:
     """The argv, the wall times with their median and quartiles, the peak
-    RSS, and the distinct exit codes and digests of repeated
-    ``run_cli(*argv)`` calls."""
+    RSS and whether numpy was loaded, per run, and the distinct exit codes
+    and digests of repeated ``run_cli(*argv)`` calls."""
     return {"argv": list(argv), **summary(runs, "wall"),
             "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
+            "numpy_loaded": [run["numpy_loaded"] for run in runs],
             "exit_codes": sorted({run["exit"] for run in runs}),
             "report_sha256": sorted({run["stdout_sha256"] for run in runs}),
             "stderr_sha256": sorted({run["stderr_sha256"] for run in runs})}

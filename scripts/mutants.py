@@ -2,10 +2,10 @@
 
 Each row of ``MUTANTS`` names one exact text replacement in one file of
 ``src/`` or ``tests/``, the pytest selection that should fail on it, and
-the expected verdict.  For each row the script copies ``src/``, ``tests/``
-and ``pyproject.toml`` of the checkout holding it into a temporary
-directory, applies the replacement there, and runs ``pytest -x -q`` on the
-selection in a fresh interpreter.  The verdict is
+the expected verdict.  For each row the script copies ``src/``,
+``tests/``, ``perfbench/`` and ``pyproject.toml`` of the checkout holding
+it into a temporary directory, applies the replacement there, and runs
+``pytest -x -q`` on the selection in a fresh interpreter.  The verdict is
 
 * ``killed``: pytest reported a failing test;
 * ``survived``: every selected test passed;
@@ -50,6 +50,7 @@ EXACTNUM = "src/openstring/exactnum.py"
 CLI = "src/openstring/cli.py"
 POLY = "src/openstring/poly.py"
 TESTFN = "src/openstring/testfn.py"
+FIELD = "src/openstring/field.py"
 FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
 DDF_TESTS = ("tests/test_ddf.py",)
@@ -59,6 +60,9 @@ EXACTNUM_TESTS = ("tests/test_exactnum.py",)
 SAMPLE_TESTS = ("tests/test_cli.py::TestTestfn",)
 POLY_TESTS = ("tests/test_poly.py", "tests/test_testfn.py")
 TESTFN_TESTS = ("tests/test_testfn.py",)
+NO_NUMPY = "tests/test_cli.py::TestExactCommandsLoadNoNumpy"
+NO_NUMPY_TESTS = (f"{NO_NUMPY}::test_exact_command",)
+TRACER_TESTS = (f"{NO_NUMPY}::test_layer_tracer_installs_without_numpy",)
 
 #: (id, file, old text, new text, pytest selection, expected verdict)
 MUTANTS = [
@@ -341,6 +345,20 @@ MUTANTS = [
     ("testfn.cached-rule-writeable", TESTFN,
      "    nodes.flags.writeable = weights.flags.writeable = False\n", "",
      TESTFN_TESTS, "killed"),
+    # numpy is imported inside the numeric functions only, so the exact
+    # commands never load it
+    ("testfn.numpy-imported-at-module-level", TESTFN,
+     "from math import pi\n", "from math import pi\n\nimport numpy as np\n",
+     NO_NUMPY_TESTS, "killed"),
+    ("field.numpy-imported-at-module-level", FIELD,
+     "from math import isfinite, pi, sqrt\n",
+     "from math import isfinite, pi, sqrt\n\nimport numpy as np\n",
+     NO_NUMPY_TESTS, "killed"),
+    # the benchmark's layer tracer wraps field's functions on every
+    # workload, so cli, which every workload imports, must load field
+    ("cli.field-not-imported-at-module-level", CLI,
+     "from .field import QuadratureSpec, locality_check, locality_sweep\n",
+     "", TRACER_TESTS, "killed"),
     # a sound variant: every R_s below the bound is zero, so starting one
     # step lower only builds an empty image
     ("ddf.widen-s-lower-bound", DDF,
@@ -369,8 +387,8 @@ MUTANTS = [
 
 
 def _copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    for name in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "results")
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(benchkit.ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(benchkit.ROOT / "pyproject.toml", dest / "pyproject.toml")
 

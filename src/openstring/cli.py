@@ -21,6 +21,10 @@ and is parsed and range-checked the same way on every route.
 Reports are byte-stable for a fixed command line and seed: dictionaries
 are emitted with sorted keys, floats are formatted explicitly, and the
 only randomness is drawn from the --seed flag.
+
+The exact commands never load numpy; the numeric ones (``testfn``,
+``locality``, ``observable``) load it on demand, inside the functions of
+``testfn`` and ``field`` that compute numerically.
 """
 
 from __future__ import annotations
@@ -38,12 +42,12 @@ from .ddf import CalibrationError, DdfContext, calibrate_normalization, \
 from .exactnum import sqrt_fraction
 from .fiber import Momentum, virasoro_bracket_scan
 from .fock import ModelParams, basis_dimension, iter_level_basis
-from .field import QuadratureSpec, SeparationError, locality_check, \
-    locality_sweep
+from .field import QuadratureSpec, locality_check, locality_sweep
 from .spectrum import InvariantError, find_onshell_momentum, noghost_csv, \
     noghost_scan
-from .testfn import BumpProfile, ResolutionError, is_c1_real, \
-    make_testfunction, realify, verify_constraints_pointwise, verify_support
+from .testfn import BumpProfile, ResolutionError, SeparationError, \
+    is_c1_real, make_testfunction, realify, verify_constraints_pointwise, \
+    verify_support
 
 __all__ = ["main"]
 

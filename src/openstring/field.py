@@ -26,6 +26,10 @@ grid lives on the slice p^j = 0 for j > d_q, which in position space
 means the checks run in the reduced spacetime where the projected
 profiles keep the same support radius (projections cannot enlarge
 support).
+
+numpy is imported inside the functions that compute on the grid, so the
+command-line front end can import this module for every command and the
+exact commands still never load numpy.
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import isfinite, pi, sqrt
 
-import numpy as np
-
 from .fock import monomial_norm
 from .poly import Poly
-from .testfn import TestFunction, _poly_on_grid
+from .testfn import SeparationError, TestFunction, _poly_on_grid
 
 __all__ = [
     "LocalityReport",
@@ -59,10 +61,6 @@ __all__ = [
     "pauli_jordan_contour",
     "project_pi",
 ]
-
-
-class SeparationError(ValueError):
-    """The requested translation is not spacelike enough for the claim."""
 
 
 @dataclass(frozen=True)
@@ -101,14 +99,17 @@ class QuadratureSpec:
         return self.step ** self.d_q
 
     def axes(self):
+        import numpy as np
         return (np.arange(self.n) + 0.5) * self.step - self.extent
 
     def grids(self):
+        import numpy as np
         ax = self.axes()
         return np.meshgrid(*([ax] * self.d_q), indexing="ij")
 
     def shell(self, r):
         """The momentum grids and omega = sqrt(|p|^2 + r) on them."""
+        import numpy as np
         grids = self.grids()
         return grids, np.sqrt(sum(g * g for g in grids) + float(r))
 
@@ -130,6 +131,7 @@ class SmearedState:
 
     def translate(self, a) -> "SmearedState":
         """Shift by the spacetime vector a: phase exp(-i p.a) per shell."""
+        import numpy as np
         a = [float(x) for x in a]
         if len(a) < 1 + self.spec.d_q:
             raise ValueError("translation vector too short")
@@ -154,6 +156,7 @@ class SmearedState:
         })
 
     def __add__(self, other: "SmearedState") -> "SmearedState":
+        import numpy as np
         if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         out = dict(self.levels)
@@ -168,6 +171,7 @@ class SmearedState:
     def inner(self, other: "SmearedState") -> complex:
         """<self, other> = sum_r integral conj(f) . D . g / (2 omega), where
         the diagonal fiber form D weights each common monomial by its norm."""
+        import numpy as np
         if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         total = 0.0 + 0.0j
@@ -202,6 +206,7 @@ def project_pi(tf: TestFunction, spec: QuadratureSpec) -> SmearedState:
     for b = 1) or outside the tower, the result is the empty state.  The
     quadrature slice must fit in the d - 1 spatial directions.
     """
+    import numpy as np
     if spec.d_q > tf.params.d - 1:
         raise ValueError(
             f"quadrature dimension {spec.d_q} exceeds the "
@@ -285,6 +290,7 @@ class MultiParticleVector:
         return (created + killed).scaled(1.0 / sqrt(2.0))
 
     def inner(self, other: "MultiParticleVector") -> complex:
+        import numpy as np
         if self.spec != other.spec:
             raise ValueError("incompatible quadrature specifications")
         total = 0.0 + 0.0j
@@ -506,6 +512,7 @@ def locality_sweep(f_tf: TestFunction, g_tf: TestFunction, separations,
 
 def pauli_jordan_time_kernel(omega: float, t: float) -> float:
     """Residue form of the commutator's time kernel: sin(omega t) / omega."""
+    import numpy as np
     if omega <= 0:
         raise ValueError("omega must be positive")
     return float(np.sin(omega * t) / omega)
@@ -520,6 +527,7 @@ def pauli_jordan_contour(omega: float, t: float, nodes: int = 2048,
     -omega of e^{-i p0 t}/(p0^2 - omega^2) sum to 2 pi sin(omega t)/omega,
     so dividing by 2 pi must land on the residue form.
     """
+    import numpy as np
     if radius >= omega:
         raise ValueError("contour radius must not enclose both poles")
     theta = (np.arange(nodes) + 0.5) * (2.0 * pi / nodes)

@@ -33,6 +33,9 @@ transform certifies exactly that.  Terms whose polynomials vanish on every
 axis (mixed products) correspond to mixed derivatives, covered by the same
 argument but invisible to slices — the slice report is a certification of
 the axis profiles, not an independent proof.
+
+numpy is imported inside the numeric functions only, so importing this
+module, as every command does, does not load it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gamma as gamma_fn
 from math import pi
-
-import numpy as np
 
 from .ddf import DdfContext, ddf_state
 from .fiber import Momentum, virasoro_apply
@@ -56,6 +57,7 @@ __all__ = [
     "ConstraintSampleReport",
     "OffShellSampleError",
     "ResolutionError",
+    "SeparationError",
     "SupportReport",
     "TestFunction",
     "c1_flip_body",
@@ -75,10 +77,15 @@ class ResolutionError(RuntimeError):
     """The numeric grid cannot resolve the claim being checked."""
 
 
+class SeparationError(ValueError):
+    """The requested translation is not spacelike enough for the claim."""
+
+
 @lru_cache(maxsize=64)
 def _leggauss_on(a: float, b: float, n: int):
     """The n-point Gauss-Legendre rule on [a, b], built once per (a, b, n)
     (``leggauss`` is an O(n^3) eigensolve) and shared read-only."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n)
     half = (b - a) / 2.0
     nodes, weights = a + half * (x + 1.0), half * w
@@ -119,6 +126,7 @@ class BumpProfile:
 
     def radial_position(self, r):
         """Profile value as a function of the radial distance |x - center|."""
+        import numpy as np
         r = np.asarray(r, dtype=float)
         u = r / float(self.R)
         inside = u < 1.0
@@ -143,6 +151,7 @@ class BumpProfile:
         cosine), and each distinct |rho| then costs one row of cosines.
         The result has the shape of ``rho`` (at least one dimension).
         """
+        import numpy as np
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         absrho, inverse = np.unique(np.abs(rho).ravel(), return_inverse=True)
         Rf = float(self.R)
@@ -165,6 +174,7 @@ class BumpProfile:
         for d >= 2, on 192 Gauss-Legendre nodes scaled to each t; P(t) =
         f(|t|) for d = 1.
         """
+        import numpy as np
         d = self.d
         if d == 1:
             return self.radial_position(np.abs(t))
@@ -394,6 +404,7 @@ def _poly_on_grid(q: Poly, comps):
 
 def _slice_values(h):
     """sum_k exp(i x_j rho_k) h_k on the centred grids, by one FFT."""
+    import numpy as np
     return len(h) * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(h)))
 
 
@@ -408,6 +419,7 @@ def verify_support(tf: TestFunction, grid: int = 1024, tol: float = 1e-3,
     it.  A coarse grid is refused rather than silently averaged over: the
     window edge must have decayed and the position step resolve the radius.
     """
+    import numpy as np
     R_true = float(tf.profile.R)
     R_dec = R_true if declared_radius is None else float(declared_radius)
     if R_dec <= 0:

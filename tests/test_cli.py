@@ -1,6 +1,11 @@
 """Exit codes, report shapes, and byte stability of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -598,3 +603,60 @@ class TestObservable:
         assert out == ""
         assert f"shell r = 2(level - b) = {shell} " in err
         assert "tower 0, 2, 4" in err
+
+
+class TestExactCommandsLoadNoNumpy:
+    """The exact commands never import numpy; only the numeric functions of
+    ``testfn`` and ``field`` do, when they run."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def probe(self, code: str, *path) -> tuple:
+        """Run ``code``, which sets ``value``, in a fresh interpreter that
+        has imported ``cli`` and ``testfn``: (value, numpy loaded)."""
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "import openstring.cli as cli, openstring.testfn as testfn",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            textwrap.indent(code, "    "),
+            "print(json.dumps([value, 'numpy' in sys.modules]))",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            str(p) for p in (self.SRC, *path)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout))
+
+    @pytest.mark.parametrize("argv", [
+        ["ddf", "--d", "4"],
+        ["virasoro", "--d", "4", "--max-level", "1"],
+        ["noghost", "--d-list", "10", "--max-level", "1"],
+        ["basis", "--max-level", "2"],
+        ["ddf-state", "--d", "4"],
+    ])
+    def test_exact_command(self, argv):
+        assert self.probe(f"value = cli.main({argv!r})") == (0, False)
+
+    def test_numeric_call_loads_numpy(self):
+        # the control: the probe does see numpy once a numeric layer runs
+        assert self.probe(
+            "value = len(testfn.BumpProfile(1, 4).radial_fourier([0.0]))"
+        ) == (1, True)
+
+    def test_layer_tracer_installs_without_numpy(self):
+        # the benchmark's tracer wraps field's functions on every
+        # workload, so field must be loaded, and load no numpy, with cli
+        code = "\n".join([
+            "from layers import TARGETS",
+            "from spans import Tracer",
+            "tracer = Tracer()",
+            "tracer.install(TARGETS)",
+            "tracer.uninstall()",
+            "value = 'openstring.field' in sys.modules",
+        ])
+        assert self.probe(code, self.SRC.parent / "perfbench") == (True, False)
+
+    def test_separation_error_has_one_class(self):
+        from openstring import field, testfn
+        assert field.SeparationError is testfn.SeparationError

@@ -69,5 +69,6 @@ def test_fresh_interpreter_run_matches_in_process_report(benchkit):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     assert (run["exit"], code) == (0, 0)
+    assert run["numpy_loaded"] is False
     assert run["stdout_sha256"] == hashlib.sha256(
         out.getvalue().encode()).hexdigest()
