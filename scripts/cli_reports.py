@@ -14,7 +14,7 @@ and of stderr:
     diff parent.jsonl change.jsonl
 
 Two trees whose lines agree print the same bytes and exit the same way
-on every case.  The matrix took about 45 s on a shared 2-core machine;
+on every case.  The matrix took 11-14 s on a shared 2-core machine;
 the three ``virasoro`` runs at d = 26 and the level-3 ``noghost`` run are
 most of it.
 """

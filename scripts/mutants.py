@@ -95,29 +95,31 @@ MUTANTS = [
      "        return out\n\n"
      "    def add_contractions",
      FIBER_TESTS, "killed"),
-    # the direct creator bracket [T_n, C_m]
-    ("fiber.bracket-pp-from-p2", FIBER,
-     "pp = sum(x * x for x in self.p[1:]) - self.p[0] * self.p[0]",
-     "pp = self.p2",
+    # [T_m, T_n] composed from the rows, and the contracting terms of the
+    # creator brackets [T_n, C_m] that each residual applies
+    ("fiber.commutator-skips-x-c", FIBER,
+     "for tm, tc in self.add_creators({}, b, mono, sign).items():",
+     "for tm, tc in (self.add_creators({}, b, mono, sign).items()\n"
+     "                           if sign < 0 else ()):",
      FIBER_TESTS, "killed"),
-    ("fiber.bracket-drop-cnumber-pairs", FIBER,
-     "(den * den * self.d * sum(\n"
-     "                k * (n + k) for k in range(m + 1, 0)) + 2 * m * pp))",
-     "(2 * m * pp))",
+    ("fiber.commutator-t-x-sign", FIBER,
+     "self.add_two_l(out, a, tm, tc)", "self.add_two_l(out, a, tm, -tc)",
      FIBER_TESTS, "killed"),
-    ("fiber.bracket-zero-mode-sign", FIBER,
-     "self._add_p_alpha(out, m - k, mono, wk // den)",
-     "self._add_p_alpha(out, m - k, mono, -wk // den)",
+    ("fiber.commutator-x-c-sign", FIBER,
+     "for tm, tc in self.add_creators({}, b, mono, sign).items():\n"
+     "                self.add_contractions(out, a, tm, tc)",
+     "for tm, tc in self.add_creators({}, b, mono, sign).items():\n"
+     "                self.add_contractions(out, a, tm, -tc)",
      FIBER_TESTS, "killed"),
     ("fiber.bracket-annihilator-weight", FIBER,
      "wk * j * mult)", "wk * mult)",
      FIBER_TESTS, "killed"),
     ("fiber.bracket-cross-term-mode", FIBER,
-     "self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * m * c)",
-     "self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * n * c)",
+     "self._add_p_alpha(out, n + m, mono, -4 * self.den ** 3 * m * c)",
+     "self._add_p_alpha(out, n + m, mono, -4 * self.den ** 3 * n * c)",
      FIBER_TESTS, "killed"),
-    ("fiber.drop-direct-certificate", FIBER,
-     "if scanner.add_creator_bracket({}, a, k, first, 1) != composed:",
+    ("fiber.drop-insertion-certificate", FIBER,
+     "if level_of(tm) != level - k or factors - Counter(tm):",
      "if False:",
      FIBER_TESTS, "killed"),
     # the cell polynomial, summed once on the vacuum and multiplied in

@@ -10,8 +10,9 @@ verdict in the exit status —
         geometry, a grid too coarse for the radius, refused cost caps),
     3   operator calibration failed (no normalization candidate works;
         the residual evidence is dumped),
-    4   internal error: two exact routes disagreed, or a result failed
-        its certificate (a fault of the program, not of the request).
+    4   internal error: two exact routes disagreed, a result failed
+        its certificate, or any other exception escaped a handler (a
+        fault of the program, not of the request).
 
 Each flag is declared once in ``FLAGS`` and each subcommand once in
 ``COMMANDS``, with the flags it reads and their defaults.  A value comes
@@ -551,6 +552,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError lands here too
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    except Exception as exc:    # a fault of the program: not a failed check
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

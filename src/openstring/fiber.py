@@ -14,6 +14,9 @@ in integers; :func:`virasoro_apply` scales them by the ring's coefficients,
 and :class:`IntegerBracketScanner` sums whole residuals in integers, with
 per-monomial work only on the terms that contract a factor, and with the
 contraction bracket read off cached responses on one factor or one pair.
+:func:`virasoro_bracket_scan` certifies the scanner in a chain: its rows
+against :func:`virasoro_apply`, its creator parts as pure insertions, and
+its split residual against the commutator composed from those rows.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -223,13 +226,12 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     residual is the zero vector.  The residuals come from one
     :class:`IntegerBracketScanner`, so the fiber must be rational (else
     ``ValueError``; use :func:`virasoro_bracket_residual` there).  On the
-    level's first monomial v, the scanner's rows (L_m, L_n and, off the
-    diagonal, L_{m+n}) must equal :func:`virasoro_apply`; its creator parts
-    C_m, C_n must only insert factors; and its direct [T_m, C_n] and
-    [T_n, C_m] must equal T C v - C T v from its own rows, with the C C
-    terms, which cancel, left out; and its split residual, with [X_m, X_n]
-    from cached responses, must equal [T_m, T_n] - 2 D^2 (m - n) T_{m+n}
-    built in full.  A failure raises
+    level's first monomial v the scan certifies, in turn, that the
+    scanner's rows (L_m, L_n and, off the diagonal, L_{m+n}) equal
+    :func:`virasoro_apply`; that its creator parts C_m, C_n only insert
+    factors, which makes its commutator [T_m, T_n] a composition of those
+    rows; and that its split residual equals that commutator less
+    2 D^2 (m - n) T_{m+n}.  A failure raises
     :class:`~openstring.spectrum.InvariantError`.
     """
     from .spectrum import InvariantError
@@ -249,15 +251,6 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
                 raise InvariantError(
                     f"creator part C_{k} of the integer scanner gives "
                     f"{tm!r} on {first!r}, not a product with it")
-    for a, k in {(m, n), (n, m)}:
-        composed = {}   # T_a C_k - C_k T_a, less C_a C_k - C_k C_a = 0
-        for tm, tc in scanner.add_creators({}, k, first, 1).items():
-            scanner.add_contractions(composed, a, tm, tc)
-        for tm, tc in scanner.add_contractions({}, a, first, 1).items():
-            scanner.add_creators(composed, k, tm, -tc)
-        if scanner.add_creator_bracket({}, a, k, first, 1) != composed:
-            raise InvariantError(f"direct [T_{a}, C_{k}] of the integer "
-                                 f"scanner disagrees on {first!r}")
     if m != n and scanner._split_residual(m, n, first) != scanner.add_two_l(
             scanner.commutator(m, n, first), m + n, first, -scanner.scale * (m - n)):
         raise InvariantError(f"split residual of the integer scanner disagrees "
@@ -284,18 +277,18 @@ class IntegerBracketScanner:
 
     Each row splits as T_k = C_k + X_k: the creator part C_k (D^2 times
     the two-creator pairs plus the cross term, k < 0 only) and the rest.
-    Creators commute, so :meth:`commutator` is [X_m, X_n] + [T_m, C_n] -
-    [T_n, C_m]: it composes contractions only, and reads [T_n, C_m] off
-    [L_n, alpha_j] = -j alpha_{n+j} as one weighted pair row.  A residual
-    applies only the terms that contract a factor to each monomial; the
-    rest multiply it by one creator polynomial per cell, summed once on
-    the vacuum ({} if m + n != 0, a c-number if m + n = 0).  [X_m, X_n]
-    kills the vacuum, so by Wick's theorem a residual sums it from its
-    responses on one factor and on one pair of factors, each composed once
-    per scanner, cell and factor key.  A diagonal cell (m, m) is zero
-    without composing.  Rows are not cached: a row cache over five level-3
-    pairs at d = 26 grew past 2 GB and was slower.
-    :func:`virasoro_bracket_scan` certifies what a residual uses.
+    Creators commute, so :meth:`commutator` composes [T_m, T_n] from the
+    rows, and [T_m, T_n] = [X_m, X_n] + [T_m, C_n] - [T_n, C_m].  A
+    residual applies only the terms that contract a factor to each
+    monomial; the rest multiply it by one creator polynomial per cell,
+    taken once from the commutator on the vacuum ({} if m + n != 0, a
+    c-number if m + n = 0).  [X_m, X_n] kills the vacuum, so by Wick's
+    theorem a residual sums it from its responses on one factor and on one
+    pair of factors, each composed once per scanner, cell and factor key.
+    A diagonal cell (m, m) is zero without composing.  Rows are not
+    cached: a row cache over five level-3 pairs at d = 26 grew past 2 GB
+    and was slower.  :func:`virasoro_bracket_scan` certifies what a
+    residual uses.
     """
 
     def __init__(self, p: Momentum, params: ModelParams):
@@ -355,43 +348,38 @@ class IntegerBracketScanner:
             self._add_p_alpha(out, k, mono, 2 * self.den * c)
         return out
 
-    def add_creator_bracket(self, out: dict, n: int, m: int, mono,
-                            c: int) -> dict:
-        """Add c [T_n, C_m] on one monomial, without composing: zero for
-        m >= 0, else, with alpha_0 = p, 2 D^2 (-2 D^2 sum_{k=m+1}^{-1} k
-        :alpha_{m-k} . alpha_{n+k}: - 2 D m P . alpha_{n+m}) plus, when
-        n + m = 0, the c-number -2 D^4 d sum_k k (n + k) - 4 D^2 m P . P."""
-        self._bracket_terms(out, n, m, mono, c, False)
-        return self._bracket_terms(out, n, m, mono, c, True)
+    def _add_bracket_contractions(self, out: dict, n: int, m: int, mono,
+                                  c: int) -> dict:
+        """Add the terms of c [T_n, C_m] that contract a factor of mono.
 
-    def _bracket_terms(self, out: dict, n: int, m: int, mono, c: int,
-                       contracting: bool) -> dict:
-        """Add the terms of c [T_n, C_m] that contract mono, else the rest."""
-        den, cut = self.den, max(m + 1, 1 - n)     # empty ranges if m >= 0
-        for k in range(cut, 0) if contracting else range(m + 1, min(cut, 0)):
-            j, wk = n + k, -4 * den ** 4 * k * c
-            if j < 0:       # both create
-                _insert_pairs(out, mono, *sorted((k - m, -j)), self.d, wk)
-            elif j == 0:    # alpha_0 = P / D
-                self._add_p_alpha(out, m - k, mono, wk // den)
-            else:           # alpha_j contracts; the metric signs cancel
-                for rest, mu, mult in _removals(mono, j):
-                    i = bisect_right(rest, (k - m, mu))
-                    _accumulate(out, rest[:i] + ((k - m, mu),) + rest[i:],
-                                wk * j * mult)
-        if m < 0 and n + m and (n + m > 0) == contracting:
-            self._add_p_alpha(out, n + m, mono, -4 * den ** 3 * m * c)
-        elif m < 0 and not (n + m or contracting):  # P . P, not T_0's p2
-            pp = sum(x * x for x in self.p[1:]) - self.p[0] * self.p[0]
-            _accumulate(out, mono, -2 * den * den * c * (den * den * self.d * sum(
-                k * (n + k) for k in range(m + 1, 0)) + 2 * m * pp))
+        By [L_n, alpha_j] = -j alpha_{n+j}, [T_n, C_m] is zero for m >= 0,
+        else 2 D^2 (-2 D^2 sum_{k=m+1}^{-1} k :alpha_{m-k} . alpha_{n+k}:
+        - 2 D m P . alpha_{n+m}) with alpha_0 = P / D, plus a c-number when
+        n + m = 0.  The terms kept here are those with k >= 1 - n, whose
+        alpha_{n+k} annihilates, and P . alpha_{n+m} for n + m > 0; the
+        rest insert the same factors into every monomial of a cell.
+        """
+        for k in range(max(m + 1, 1 - n), 0):   # empty if m >= 0
+            j, wk = n + k, -4 * self.den ** 4 * k * c
+            for rest, mu, mult in _removals(mono, j):   # metric signs cancel
+                i = bisect_right(rest, (k - m, mu))
+                _accumulate(out, rest[:i] + ((k - m, mu),) + rest[i:],
+                            wk * j * mult)
+        if m < 0 < n + m:
+            self._add_p_alpha(out, n + m, mono, -4 * self.den ** 3 * m * c)
         return out
 
     def commutator(self, m: int, n: int, mono) -> dict:
-        """[T_m, T_n] = 4 D^4 [L_m, L_n] on one monomial, as {monomial: int}."""
-        out = self.add_creator_bracket({}, m, n, mono, 1)
-        self.add_creator_bracket(out, n, m, mono, -1)
-        return self._add_x_bracket(out, m, n, mono)
+        """[T_m, T_n] = 4 D^4 [L_m, L_n] on one monomial, as {monomial: int},
+        composed from the rows as T_m X_n - T_n X_m + X_m C_n - X_n C_m;
+        creators only insert, so C_m C_n - C_n C_m = 0 is left out."""
+        out = {}
+        for a, b, sign in ((m, n, 1), (n, m, -1)):
+            for tm, tc in self.add_contractions({}, b, mono, sign).items():
+                self.add_two_l(out, a, tm, tc)
+            for tm, tc in self.add_creators({}, b, mono, sign).items():
+                self.add_contractions(out, a, tm, tc)
+        return out
 
     def _add_x_bracket(self, out: dict, m: int, n: int, mono) -> dict:
         """Add [X_m, X_n] on one monomial, composed from contractions."""
@@ -402,15 +390,16 @@ class IntegerBracketScanner:
 
     def _split_residual(self, m: int, n: int, mono) -> dict:
         """[T_m, T_n] - 2 D^2 (m - n) T_{m+n} on one monomial (m != n); the
-        cell polynomial is that sum on the vacuum, less X_{m+n} there, and
-        [X_m, X_n] comes from :meth:`_add_x_responses`."""
+        cell polynomial is that sum on the vacuum, less X_{m+n} there, the
+        creator brackets contract through :meth:`_add_bracket_contractions`
+        and [X_m, X_n] comes from :meth:`_add_x_responses`."""
         poly = self._polys.get((m, n))
         if poly is None:    # only the fixed terms survive on the vacuum
             poly = self._polys[m, n] = self.add_two_l(self.commutator(
                 m, n, ()), m + n, (), -self.scale * (m - n))
             self.add_contractions(poly, m + n, (), self.scale * (m - n))
-        out = self._bracket_terms({}, m, n, mono, 1, True)
-        self._bracket_terms(out, n, m, mono, -1, True)
+        out = self._add_bracket_contractions({}, m, n, mono, 1)
+        self._add_bracket_contractions(out, n, m, mono, -1)
         for tm, tc in poly.items():
             _accumulate(out, tuple(sorted(mono + tm)), tc)
         self._add_x_responses(out, m, n, mono)

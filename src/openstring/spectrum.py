@@ -52,7 +52,7 @@ import io
 import time
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -201,17 +201,17 @@ class LevelSpace:
 
 @dataclass
 class PhysicalReport:
+    """One (d, level) row of the scan: dimensions and signature only, so
+    no row's basis vectors outlive it."""
+
     d: int
     b: Fraction
     level: int
     r: Fraction
-    momentum: Momentum
     dim_total: int
     dim_physical: int
     dim_spurious: int
     signature: tuple
-    physical: list = field(repr=False)
-    spurious: list = field(repr=False)
     elapsed_ms: float
 
     def invariant_violations(self):
@@ -425,10 +425,9 @@ def noghost_scan(d_list, b=Fraction(1), max_level: int = 2):
             spurious = spurious_subspace(physical, space)
             sig = physical_signature(space)
             report = PhysicalReport(
-                d=d, b=b, level=level, r=r, momentum=shell.p,
+                d=d, b=b, level=level, r=r,
                 dim_total=space.dim, dim_physical=len(physical),
                 dim_spurious=len(spurious), signature=sig,
-                physical=physical, spurious=spurious,
                 elapsed_ms=(time.perf_counter() - start) * 1000.0,
             )
             if violations := report.invariant_violations():

@@ -113,26 +113,6 @@ def virasoro_apply_reference(m, p, v, params, truncate=None):
     return out
 
 
-def scanner_commutator_composed(scanner, m, n, mono):
-    """[T_m, T_n] on one monomial from compositions of the scanner's rows.
-
-    With T_k = C_k + X_k, this is T_m X_n - T_n X_m + X_m C_n - X_n C_m:
-    every term of C_n and C_m is fed through X, and only C_m C_n, which
-    commutes, is left out.  :meth:`IntegerBracketScanner.commutator` reads
-    the creator brackets off single-oscillator commutators instead.
-    """
-    out = {}
-    for tm, tc in scanner.add_contractions({}, n, mono, 1).items():
-        scanner.add_two_l(out, m, tm, tc)
-    for tm, tc in scanner.add_contractions({}, m, mono, 1).items():
-        scanner.add_two_l(out, n, tm, -tc)
-    for tm, tc in scanner.add_creators({}, n, mono, 1).items():
-        scanner.add_contractions(out, m, tm, tc)
-    for tm, tc in scanner.add_creators({}, m, mono, 1).items():
-        scanner.add_contractions(out, n, tm, -tc)
-    return out
-
-
 def random_vector(rng, params, max_level, *, terms=4, span=None):
     """Small random rational vector for property tests (seeded rng)."""
     from openstring.fock import level_basis

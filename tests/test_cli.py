@@ -244,6 +244,23 @@ class TestBasis:
         assert out == ""
         assert err.startswith("internal error: series/enumeration mismatch")
 
+    @pytest.mark.parametrize("exc", [KeyError("d"), ZeroDivisionError(
+        "division by zero"), TypeError("bad operand")])
+    def test_unexpected_exception_is_an_internal_error(self, capsys,
+                                                       monkeypatch, exc):
+        # exit 1 means a check ran and failed; a stray exception is not that
+        from openstring import cli
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setitem(cli.COMMANDS, "basis",
+                            (broken, *cli.COMMANDS["basis"][1:]))
+        code, out, err = run(capsys, ["basis", "--d", "4"])
+        assert code == 4
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, ["basis", "--d", "10", "--max-level", "3",

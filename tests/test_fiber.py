@@ -36,8 +36,7 @@ from openstring.fock import (
 from openstring.poly import sym_momentum
 from openstring.spectrum import InvariantError
 
-from .oracles import random_vector, scanner_commutator_composed, \
-    virasoro_apply_reference
+from .oracles import random_vector, virasoro_apply_reference
 
 P4 = ModelParams(d=4)
 P26 = ModelParams(d=26)
@@ -328,10 +327,24 @@ class TestScanEngines:
                 assert scanner.residual(m, n, mono) == \
                     bracket - ref(m + n, v).scaled(m - n), (m, n, mono)
 
+    @staticmethod
+    def assert_residual_is_composed(scanner, p, params, m, n, mono):
+        # the fast residual against T_m X_n - T_n X_m + X_m C_n - X_n C_m
+        # composed from the scanner's own rows, less the closure built on
+        # virasoro_apply; returns the composed commutator
+        v = FockVector.basis_state(mono)
+        composed = scanner.commutator(m, n, mono)
+        want = FockVector(composed).scaled(Fraction(1, scanner.scale ** 2))
+        want -= virasoro_apply(m + n, p, v, params).scaled(Fraction(m - n))
+        if m + n == 0:
+            want -= v.scaled(Fraction(params.d * m * (m * m - 1), 12)
+                             + 2 * params.b * m)
+        assert scanner.residual(m, n, mono) == want, (p, m, n, mono)
+        return composed
+
     @pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_direct_commutator_matches_composition_at_d4(self, b):
-        # every cell |m|, |n| <= 3 on levels <= 3, against T_m X_n - T_n X_m
-        # + X_m C_n - X_n C_m composed from the scanner's own rows
+        # every cell |m|, |n| <= 3 on levels <= 3
         params = ModelParams(d=4, b=b)
         momenta = [
             Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1))),
@@ -346,11 +359,9 @@ class TestScanEngines:
             for m in range(-3, 4):
                 for n in range(-3, 4):
                     for mono in monos:
-                        got = scanner.commutator(m, n, mono)
-                        nonzero += bool(got)
-                        assert got == scanner_commutator_composed(
-                            scanner, m, n, mono), (p, m, n, mono)
-        assert nonzero > 3800  # 3852 of the 5782 compared
+                        nonzero += bool(self.assert_residual_is_composed(
+                            scanner, p, params, m, n, mono))
+        assert nonzero > 3800  # 3852 of the 5782 commutators are nonzero
 
     def test_direct_commutator_matches_composition_at_26(self):
         p = cli._probe_momenta(26, 2)[1]
@@ -359,28 +370,30 @@ class TestScanEngines:
         for mono in rng.sample(list(iter_level_basis(P26, 2)), 20):
             for m in range(-3, 4):
                 for n in range(-3, 4):
-                    assert scanner.commutator(m, n, mono) == \
-                        scanner_commutator_composed(scanner, m, n, mono), \
-                        (m, n, mono)
+                    self.assert_residual_is_composed(scanner, p, P26, m, n,
+                                                     mono)
 
     def test_scan_certifies_direct_creator_brackets(self, monkeypatch):
-        # a wrong weight on [T_{-1}, C_{-2}] only: every row and creator
-        # part is untouched, but the residual moves
+        # a wrong weight on the contracting terms of [T_2, C_-1], here
+        # P . alpha_1: every row, creator part and the composed commutator
+        # are untouched, but the residual moves.  The cell (-2, -1) has no
+        # such terms, since both modes create.
         p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
-        real = IntegerBracketScanner.add_creator_bracket
+        real = IntegerBracketScanner._add_bracket_contractions
 
         def tampered(self, out, n, m, mono, c):
-            return real(self, out, n, m, mono, 2 * c if (n, m) == (-1, -2)
+            return real(self, out, n, m, mono, 2 * c if (n, m) == (2, -1)
                         else c)
 
         mono = next(iter(iter_level_basis(P4, 1)))
-        assert not IntegerBracketScanner(p, P4).residual(-2, -1, mono)
-        monkeypatch.setattr(IntegerBracketScanner, "add_creator_bracket",
+        assert not IntegerBracketScanner(p, P4).residual(-1, 2, mono)
+        monkeypatch.setattr(IntegerBracketScanner, "_add_bracket_contractions",
                             tampered)
         scanner = IntegerBracketScanner(p, P4)
-        assert scanner.residual(-2, -1, mono)
-        with pytest.raises(InvariantError, match=r"direct \[T_"):
-            virasoro_bracket_scan(-2, -1, 1, p, P4)
+        assert scanner.residual(-1, 2, mono)
+        with pytest.raises(InvariantError, match=r"split residual .* "
+                                                 r"\[T_-1, T_2\]"):
+            virasoro_bracket_scan(-1, 2, 1, p, P4)
 
     def test_shifted_mass_is_caught_by_the_central_pairs(self):
         # raising P.P by one breaks L_0 only, which the scan reaches through
@@ -500,32 +513,34 @@ class TestCellPolynomial:
 
     def test_doubled_creator_pair_shows_on_every_monomial(self, monkeypatch):
         # [T_{-1}, C_{-3}] has the both-create pair :alpha_{-1} . alpha_{-3}:
-        # (k = -2, weight 8 D^4 c); doubling it breaks the fixed polynomial
-        # of the cell (-3, -1), so every monomial of the level must see it
+        # (weight 8 D^4); doubling it in the vacuum commutator breaks the
+        # fixed polynomial of the cell (-3, -1), so every monomial of the
+        # level must see it, while the commutator on them stays right
         p = self.MOMENTA_D4[0]
         monos = list(iter_level_basis(P4, 2))
         assert len(monos) == 14
         scanner = IntegerBracketScanner(p, P4)
         assert not any(scanner.residual(-3, -1, mono) for mono in monos)
-        real = IntegerBracketScanner._bracket_terms
+        real = IntegerBracketScanner.commutator
 
-        def tampered(self, out, n, m, mono, c, contracting):
-            real(self, out, n, m, mono, c, contracting)
-            if (n, m) == (-1, -3) and not contracting:
+        def tampered(self, m, n, mono):
+            out = real(self, m, n, mono)
+            if not mono and {m, n} == {-3, -1}:
                 fiber._insert_pairs(out, mono, 1, 3, self.d,
-                                    8 * self.den ** 4 * c)
+                                    8 * self.den ** 4 * (1 if m == -1 else -1))
             return out
 
-        monkeypatch.setattr(IntegerBracketScanner, "_bracket_terms", tampered)
+        monkeypatch.setattr(IntegerBracketScanner, "commutator", tampered)
         scanner = IntegerBracketScanner(p, P4)
         assert all(scanner.residual(-3, -1, mono) for mono in monos)
         assert all(scanner.residual(-1, -3, mono) for mono in monos)
-        with pytest.raises(InvariantError, match=r"direct \[T_-1, C_-3\]"):
+        with pytest.raises(InvariantError, match=r"split residual .* "
+                                                 r"\[T_-3, T_-1\]"):
             virasoro_bracket_scan(-3, -1, 2, p, P4)
 
     def test_scan_certifies_split_residual(self, monkeypatch):
         # a per-monomial path that never multiplies the polynomial in: rows,
-        # creator parts and direct brackets are untouched, and only the
+        # creator parts and the commutator are untouched, and only the
         # cells with m + n = 0, whose polynomial is a c-number, move
         p = self.MOMENTA_D4[0]
         real = IntegerBracketScanner._split_residual
@@ -587,8 +602,8 @@ class TestXResponses:
         assert nonzero > 600  # 616 of the 840 compared
 
     def test_scan_certifies_cached_responses(self, monkeypatch):
-        # every response one too large in each term: rows, creator parts,
-        # direct brackets and commutator are untouched, the residual moves
+        # every response one too large in each term: rows, creator parts
+        # and the commutator are untouched, the residual moves
         p = TestCellPolynomial.MOMENTA_D4[0]
         mono = next(iter(iter_level_basis(P4, 1)))
         assert not IntegerBracketScanner(p, P4).residual(-2, 1, mono)
