@@ -14,104 +14,33 @@ and of stderr:
     diff parent.jsonl change.jsonl
 
 Two trees whose lines agree print the same bytes and exit the same way
-on every case.  The matrix took 11-14 s on a shared 2-core machine;
+on every case.  The cases are ``cli_cases.CASES``; ``--exact`` digests
+only the exact commands among them, the lines that
+``tests/cli_exact_pins.jsonl`` pins in tier-1.  The matrix took 11-14 s on a shared 2-core machine;
 the three ``virasoro`` runs at d = 26 and the level-3 ``noghost`` run are
 most of it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import benchkit
-
-# (argv, config file text or None)
-CASES = [
-    (["virasoro"], None),
-    (["virasoro", "--seed", "2"], None),
-    (["virasoro", "--seed", "81"], None),
-    (["virasoro", "--d", "4", "--max-level", "2"], None),
-    (["ddf"], None),
-    (["ddf", "--seed", "2"], None),
-    # the reject path: exit 3 with one witness per candidate on stderr
-    (["ddf", "--kappa-set", "1/2", "2"], None),
-    (["ddf", "--d", "4", "--kappa-set", "3", "5"], None),
-    (["ddf-state"], None),
-    (["noghost", "--d-list", "10,26", "--max-level", "2"], None),
-    (["noghost", "--d-list", "10,26", "--max-level", "2",
-      "--format", "json"], None),
-    # a fractional intercept: the shell r = 2(N - 1/3) is fractional, and
-    # the rational witness keeps the rank audit and the inertia on ints
-    (["noghost", "--d-list", "4,26", "--b", "1/3", "--max-level", "2"], None),
-    # the largest exact inertia, S at level 3 (403 x 403)
-    (["noghost", "--d-list", "26", "--max-level", "3"], None),
-    (["basis", "--d", "10", "--max-level", "4"], None),
-    (["basis", "--d", "10", "--max-level", "4", "--format", "json"], None),
-    (["testfn", "--d", "4"], None),
-    (["locality", "--d", "4", "--grid", "64"], None),
-    (["locality", "--d", "4", "--grid", "64", "--sweep", "0,4,0;0,1,0"],
-     None),
-    (["observable", "--radius", "1/10", "--word", "1:1"], None),
-    # the requests tests/test_cli.py expects to be refused with exit 2
-    ([], None),
-    (["frobnicate"], None),
-    (["ddf-state", "--d", "4", "--b", "one"], None),
-    (["ddf-state", "--d", "4", "--word", "11"], None),
-    (["ddf-state", "--d", "4", "--word", "5:1"], None),
-    (["virasoro", "--config", "run.json"], "{broken"),
-    (["virasoro", "--config", "run.json"], '{"levels": 3}'),
-    (["virasoro", "--config", "run.json"], '{"d": "four"}'),
-    (["virasoro", "--config", "run.json"], '{"d": true}'),
-    (["virasoro", "--config", "absent.json"], None),
-    (["virasoro", "--d", "4", "--max-level", "-1"], None),
-    (["noghost", "--d-list", "4", "--max-level", "-1"], None),
-    (["noghost", "--d-list", "1,4"], None),
-    (["basis", "--max-level", "-1"], None),
-    (["testfn", "--grid", "0", "--d", "4"], None),
-    (["testfn", "--tol", "-1", "--d", "4"], None),
-    (["locality", "--tol", "0", "--d", "4"], None),
-    (["observable", "--tol", "inf", "--d", "4"], None),
-    (["basis", "--d", "4", "--config", "run.json"], '{"format": "xml"}'),
-    (["virasoro", "--d", "26", "--max-level", "3"], None),
-    (["ddf", "--d", "4", "--kappa-set", "0"], None),
-    (["ddf-state", "--d", "4", "--word", "1:1", "--momentum", "1,0,0,-1"],
-     None),
-    (["testfn", "--d", "4", "--radius", "1/100", "--grid", "64"], None),
-    (["locality", "--d", "4", "--separation", "0,2,0"], None),
-    (["locality", "--d", "4", "--grid", "8", "--extent", "nan"], None),
-    (["locality", "--d", "4", "--grid", "8", "--extent", "inf"], None),
-    (["locality", "--d", "4", "--grid", "6"], None),
-    (["observable", "--d", "6", "--word", "3:1", "--grid", "64"], None),
-    (["locality", "--d", "6", "--word", "3:1", "--grid", "64"], None),
-    (["observable", "--d", "4", "--radius", "1", "--dq", "4", "--grid", "8"],
-     None),
-    # ddf-state prints its momentum: at level 2 and at b = 1/3 that is
-    # the shell witness
-    (["ddf-state", "--word", "1:2"], None),
-    (["ddf-state", "--d", "4", "--b", "1/3", "--word", "1:1"], None),
-    (["noghost", "--d-list", "4,10", "--b", "1/3", "--max-level", "3"], None),
-    # a body whose shell r = 2(level - b) = 1 is not in the tower 0, 2, 4
-    (["observable", "--d", "4", "--b", "1/2", "--word", "1:1"], None),
-    # the rational shell samples t - x = 1/2 and 3 on the shells r = 2
-    # (a level-2 word) and r = -1 (a fractional intercept)
-    (["testfn", "--d", "4", "--word", "1:2"], None),
-    (["testfn", "--d", "4", "--b", "3/2", "--word", "1:1"], None),
-    # sweep rows that --separation refuses: too short, and outside the
-    # reduced spacetime of --dq 2
-    (["locality", "--d", "4", "--grid", "8", "--sweep", "0"], None),
-    (["locality", "--d", "4", "--grid", "8", "--dq", "2",
-      "--sweep", "0,4,0;0,1,0,1"], None),
-    # observable and testfn at their defaults: d = 26, radius 1
-    (["observable"], None),
-    (["testfn"], None),
-]
+from cli_cases import CASES, is_exact
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--exact", action="store_true",
+                    help="digest only the exact commands that tier-1 pins")
+    args = ap.parse_args(argv)
     if not (benchkit.SRC / "openstring" / "__init__.py").is_file():
         raise SystemExit(
             f"cli_reports.py: no openstring package under {benchkit.SRC}")
     for argv, config in CASES:
+        if args.exact and not is_exact(argv, config):
+            continue
         run = benchkit.run_cli(*argv, config=config)
         print(json.dumps({"argv": argv, "config": config, **{
             key: run[key] for key in ("exit", "stdout_sha256",

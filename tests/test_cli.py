@@ -677,3 +677,43 @@ class TestExactCommandsLoadNoNumpy:
     def test_separation_error_has_one_class(self):
         from openstring import field, testfn
         assert field.SeparationError is testfn.SeparationError
+
+
+def _load_cli_cases():
+    """``scripts/cli_cases.py``, the case list ``cli_reports.py`` digests,
+    loaded by path (it imports nothing)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_cases.py"
+    spec = importlib.util.spec_from_file_location("cli_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_reports_match_pins(tmp_path, monkeypatch):
+    """Every exact command of the shared case list prints the pinned bytes
+    and exits the pinned way, run in one process through ``cli.main``."""
+    import contextlib
+    import hashlib
+    import io
+
+    cases = _load_cli_cases()
+    pins = Path(__file__).with_name("cli_exact_pins.jsonl")
+    want = [json.loads(line) for line in pins.read_text().splitlines()]
+    exact = [(argv, config) for argv, config in cases.CASES
+             if cases.is_exact(argv, config)]
+    assert [(p["argv"], p["config"]) for p in want] == exact
+    monkeypatch.chdir(tmp_path)
+    for pin in want:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(pin["argv"]))
+            except SystemExit as exc:
+                code = exc.code
+        got = {"exit": code, **{
+            f"{name}_sha256": hashlib.sha256(
+                stream.getvalue().encode()).hexdigest()
+            for name, stream in (("stdout", out), ("stderr", err))}}
+        assert got == {key: pin[key] for key in got}, pin["argv"]
