@@ -73,8 +73,8 @@ calibration therefore enforces vanishing only on the protected sector and
 reports the defect separately instead of pretending it away.
 
 Everything is generic over the coefficient ring, so the same code runs on
-rational momenta and on the symbolic momentum sections used by the
-test-function factory.
+rational momenta, in int numerators over one denominator per vector, and
+on the symbolic momentum sections used by the test-function factory.
 """
 
 from __future__ import annotations
@@ -82,14 +82,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fiber import Momentum, virasoro_apply
-from .fock import (
-    FockVector,
-    InvalidDirectionError,
-    ModelParams,
-    apply_oscillator,
-    iter_level_basis,
-    level_of,
-)
+from .fock import FockVector, InvalidDirectionError, ModelParams, \
+    _split_scalar, apply_oscillator, iter_level_basis, level_of
 
 __all__ = [
     "CalibrationError",
@@ -128,15 +122,16 @@ class NullVector(Momentum):
     ``images`` caches V_t(k) on lightcone basis states, which needs only
     k^0: keyed by (t, lightcone monomial in the labels of the d = 2 model,
     the direction ``last`` that label 1 stands for); see :func:`_image`.
-    A copy from ``times`` starts empty.
+    ``ladders`` keeps the U_p(k) lam those images sum, keyed by (p, lam).
+    A copy from ``times`` starts with both empty.
     """
 
-    __slots__ = ("p", "kappa", "images")
+    __slots__ = ("p", "kappa", "images", "ladders")
 
     def __init__(self, p: Momentum, kappa):
         self.p = p
         self.kappa = Fraction(kappa) if isinstance(kappa, int) else kappa
-        self.images = {}
+        self.images, self.ladders = {}, {}
         w = p.lightcone()
         k0 = self.kappa / w if w and self.kappa else Fraction(0)
         super().__init__((k0,) + (Fraction(0),) * (p.d - 2) + (-k0,))
@@ -204,11 +199,10 @@ def v_scalar_apply(n: int, k: NullVector, v: FockVector,
     """
     last = params.d - 1
     out = FockVector.zero()
-    for mono, c in v.items():
+    for mono, c in v.num.items():
         lam, tau = _split(mono, last)
-        for img, a in _image(n, k, lam, last, params.b).items():
-            out.add_term(tuple(sorted(img + tau)) if tau else img, a * c)
-    return out
+        out.add_product(_image(n, k, lam, last, params.b), tau, c, v.den)
+    return out._reduce()
 
 
 def _split(mono, last: int) -> tuple:
@@ -232,16 +226,19 @@ def _image(t: int, k: NullVector, lam, last: int, b) -> FockVector:
 
 def _lifted(image: FockVector, last: int) -> FockVector:
     """A d = 2 image with direction 1 relabelled ``last`` (same order)."""
-    return FockVector({tuple((a, last if mu else 0) for a, mu in mono): c
-                       for mono, c in image.items()})
+    return FockVector._of({tuple((a, last if mu else 0) for a, mu in mono): c
+                           for mono, c in image.num.items()}, image.den)
 
 
 def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVector:
-    """V_n(k) on the lightcone basis state ``lc``: the literal p-sum."""
-    v = FockVector({lc: Fraction(1)})
+    """V_n(k) on the lightcone basis state ``lc``: the literal p-sum, each
+    U_p(k) lc built once per null vector and kept in ``k.ladders``."""
     out = FockVector.zero()
     for idx in range(max(0, n), level_of(lc) + 1):
-        w = u_op_apply(idx, k, v, params, sign=1)
+        w = k.ladders.get((idx, lc))
+        if w is None:
+            w = k.ladders[idx, lc] = u_op_apply(
+                idx, k, FockVector({lc: Fraction(1)}), params, sign=1)
         if w:
             out += u_op_apply(idx - n, k, w, params, sign=-1, dagger=True)
     return out
@@ -265,15 +262,14 @@ def _assembled(v: FockVector, i: int, p: Momentum, last: int,
     of v (:func:`_moved`), ``images(lam, top)`` listing the (s, full-d
     image) with s up to ``top``, the top mode of i in tau or 0."""
     out = FockVector.zero()
-    for mono, c in v.items():
+    for mono, c in v.num.items():
         lam, tau = _split(mono, last)
         top = max((a for a, mu in tau if mu == i), default=0)
         for s, image in images(lam, top):
             if hit := _moved(s, i, tau, p):
-                moved, w = hit[0], c * hit[1]
-                for lc, a in image.items():
-                    out.add_term(tuple(sorted(lc + moved)), a * w)
-    return out
+                a, b = _split_scalar(hit[1])
+                out.add_product(image, hit[0], c * a, v.den * b)
+    return out._reduce()
 
 
 class DdfContext:
@@ -345,8 +341,9 @@ def ddf_state(word, ctx: DdfContext) -> FockVector:
 
 def mass_project(r, v: FockVector, params: ModelParams) -> FockVector:
     """Keep exactly the terms whose level n satisfies 2(n - b) = r."""
-    return FockVector({mono: c for mono, c in v.items()
-                       if 2 * (level_of(mono) - params.b) == r})
+    return FockVector._of({mono: c for mono, c in v.num.items()
+                           if 2 * (level_of(mono) - params.b) == r},
+                          v.den)._reduce()
 
 
 def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
@@ -371,10 +368,10 @@ def _certified(build, m, i, n, v, ctx) -> FockVector:
     if ctx.degenerate:
         return FockVector.zero()
     res = _factored(build, m, i, n, v, ctx)
-    cell = (n, m, v.level(), any(f[1] == i for t in v.terms for f in t))
+    cell = (n, m, v.level(), any(f[1] == i for t in v.num for f in t))
     if (build, *cell) not in ctx.certified:
         j, u, literal = ctx.literals.pop(cell, (None, None, None))
-        if (j, u) != (i, v.terms):
+        if (j, u) != (i, v):
             literal = _literal_residual(m, i, n, v, ctx)
         if res != literal:
             from .spectrum import InvariantError
@@ -383,7 +380,7 @@ def _certified(build, m, i, n, v, ctx) -> FockVector:
         ctx.certified.add((build, *cell))
         other = _defect_image if build is _residual_image else _residual_image
         if m and ctx.kappa == 1 and (other, *cell) not in ctx.certified:
-            ctx.literals[cell] = i, dict(v.terms), literal
+            ctx.literals[cell] = i, v + FockVector(), literal
     return res
 
 

@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .fock import FockVector, ModelParams, apply_oscillator, \
+from .fock import FockVector, ModelParams, _accumulate, apply_oscillator, \
     iter_level_basis, level_of
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "virasoro_bracket_scan",
 ]
 
-_HALF = Fraction(1, 2)
-
 #: Guard against accidentally huge mode indices; configuration, not semantics.
 DEFAULT_MODE_CAP = 8
 
@@ -61,12 +59,13 @@ DEFAULT_MODE_CAP = 8
 class Momentum:
     """A d-component momentum with mostly-plus Minkowski products."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_integrals")
 
     def __init__(self, components):
         self.components = tuple(components)
         if len(self.components) < 2:
             raise ValueError("momentum needs at least two components")
+        self._integrals = {}
 
     @property
     def d(self) -> int:
@@ -104,12 +103,23 @@ class Momentum:
         return f"Momentum{self.components!r}"
 
 
-def _accumulate(out: dict, mono, c) -> None:
-    new = out.get(mono, 0) + c
-    if new:
-        out[mono] = new
-    elif mono in out:
-        del out[mono]
+def _integral(p: Momentum, b: Fraction) -> tuple:
+    """(D, P, B, P . P), kept on ``p`` per intercept ``b``: D the lcm of the
+    denominators of b and of the rational components of p, P = D p and
+    B = D b; P's rational components and B are ints, ring components are
+    scaled as they are."""
+    key = b.numerator, b.denominator
+    out = p._integrals.get(key)
+    if out is None:
+        den = lcm(b.denominator, *(c.denominator for c in p.components
+                                   if isinstance(c, (int, Fraction))))
+        P = Momentum(c.numerator * (den // c.denominator)
+                     if isinstance(c, (int, Fraction)) else c * den
+                     for c in p.components)
+        out = p._integrals[key] = (den, P.components,
+                                 b.numerator * (den // b.denominator),
+                                 P.minkowski_sq())
+    return out
 
 
 def _insert_pairs(out: dict, mono, lo: int, hi: int, d: int, w: int) -> None:
@@ -173,35 +183,38 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
                    params: ModelParams) -> FockVector:
     """Apply the constraint operator L_m at momentum ``p`` to ``v``.
 
-    Generic over the coefficient ring: each monomial's integer pair row is
-    scaled by half its coefficient, and p . alpha_m by the momentum.
+    Generic over the coefficient ring.  With (D, P, B) from
+    :func:`_integral`, v's numerators take the row 2 D L_m = D (pair row)
+    + 2 P . alpha_m for m != 0, or 2 D^2 L_0 = P . P + 2 D (D N - B), so
+    the result is over 2 D, or 2 D^2, times v's denominator.
     """
     if params.d != p.d:
         raise ValueError(f"momentum has {p.d} components, model has d={params.d}")
     if not v:
         return FockVector.zero()
-    out = FockVector.zero()
+    den, P, B, p2 = _integral(p, params.b)
+    out = {}
     if m == 0:
-        half_p2 = p.minkowski_sq() * _HALF
-        for mono, coeff in v.items():
-            out.add_term(mono, coeff * (half_p2 + (level_of(mono) - params.b)))
-        return out
-    for mono, coeff in v.items():
-        half = coeff * _HALF
-        row = _creator_pairs_into({}, m, mono, params.d, 1)
-        for tm, c in _contractions_into(row, m, mono, 1).items():
-            out.add_term(tm, half * c)
+        for mono, c in v.num.items():
+            w = c * (p2 + 2 * den * (den * level_of(mono) - B))
+            if w:
+                out[mono] = w
+        return FockVector._of(out, 2 * den * den * v.den)._reduce()
+    for mono, c in v.num.items():
+        w = c * den if den != 1 else c
+        _creator_pairs_into(out, m, mono, params.d, w)
+        _contractions_into(out, m, mono, w)
     # zero-mode cross terms: p . alpha_m; an annihilator only sees the
     # directions present at mode m
     dirs = range(params.d) if m < 0 else \
-        sorted({mu for mono in v.terms for mode, mu in mono if mode == m})
+        sorted({mu for mono in v.num for mode, mu in mono if mode == m})
     for mu in dirs:
-        c = p.components[mu]
-        if c:
-            scale = -c if mu == 0 else c
-            for tm, w in apply_oscillator((m, mu), v, params).items():
-                out.add_term(tm, w * scale)
-    return out
+        if P[mu]:
+            image = apply_oscillator((m, mu), v, params)
+            f = (-2 if mu == 0 else 2) * (v.den // image.den) * P[mu]
+            for tm, c in image.num.items():
+                _accumulate(out, tm, c * f)
+    return FockVector._of(out, 2 * den * v.den)._reduce()
 
 
 def virasoro_bracket_residual(m: int, n: int, p: Momentum, v: FockVector,
@@ -298,13 +311,9 @@ class IntegerBracketScanner:
             if not isinstance(c, (int, Fraction)):
                 raise ValueError(f"bracket scan needs a rational fiber; "
                                  f"momentum component {mu} is {c!r}")
-        den = lcm(params.b.denominator,
-                  *(c.denominator for c in p.components))
-        self.d, self.den, self.scale = params.d, den, 2 * den * den
-        self.p = tuple(c.numerator * (den // c.denominator)    # P = D p
-                       for c in p.components)
-        self.b = params.b.numerator * (den // params.b.denominator)  # D b
-        self.p2 = -self.p[0] * self.p[0] + sum(c * c for c in self.p[1:])
+        # D, P = D p, D b and P . P
+        self.den, self.p, self.b, self.p2 = _integral(p, params.b)
+        self.d, self.scale = params.d, 2 * self.den * self.den
         self._polys = {}        # (m, n) -> the cell polynomial
         self._responses = {}    # (m, n, factors) -> [X_m, X_n] on them
 
@@ -447,25 +456,24 @@ class IntegerBracketScanner:
         if m + n == 0:      # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
             _accumulate(out, mono, -self.den ** 3 * (
                 self.den * (self.d * m * (m * m - 1) // 3) + 8 * m * self.b))
-        return FockVector({tm: Fraction(tc, self.scale * self.scale)
-                           for tm, tc in out.items()})
+        return FockVector._of(out, self.scale * self.scale)._reduce()
 
 
 def number_apply(v: FockVector, params: ModelParams) -> FockVector:
     """Level-counting operator N (diagonal on the monomial basis)."""
-    out = FockVector.zero()
-    for mono, coeff in v.items():
-        if mono:
-            out.add_term(mono, coeff * level_of(mono))
-    return out
+    return FockVector._of({mono: c * level_of(mono)
+                           for mono, c in v.num.items() if mono},
+                          v.den)._reduce()
 
 
 def mass_square_apply(v: FockVector, params: ModelParams) -> FockVector:
     """M^2 = 2(N - b); together with L_0 this gives 2 L_0 = p.p + M^2."""
-    out = FockVector.zero()
-    for mono, coeff in v.items():
-        out.add_term(mono, coeff * (2 * (level_of(mono) - params.b)))
-    return out
+    b, out = params.b, {}
+    for mono, c in v.num.items():
+        w = 2 * (b.denominator * level_of(mono) - b.numerator)
+        if w:
+            out[mono] = c * w
+    return FockVector._of(out, b.denominator * v.den)._reduce()
 
 
 # -- exact Lorentz transforms ------------------------------------------------
@@ -549,17 +557,17 @@ def lorentz_apply(lam, v: FockVector, params: ModelParams) -> FockVector:
     if not isinstance(lam, LorentzMatrix):
         lam = LorentzMatrix(lam, params)
     d = params.d
-    out = FockVector.zero()
-    for mono, coeff in v.items():
-        partial = [(coeff, ())]
+    den = lcm(*(x.denominator for row in lam.rows for x in row))
+    ent = [[params.eta(nu) * params.eta(mu) * x.numerator * (den // x.denominator)
+            for mu, x in enumerate(row)] for nu, row in enumerate(lam.rows)]
+    top = max((len(mono) for mono in v.num), default=0)
+    out = {}
+    for mono, coeff in v.num.items():   # a k-factor monomial gains den^k
+        partial = [(coeff * den ** (top - len(mono)), ())]
         for mode, mu in mono:
-            grown = []
-            for c, factors in partial:
-                for nu in range(d):
-                    entry = params.eta(nu) * lam[nu][mu] * params.eta(mu)
-                    if entry:
-                        grown.append((c * entry, factors + ((mode, nu),)))
-            partial = grown
+            partial = [(c * ent[nu][mu], factors + ((mode, nu),))
+                       for c, factors in partial
+                       for nu in range(d) if ent[nu][mu]]
         for c, factors in partial:
-            out.add_term(tuple(sorted(factors)), c)
-    return out
+            _accumulate(out, tuple(sorted(factors)), c)
+    return FockVector._of(out, den ** top * v.den)._reduce()

@@ -14,19 +14,26 @@ alpha^mu_m |0> = 0 for m > 0.  The adjoint is (alpha^mu_m)^dagger =
 alpha^mu_{-m}, which makes the induced inner product indefinite: timelike
 excitations carry negative norm.
 
-Coefficients are plain Fractions, so the form is symmetric bilinear;
-the same vector container also hosts polynomial coefficients for the
-momentum-symbolic pipelines, so all arithmetic here is written against the
-generic ring protocol (+, *, unary -, truthiness for zero tests).
+A vector holds its coefficients as numerators over one positive int
+denominator.  On a rational fiber the numerators are ints, so the builders
+here and in ``fiber`` and ``ddf`` add and scale in integers, combine
+denominators by lcm once per vector and divide out one gcd per result;
+readers see plain Fraction values, and the form is symmetric bilinear.
+The same container hosts the polynomial sections of the momentum-symbolic
+pipelines as numerators, so all arithmetic on numerators is written
+against the generic ring protocol (+, *, unary -, truthiness for zero
+tests); such numerators have no gcd, and their denominator only collects
+the rational scalars applied.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
+from math import gcd, lcm
 
 __all__ = [
     "FockVector",
@@ -85,26 +92,67 @@ def level_of(mono: Monomial) -> int:
     return sum(n for n, _ in mono)
 
 
-class FockVector:
-    """Sparse vector: canonical monomial -> coefficient.
+def _accumulate(num: dict, mono, c) -> None:
+    """num[mono] += c on a {monomial: numerator} dict, pruning a zero."""
+    new = num.get(mono, 0) + c
+    if new:
+        num[mono] = new
+    elif mono in num:
+        del num[mono]
 
-    Zero coefficients are pruned on construction; the empty dict is the zero
-    vector.  Scalar multiplication accepts anything the coefficient ring
-    multiplies with (int, Fraction, polynomial sections).
+
+def _split_scalar(c) -> tuple:
+    """(numerator, int denominator) of a scalar: a Fraction's parts, else
+    (c, 1) for an int or a ring element."""
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    return c, 1
+
+
+def _value(c, den: int):
+    """The coefficient of numerator ``c`` over ``den``."""
+    if type(c) is int:
+        return Fraction(c, den) if den != 1 else Fraction(c)
+    return c if den == 1 else c * Fraction(1, den)
+
+
+class FockVector:
+    """Sparse vector: canonical monomial -> coefficient, kept as ``num``,
+    {monomial: numerator}, over one positive int denominator ``den``.
+
+    Zero numerators are pruned; the empty dict is the zero vector.  Int
+    numerators are reduced against ``den`` by one gcd per built vector,
+    not per term.  ``items()``, ``terms`` and equality read values, so a
+    reader never sees the denominator.  Scalar multiplication accepts
+    anything the coefficient ring multiplies with (int, Fraction,
+    polynomial sections).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
+        """The vector with the {monomial: coefficient} values ``terms``."""
+        self.num, self.den = {}, 1
         if terms:
+            # reduced Fractions over the lcm of their denominators share no
+            # factor with it, so the vector is born reduced
+            den = self.den = lcm(*[c.denominator for c in terms.values()
+                                   if isinstance(c, Fraction)])
             for mono, c in terms.items():
                 if c:
-                    self.terms[mono] = c
+                    a, b = _split_scalar(c)
+                    self.num[mono] = a * (den // b) if den != 1 else a
+
+    @classmethod
+    def _of(cls, num: dict, den: int = 1) -> "FockVector":
+        """num / den, taking ``num`` (no zero numerators) over as it is."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @classmethod
     def vacuum(cls, coeff=Fraction(1)):
-        return cls({VACUUM: coeff})
+        return cls.basis_state(VACUUM, coeff)
 
     @classmethod
     def zero(cls):
@@ -112,70 +160,125 @@ class FockVector:
 
     @classmethod
     def basis_state(cls, mono: Monomial, coeff=Fraction(1)):
-        return cls({tuple(sorted(mono)): coeff})
+        a, b = _split_scalar(coeff)
+        return cls._of({tuple(sorted(mono)): a} if a else {}, b if a else 1)
+
+    def _reduce(self) -> "FockVector":
+        """Divide the gcd of ``den`` and int numerators out, in place;
+        ring numerators have no gcd and keep their ``den``."""
+        if self.den != 1:
+            if not self.num:
+                self.den = 1
+                return self
+            try:
+                g = gcd(self.den, *self.num.values())
+            except TypeError:
+                return self
+            if g != 1:
+                self.num = {m: c // g for m, c in self.num.items()}
+                self.den //= g
+        return self
+
+    def _over(self, den: int) -> int:
+        """Raise ``self.den`` to a multiple of ``den`` by their lcm,
+        rescaling the numerators; returns ``self.den // den``, the factor
+        that carries a numerator over ``den`` to one over ``self.den``."""
+        if self.den % den:
+            f = den // gcd(self.den, den)
+            num = self.num
+            for m in num:
+                num[m] *= f
+            self.den *= f
+        return self.den // den
+
+    @property
+    def terms(self) -> dict:
+        """{monomial: coefficient}, a fresh dict of values."""
+        return dict(self.items())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.num)
 
     def items(self):
-        return self.terms.items()
+        """(monomial, coefficient) pairs: Fractions for int numerators,
+        ring elements otherwise."""
+        return [(m, _value(c, self.den)) for m, c in self.num.items()]
 
     def level(self) -> int:
         """Highest oscillator level present (0 for the zero vector)."""
-        return max((level_of(m) for m in self.terms), default=0)
+        return max((level_of(m) for m in self.num), default=0)
 
     def add_term(self, mono: Monomial, coeff) -> None:
-        """In-place accumulate (internal builder use)."""
-        cur = self.terms.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[mono] = new
-        elif cur is not None:
-            del self.terms[mono]
+        """In-place accumulate the coefficient ``coeff`` at ``mono``."""
+        a, b = _split_scalar(coeff)
+        _accumulate(self.num, mono, a * self._over(b))
+
+    def add_product(self, image: "FockVector", tau: Monomial, c,
+                    den: int) -> None:
+        """In place, add (c / den) image (x) tau, each monomial of
+        ``image`` multiplied by the monomial ``tau``; ``c`` is a numerator
+        (an int, or a ring element), ``image`` is only read."""
+        f = c * self._over(den * image.den)
+        for mono, x in image.num.items():
+            _accumulate(self.num, tuple(sorted(mono + tau)) if tau else mono,
+                        x * f)
+
+    def _add(self, other, sign: int):
+        """self += sign * other in place, over the lcm of the two
+        denominators; ``other`` is only read."""
+        f = sign * self._over(other.den)
+        items = other.num.items() if other is not self else \
+            list(other.num.items())
+        for mono, c in items:
+            _accumulate(self.num, mono, c * f)
+        return self._reduce()
 
     def __iadd__(self, other):
         """In place; ``other`` is only read, so ``v += v`` doubles v."""
-        for mono, c in other.terms.items():
-            self.add_term(mono, c)
-        return self
+        return self._add(other, 1)
 
     def __isub__(self, other):
-        return self.__iadd__(-other)
+        return self._add(other, -1)
 
     def __add__(self, other):
-        return FockVector(self.terms).__iadd__(other)
+        return FockVector._of(dict(self.num), self.den)._add(other, 1)
 
     def __sub__(self, other):
-        return FockVector(self.terms).__iadd__(-other)
+        return FockVector._of(dict(self.num), self.den)._add(other, -1)
 
     def __neg__(self):
-        return FockVector({m: -c for m, c in self.terms.items()})
+        return FockVector._of({m: -c for m, c in self.num.items()}, self.den)
 
     def scaled(self, scalar):
-        if not scalar:
+        if not scalar or not self.num:
             return FockVector()
-        return FockVector({m: scalar * c for m, c in self.terms.items()})
+        a, b = _split_scalar(scalar)
+        return FockVector._of({m: a * c for m, c in self.num.items()},
+                              self.den * b)._reduce()
 
     __mul__ = __rmul__ = scaled
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
+        if self.den == other.den:
+            return self.num == other.num
+        if self.num.keys() != other.num.keys():
             return False
-        return all(other.terms[m] == c for m, c in self.terms.items())
+        a, b = other.den, self.den
+        return all(c * a == other.num[m] * b for m, c in self.num.items())
 
     def __hash__(self):
         raise TypeError("FockVector is mutable; not hashable")
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "FockVector(0)"
         bits = []
-        for mono, c in sorted(self.terms.items()):
+        for mono, c in sorted(self.items()):
             word = "*".join(f"a({-n},{mu})" for n, mu in mono) or "vac"
             bits.append(f"({c!r})*{word}")
         return "FockVector(" + " + ".join(bits) + ")"
@@ -188,30 +291,29 @@ def apply_oscillator(factor: tuple[int, int], v: FockVector, params: ModelParams
     (mode > 0) contracts against matching creation factors using
     [alpha^mu_m, alpha^nu_{-m}] = m eta^{mu nu}; with the diagonal metric only
     same-direction factors survive.  The zero mode is not an oscillator here
-    (it acts as the momentum at the fiber level).
+    (it acts as the momentum at the fiber level).  Either way distinct
+    monomials stay distinct, so the numerators map one to one, over v's
+    denominator.
     """
     mode, mu = factor
     params.check_direction(mu)
     if mode == 0:
         raise ValueError("mode 0 is the momentum; not an oscillator factor")
-    out = FockVector()
+    out = {}
     if mode < 0:
         key = (-mode, mu)
-        for mono, c in v.terms.items():
-            lst = list(mono)
-            insort(lst, key)
-            out.add_term(tuple(lst), c)
-        return out
+        for mono, c in v.num.items():
+            i = bisect_right(mono, key)
+            out[mono[:i] + (key,) + mono[i:]] = c
+        return FockVector._of(out, v.den)
     key = (mode, mu)
-    sign = params.eta(mu)
-    for mono, c in v.terms.items():
+    weight = mode * params.eta(mu)
+    for mono, c in v.num.items():
         mult = mono.count(key)
-        if not mult:
-            continue
-        lst = list(mono)
-        lst.remove(key)
-        out.add_term(tuple(lst), c * (mult * mode * sign))
-    return out
+        if mult:
+            i = mono.index(key)
+            out[mono[:i] + mono[i + 1:]] = c * (mult * weight)
+    return FockVector._of(out, v.den)._reduce()
 
 
 @lru_cache(maxsize=None)
@@ -241,19 +343,18 @@ def inner_indefinite(u: FockVector, v: FockVector):
 
     The coefficient field is real, so the form needs no conjugation.
     <vac, vac> = 1 and (alpha^mu_n)^dagger = alpha^mu_{-n}; on the canonical
-    basis the form is diagonal with integer norms.  The recursive
+    basis the form is diagonal with integer norms, so the numerators pair
+    in the ring and the two denominators divide once.  The recursive
     normal-ordering evaluation is kept in the test suite as an independent
     oracle.
     """
-    total = Fraction(0)
-    small, big = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
-    for mono, _ in small.items():
-        cu = u.terms.get(mono)
-        cv = v.terms.get(mono)
-        if cu is None or cv is None:
-            continue
-        total = total + cu * cv * monomial_norm(mono)
-    return total
+    small, big = (u.num, v.num) if len(u.num) <= len(v.num) else (v.num, u.num)
+    total = 0
+    for mono, cs in small.items():
+        cb = big.get(mono)
+        if cb is not None:
+            total = total + cs * cb * monomial_norm(mono)
+    return _value(total, u.den * v.den)
 
 
 def j_involution(v: FockVector) -> FockVector:
@@ -262,11 +363,9 @@ def j_involution(v: FockVector) -> FockVector:
     J alpha^{mu}_{-n} J = eta^{mu mu} alpha^{mu}_{-n}, J vac = vac; J^2 = 1
     and (u, v) := <u, Jv> is positive definite on the monomial basis.
     """
-    out = {}
-    for mono, c in v.terms.items():
-        t = sum(1 for _, mu in mono if mu == 0)
-        out[mono] = -c if t % 2 else c
-    return FockVector(out)
+    return FockVector._of({
+        mono: -c if sum(1 for _, mu in mono if mu == 0) % 2 else c
+        for mono, c in v.num.items()}, v.den)
 
 
 def inner_positive(u: FockVector, v: FockVector):
@@ -333,7 +432,7 @@ def vector_to_json(v: FockVector) -> str:
     keep the format's fields."""
     terms = [{"monomial": [[-n, mu] for n, mu in mono],
               "re": str(Fraction(c)), "rad": "0"}
-             for mono, c in sorted(v.terms.items())]
+             for mono, c in sorted(v.items())]
     return json.dumps({"terms": terms, "s": 0}, sort_keys=True)
 
 
@@ -352,4 +451,4 @@ def vector_from_json(text: str) -> FockVector:
             raise ValueError(f"term {t['monomial']} has a surd part; "
                              "coefficients are rational")
         out.add_term(mono, Fraction(t["re"]))
-    return out
+    return out._reduce()

@@ -7,7 +7,9 @@ commutation relation, level dimensions by explicit series multiplication,
 radial transforms by a shell-and-angle double quadrature, the support
 slices by a dense phase matrix instead of an FFT, the spurious
 radical and the physical signature through the Gram of a physical basis,
-L_m by composing single oscillators on whole vectors, the integer
+L_m by composing single oscillators on whole vectors, the vector
+arithmetic on plain {monomial: coefficient} dicts with no shared
+denominator, the integer
 scanner's [T_m, T_n] by composing its own rows, U_n by enumerating
 compositions and partitions, V_t by running U_n over the whole vector,
 V^mu_n by its two-loop definition on top of that V_t, the closed-form
@@ -111,6 +113,84 @@ def virasoro_apply_reference(m, p, v, params, truncate=None):
             if w:
                 out += w.scaled(coeff * params.eta(mu))
     return out
+
+
+# -- the vector arithmetic on plain {monomial: coefficient} dicts -----------
+
+
+def dict_combine(u, v, sign=1):
+    """u + sign * v, term by term, a zero sum pruned."""
+    out = dict(u)
+    for mono, c in v.items():
+        new = out.get(mono, 0) + sign * c
+        if new:
+            out[mono] = new
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def dict_scaled(u, c):
+    return {mono: c * a for mono, a in u.items()} if c else {}
+
+
+def dict_oscillator(mode, mu, u):
+    """alpha^mu_mode on u by the commutation relation, factor by factor:
+    a creator appends and re-sorts, an annihilator contracts each equal
+    factor in turn, with weight mode * eta^{mu mu}."""
+    out = {}
+    for mono, c in u.items():
+        if mode < 0:
+            terms = [(tuple(sorted(mono + ((-mode, mu),))), c)]
+        else:
+            eta = -1 if mu == 0 else 1
+            terms = [(mono[:j] + mono[j + 1:], c * mode * eta)
+                     for j, f in enumerate(mono) if f == (mode, mu)]
+        for tm, a in terms:
+            out = dict_combine(out, {tm: a})
+    return out
+
+
+def dict_virasoro(m, p, u, b):
+    """L_m at momentum ``p`` on u: p.p/2 + N - b for m = 0, else
+    sum_mu eta p_mu alpha^mu_m + (1/2) sum_{a + c = m; a, c != 0}
+    :alpha_a . alpha_c:, the larger mode applied first, each pair once
+    with weight 1 (1/2 when a = c)."""
+    p, out = list(p), {}
+    if m == 0:
+        p2 = -p[0] * p[0] + sum(x * x for x in p[1:])
+        for mono, c in u.items():
+            level = sum(n for n, _ in mono)
+            out = dict_combine(out, {mono: c * (p2 * Fraction(1, 2)
+                                                + level - b)})
+        return out
+    top = max((sum(n for n, _ in mono) for mono in u), default=0) + abs(m)
+    for mu in range(len(p)):
+        eta = -1 if mu == 0 else 1
+        if p[mu]:
+            out = dict_combine(out, dict_scaled(
+                dict_oscillator(m, mu, u), eta * p[mu]))
+        for c in range(-top, top + 1):
+            a = m - c
+            if c and a and c >= a:
+                w = dict_oscillator(a, mu, dict_oscillator(c, mu, u))
+                out = dict_combine(out, dict_scaled(
+                    w, eta * (Fraction(1, 2) if a == c else 1)))
+    return out
+
+
+def dict_inner(u, v):
+    """<u, v> on the orthogonal monomial basis: <mono, mono> is the product
+    over its distinct factors (n, mu) of multiplicity k of
+    k! (n eta^{mu mu})^k."""
+    total = Fraction(0)
+    for mono, c in u.items():
+        if mono in v:
+            norm = 1
+            for (n, mu), k in Counter(mono).items():
+                norm *= factorial(k) * (n * (-1 if mu == 0 else 1)) ** k
+            total = total + c * v[mono] * norm
+    return total
 
 
 def random_vector(rng, params, max_level, *, terms=4, span=None):

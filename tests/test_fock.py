@@ -2,8 +2,10 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openstring.fock import (
     FockVector,
@@ -20,7 +22,12 @@ from openstring.fock import (
     vector_to_json,
 )
 
-from .oracles import count_colored_partitions, inner_recursive, random_vector
+from openstring.fiber import Momentum, virasoro_apply
+from openstring.poly import sym_momentum
+
+from .oracles import count_colored_partitions, dict_combine, dict_inner, \
+    dict_oscillator, dict_scaled, dict_virasoro, inner_recursive, \
+    random_vector
 
 P26 = ModelParams(d=26)
 P4 = ModelParams(d=4)
@@ -305,3 +312,104 @@ class TestSerialisation:
         assert data["s"] == 0
         assert data["terms"][0]["monomial"] == [[-1, 1], [-2, 0]]
         assert data["terms"][0]["re"] == "3/2"
+
+
+# -- the integer lane against {monomial: value} dicts ------------------------
+
+POOL = [mono for n in range(3) for mono in level_basis(P4, n)]
+SYM = sym_momentum(4)
+INV_W = 1 / SYM.lightcone()
+rationals = st.one_of(st.integers(-6, 6), st.fractions(
+    min_value=-6, max_value=6, max_denominator=12))
+# q0 + q1 p^mu + q2 / w: LcRational values, so the numerators are too
+sections = st.builds(lambda a, b, mu, c: a + b * SYM[mu] + c * INV_W,
+                     rationals, rationals, st.integers(0, 3), rationals)
+COEFFS = {"rational": rationals, "symbolic": st.one_of(rationals, sections)}
+lane = settings(max_examples=40, deadline=None)
+
+
+def draw_dict(data, ring):
+    """A {monomial: nonzero value} dict of up to six terms, the values of
+    mixed denominators."""
+    raw = data.draw(st.dictionaries(st.sampled_from(POOL), COEFFS[ring],
+                                    max_size=6))
+    return {mono: c for mono, c in raw.items() if c}
+
+
+def assert_matches(v, want):
+    """v holds the values of ``want``, pruned, and int numerators sit over
+    a positive denominator that shares no factor with all of them."""
+    assert v.terms == want
+    assert v == FockVector(want) and len(v) == len(want)
+    if all(type(c) is int for c in v.num.values()):
+        assert v.den > 0 and gcd(v.den, *v.num.values()) == 1
+
+
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+class TestIntegerLane:
+    @lane
+    @given(data=st.data())
+    def test_sum_and_difference(self, ring, data):
+        a, b = draw_dict(data, ring), draw_dict(data, ring)
+        u, v = FockVector(a), FockVector(b)
+        assert_matches(u, a)
+        assert_matches(u + v, dict_combine(a, b))
+        assert_matches(u - v, dict_combine(a, b, -1))
+        acc = u + FockVector()
+        acc += v
+        assert_matches(acc, dict_combine(a, b))
+        acc -= v
+        assert_matches(acc, a)
+        assert_matches(v, b)        # only read
+
+    @lane
+    @given(data=st.data())
+    def test_scaled(self, ring, data):
+        a = draw_dict(data, ring)
+        c = data.draw(COEFFS[ring])
+        v = FockVector(a)
+        assert_matches(v.scaled(c), dict_scaled(a, c))
+        assert_matches(c * v, dict_scaled(a, c))
+        assert v.scaled(3).scaled(Fraction(1, 3)) == v
+        assert v.scaled(Fraction(2, 7)).scaled(Fraction(7, 2)).terms == a
+
+    @lane
+    @given(data=st.data())
+    def test_cancelled_term_is_pruned(self, ring, data):
+        a = draw_dict(data, ring)
+        if not a:
+            return
+        mono = data.draw(st.sampled_from(sorted(a)))
+        v = FockVector(a)
+        v.add_term(mono, -a[mono])
+        assert mono not in v.num and len(v) == len(a) - 1
+        w = FockVector(a) - FockVector({mono: a[mono]})
+        assert_matches(w, {m: c for m, c in a.items() if m != mono})
+
+    @lane
+    @given(data=st.data())
+    def test_apply_oscillator(self, ring, data):
+        a = draw_dict(data, ring)
+        mode = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        mu = data.draw(st.integers(0, 3))
+        assert_matches(apply_oscillator((mode, mu), FockVector(a), P4),
+                       dict_oscillator(mode, mu, a))
+
+    @lane
+    @given(data=st.data())
+    def test_virasoro_apply(self, ring, data):
+        a = draw_dict(data, ring)
+        m = data.draw(st.integers(-2, 2))
+        b = data.draw(st.fractions(min_value=-2, max_value=2,
+                                   max_denominator=4))
+        p = SYM if ring == "symbolic" else Momentum(
+            data.draw(st.lists(rationals, min_size=4, max_size=4)))
+        assert_matches(virasoro_apply(m, p, FockVector(a), ModelParams(4, b)),
+                       dict_virasoro(m, p, a, b))
+
+    @lane
+    @given(data=st.data())
+    def test_inner_indefinite(self, ring, data):
+        a, b = draw_dict(data, ring), draw_dict(data, ring)
+        assert inner_indefinite(FockVector(a), FockVector(b)) == \
+            dict_inner(a, b)
