@@ -16,8 +16,10 @@ median with the lower and upper quartiles:
   reference speed by ``benchkit.py``.  The per-pair times are raw and
   include its reference bursts (a few per cent);
 * ``openstring virasoro`` with no arguments, in a fresh interpreter, so the
-  time includes interpreter start; the SHA-256 of its report is recorded,
-  so two checkouts can be compared for byte-identical output.
+  time includes interpreter start, raw (``cli_wall``) and scaled to the
+  reference speed by the bursts the interpreter timed (``cli_scaled``);
+  the SHA-256 of its report is recorded, so two checkouts can be compared
+  for byte-identical output.
 
 The package is imported through ``benchkit.py`` next to this script, so
 a copy of all of ``scripts/`` placed in another checkout times that
@@ -105,8 +107,8 @@ def main(argv=None) -> int:
         **{f"{name}_{total}_{key}_s": body[name][f"{total}_{key}_s"]
            for name in probes for total in ("total", "scaled_total")
            for key in ("median", "quartiles")},
-        **{f"cli_wall_{key}_s": body["cli_virasoro"][f"wall_{key}_s"]
-           for key in ("median", "quartiles")}}
+        **{f"cli_{stem}_{key}_s": body["cli_virasoro"][f"{stem}_{key}_s"]
+           for stem in ("wall", "scaled") for key in ("median", "quartiles")}}
     ok = not any(body[name]["nonzero_residuals"] for name in probes) and \
         body["cli_virasoro"]["exit_codes"] == [0]
     return benchkit.finish(args.out, machine, args.repeat, body,

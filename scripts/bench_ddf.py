@@ -26,8 +26,9 @@ Four measurements, each repeated ``--repeat`` times:
   had loaded numpy, which an exact command must not.
 
 The in-process spans are recorded raw and scaled to the reference speed
-by ``benchkit.py``.  The CLI times are raw.  The peak RSS recorded is
-that of this process, which runs the calibrations and the cases.
+by ``benchkit.py``, and so are the CLI times, each scaled by the bursts
+its own interpreter timed.  The peak RSS recorded is that of this
+process, which runs the calibrations and the cases.
 
 The package is imported through ``benchkit.py`` next to this script, so
 a copy of all of ``scripts/`` placed in another checkout times that
@@ -145,8 +146,9 @@ def main(argv=None) -> int:
            for key in ("wall", "scaled")},
         **{f"{name}_{stem}_median_s": body[name][f"{stem}_median_s"]
            for name in momenta for stem in STEMS},
-        **{f"cli_{name}_median_s": cli["wall_median_s"]
-           for name, cli in body["cli_ddf"].items()}}
+        **{f"cli_{name}{tag}_median_s": cli[f"{stem}_median_s"]
+           for name, cli in body["cli_ddf"].items()
+           for stem, tag in (("wall", ""), ("scaled", "_scaled"))}}
     ok = all(cal["kappa"] == ["1"] for cal in body["calibration"].values()) \
         and all(body[name]["mismatched"] == [0]
                 and 0 not in body[name]["nonzero"] for name in momenta) \

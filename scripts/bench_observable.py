@@ -22,8 +22,9 @@ following is repeated ``--repeat`` times:
 One in-process call takes a few hundredths of a second, too short to
 time on a shared machine, so each repeat times ``PASSES`` calls and
 reports the time of one call as their mean, raw and scaled to the
-reference speed by ``benchkit.py``.  The CLI times are raw.  The
-in-process peak RSS is that of this process.
+reference speed by ``benchkit.py``, and so are the CLI times, each
+scaled by the bursts its own interpreter timed.  The in-process peak
+RSS is that of this process.
 
 The package is imported through ``benchkit.py`` next to this script, so
 a copy of all of ``scripts/`` placed in another checkout times that

@@ -135,38 +135,49 @@ def summary(runs: list, *stems: str) -> dict:
     return out
 
 
-#: ``openstring *argv`` that also writes, to the file descriptor given as
-#: the first argument, its peak resident set (VmHWM, which exec resets,
-#: while the ru_maxrss of a forked child starts from this process's size)
-#: and whether the command had loaded numpy when it ended
+#: ``openstring *argv`` under a ``RefClock`` with the interval given as the
+#: second argument, from before the package is imported to exit, that also
+#: writes, to the file descriptor given as the first argument, its peak
+#: resident set (VmHWM, which exec resets, while the ru_maxrss of a forked
+#: child starts from this process's size), whether the command had loaded
+#: numpy when it ended, and the total and mean of its reference bursts
 CLI_CHILD = """
 import os, sys
-fd = int(sys.argv.pop(1))
-from openstring.cli import main
+fd, interval = int(sys.argv.pop(1)), float(sys.argv.pop(1))
+from refclock import RefClock
+clock = RefClock(interval)
 try:
-    code = main()
+    with clock:
+        from openstring.cli import main
+        code = main()
 finally:
     with open("/proc/self/status") as status:
         lines = [line for line in status if line.startswith("VmHWM")]
     lines.append(f"numpy: {int('numpy' in sys.modules)}\\n")
+    if clock.bursts:
+        lines.append("bursts: {} {}\\n".format(*clock.summary()))
     os.write(fd, "".join(lines).encode())
 sys.exit(code)
 """
 
 
 def run_cli(*argv: str, config: str | None = None) -> dict:
-    """Wall time, exit code, peak RSS (Linux), whether numpy was loaded at
-    the end, and the SHA-256 of stdout (the report) and of stderr (a
-    refusal's evidence) of ``openstring *argv`` in a fresh interpreter.
-    It runs in its own empty working directory, where ``config``, if
-    given, is written as ``run.json`` first, so no temporary path reaches
-    the output."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    """Wall time, raw (``wall_s``) and scaled to the reference speed by
+    the bursts the child timed (``scaled_s``), exit code, peak RSS
+    (Linux), whether numpy was loaded at the end, and the SHA-256 of
+    stdout (the report) and of stderr (a refusal's evidence) of
+    ``openstring *argv`` in a fresh interpreter.  The raw time includes
+    interpreter start and the bursts.  It runs in its own empty working
+    directory, where ``config``, if given, is written as ``run.json``
+    first, so no temporary path reaches the output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(SRC), str(ROOT / "perfbench"))))
     with tempfile.TemporaryDirectory() as cwd:
         if config is not None:
             Path(cwd, "run.json").write_text(config, encoding="utf-8")
         read, write = os.pipe()
-        cmd = [sys.executable, "-c", CLI_CHILD, str(write), *argv]
+        cmd = [sys.executable, "-c", CLI_CHILD, str(write),
+               str(BURST_INTERVAL), *argv]
         with os.fdopen(read) as pipe:
             try:
                 t0 = time.perf_counter()
@@ -179,7 +190,10 @@ def run_cli(*argv: str, config: str | None = None) -> dict:
             fields = dict(line.split(":", 1) for line in pipe)
     peak_kb = fields.get("VmHWM", "").split()[:1]
     loaded = fields.get("numpy", "").strip()
-    return {"wall_s": wall, "exit": proc.returncode,
+    bursts = [float(x) for x in fields.get("bursts", "").split()]
+    return {"wall_s": wall,
+            "scaled_s": scaled(wall, *bursts) if bursts else None,
+            "exit": proc.returncode,
             "peak_rss_mb": int(peak_kb[0]) / 1024 if peak_kb else None,
             "numpy_loaded": bool(int(loaded)) if loaded else None,
             "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
@@ -187,10 +201,10 @@ def run_cli(*argv: str, config: str | None = None) -> dict:
 
 
 def cli_summary(argv, runs: list) -> dict:
-    """The argv, the wall times with their median and quartiles, the peak
-    RSS and whether numpy was loaded, per run, and the distinct exit codes
-    and digests of repeated ``run_cli(*argv)`` calls."""
-    return {"argv": list(argv), **summary(runs, "wall"),
+    """The argv, the wall times, raw and scaled, with their medians and
+    quartiles, the peak RSS and whether numpy was loaded, per run, and the
+    distinct exit codes and digests of repeated ``run_cli(*argv)`` calls."""
+    return {"argv": list(argv), **summary(runs, "wall", "scaled"),
             "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
             "numpy_loaded": [run["numpy_loaded"] for run in runs],
             "exit_codes": sorted({run["exit"] for run in runs}),

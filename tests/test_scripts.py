@@ -70,5 +70,6 @@ def test_fresh_interpreter_run_matches_in_process_report(benchkit):
         code = cli.main(argv)
     assert (run["exit"], code) == (0, 0)
     assert run["numpy_loaded"] is False
+    assert run["scaled_s"] > 0
     assert run["stdout_sha256"] == hashlib.sha256(
         out.getvalue().encode()).hexdigest()
