@@ -55,6 +55,8 @@ FIBER_TESTS = ("tests/test_fiber.py",)
 LINALG_TESTS = ("tests/test_linalg.py",)
 DDF_TESTS = ("tests/test_ddf.py",)
 FOCK_TESTS = ("tests/test_fock.py",)
+LANE_TESTS = ("tests/test_fock.py::TestIntegerLane",)
+PIN_TESTS = ("tests/test_cli.py::test_exact_reports_match_pins",)
 WORD_TESTS = ("tests/test_spectrum.py::TestDdfSpan",)
 EXACTNUM_TESTS = ("tests/test_exactnum.py",)
 SAMPLE_TESTS = ("tests/test_cli.py::TestTestfn",)
@@ -237,7 +239,7 @@ MUTANTS = [
      DDF_TESTS, "killed"),
     # one literal per (m, i, n, v) for both builders
     ("ddf.literal-memo-without-v", DDF,
-     "if (j, u) != (i, v.terms):", "if j != i:",
+     "if (j, u) != (i, v):", "if j != i:",
      DDF_TESTS, "killed"),
     # the V_t images kept once in the d = 2 model and lifted to full d
     ("ddf.split-relabel-to-zero", DDF,
@@ -289,6 +291,39 @@ MUTANTS = [
      "yield from extend(prefix + (key,), remaining - key[0], i)",
      "yield from extend(prefix + (key,), remaining - key[0], i + 1)",
      FOCK_TESTS, "killed"),
+    # the integer lane: numerators over one denominator per vector, checked
+    # against {monomial: value} dicts
+    ("fock.add-skips-rescaling-other", FOCK,
+     "f = sign * self._over(other.den)",
+     "f = sign + 0 * self._over(other.den)",
+     LANE_TESTS, "killed"),
+    ("fock.scaled-drops-scalar-denominator", FOCK,
+     "self.den * b)._reduce()", "self.den)._reduce()",
+     LANE_TESTS, "killed"),
+    ("fock.reduce-keeps-denominator", FOCK,
+     "                self.den //= g\n", "",
+     LANE_TESTS, "killed"),
+    ("fiber.two-l-row-over-undoubled-denominator", FIBER,
+     "out = FockVector._of({}, 2 * den * v.den)",
+     "out = FockVector._of({}, den * v.den)",
+     LANE_TESTS, "killed"),
+    ("fock.product-drops-tau", FOCK,
+     "tuple(sorted(mono + tau)) if tau else mono", "mono",
+     DDF_TESTS, "killed"),
+    # each U-ladder rung kept once per null vector and lightcone state
+    ("ddf.ladder-cache-without-state", DDF,
+     "        w = k.ladders.get((idx, lc))\n"
+     "        if w is None:\n"
+     "            w = k.ladders[idx, lc] = u_op_apply(",
+     "        w = k.ladders.get(idx)\n"
+     "        if w is None:\n"
+     "            w = k.ladders[idx] = u_op_apply(",
+     DDF_TESTS, "killed"),
+    # the exact commands' report bytes, pinned in tier-1
+    ("cli.report-indent", CLI,
+     "json.dumps(report, sort_keys=True, indent=2)",
+     "json.dumps(report, sort_keys=True, indent=1)",
+     PIN_TESTS, "killed"),
     ("spectrum.words-admit-direction-zero", SPECTRUM,
      "if all(0 < mu <= n_transverse for _, mu in mono)",
      "if all(0 <= mu <= n_transverse for _, mu in mono)",

@@ -10,7 +10,7 @@ plainly ``L_m psi = 0`` for ``m >= 0``.  For ``m != 0``,
 with zero modes replaced by the momentum.  Acting on a state of finite level
 only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
-in integers; :func:`virasoro_apply` scales them by the ring's coefficients,
+in integers; :func:`virasoro_apply` runs them on a vector's numerators,
 and :class:`IntegerBracketScanner` sums whole residuals in integers, with
 per-monomial work only on the terms that contract a factor, and with the
 contraction bracket read off cached responses on one factor or one pair.
@@ -105,21 +105,17 @@ class Momentum:
 
 def _integral(p: Momentum, b: Fraction) -> tuple:
     """(D, P, B, P . P), kept on ``p`` per intercept ``b``: D the lcm of the
-    denominators of b and of the rational components of p, P = D p and
-    B = D b; P's rational components and B are ints, ring components are
-    scaled as they are."""
+    denominators of b and of p's rational components, P = D p and B = D b,
+    ints but for P's ring components, which are scaled as they are."""
     key = b.numerator, b.denominator
-    out = p._integrals.get(key)
-    if out is None:
-        den = lcm(b.denominator, *(c.denominator for c in p.components
+    if key not in p._integrals:
+        den = lcm(b.denominator, *(c.denominator for c in p
                                    if isinstance(c, (int, Fraction))))
         P = Momentum(c.numerator * (den // c.denominator)
-                     if isinstance(c, (int, Fraction)) else c * den
-                     for c in p.components)
-        out = p._integrals[key] = (den, P.components,
-                                 b.numerator * (den // b.denominator),
-                                 P.minkowski_sq())
-    return out
+                     if isinstance(c, (int, Fraction)) else c * den for c in p)
+        p._integrals[key] = (den, P.components, b.numerator * (
+            den // b.denominator), P.minkowski_sq())
+    return p._integrals[key]
 
 
 def _insert_pairs(out: dict, mono, lo: int, hi: int, d: int, w: int) -> None:
@@ -183,38 +179,37 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
                    params: ModelParams) -> FockVector:
     """Apply the constraint operator L_m at momentum ``p`` to ``v``.
 
-    Generic over the coefficient ring.  With (D, P, B) from
-    :func:`_integral`, v's numerators take the row 2 D L_m = D (pair row)
-    + 2 P . alpha_m for m != 0, or 2 D^2 L_0 = P . P + 2 D (D N - B), so
-    the result is over 2 D, or 2 D^2, times v's denominator.
+    Generic over the coefficient ring.  With (D, P, B) of :func:`_integral`,
+    v's numerators take the row 2 D L_m = D (pair row) + 2 P . alpha_m
+    (m != 0), over 2 D times v's denominator, or 2 D^2 L_0 = P . P
+    + 2 D (D N - B), over 2 D^2 times it.
     """
     if params.d != p.d:
         raise ValueError(f"momentum has {p.d} components, model has d={params.d}")
     if not v:
         return FockVector.zero()
     den, P, B, p2 = _integral(p, params.b)
-    out = {}
     if m == 0:
+        out = {}
         for mono, c in v.num.items():
             w = c * (p2 + 2 * den * (den * level_of(mono) - B))
             if w:
                 out[mono] = w
         return FockVector._of(out, 2 * den * den * v.den)._reduce()
+    out = FockVector._of({}, 2 * den * v.den)
     for mono, c in v.num.items():
         w = c * den if den != 1 else c
-        _creator_pairs_into(out, m, mono, params.d, w)
-        _contractions_into(out, m, mono, w)
-    # zero-mode cross terms: p . alpha_m; an annihilator only sees the
-    # directions present at mode m
+        _creator_pairs_into(out.num, m, mono, params.d, w)
+        _contractions_into(out.num, m, mono, w)
+    # zero-mode cross terms: p . alpha_m = (P / D) . alpha_m; an
+    # annihilator only sees the directions present at mode m
     dirs = range(params.d) if m < 0 else \
         sorted({mu for mono in v.num for mode, mu in mono if mode == m})
     for mu in dirs:
         if P[mu]:
-            image = apply_oscillator((m, mu), v, params)
-            f = (-2 if mu == 0 else 2) * (v.den // image.den) * P[mu]
-            for tm, c in image.num.items():
-                _accumulate(out, tm, c * f)
-    return FockVector._of(out, 2 * den * v.den)._reduce()
+            out.add_product(apply_oscillator((m, mu), v, params), (),
+                            -P[mu] if mu == 0 else P[mu], den)
+    return out._reduce()
 
 
 def virasoro_bracket_residual(m: int, n: int, p: Momentum, v: FockVector,
@@ -274,8 +269,7 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
 def _integer_scan_applicable(p: Momentum, params: ModelParams) -> bool:
     # Unused by the package since every rational fiber takes the integer
     # scanner; perfbench/layers.py still calls it to name scan spans.
-    return all(isinstance(x, int) or (isinstance(x, Fraction)
-                                      and x.denominator == 1)
+    return all(isinstance(x, (int, Fraction)) and x.denominator == 1
                for x in (params.b, *p.components))
 
 
@@ -311,7 +305,6 @@ class IntegerBracketScanner:
             if not isinstance(c, (int, Fraction)):
                 raise ValueError(f"bracket scan needs a rational fiber; "
                                  f"momentum component {mu} is {c!r}")
-        # D, P = D p, D b and P . P
         self.den, self.p, self.b, self.p2 = _integral(p, params.b)
         self.d, self.scale = params.d, 2 * self.den * self.den
         self._polys = {}        # (m, n) -> the cell polynomial
@@ -556,7 +549,6 @@ def lorentz_apply(lam, v: FockVector, params: ModelParams) -> FockVector:
     """
     if not isinstance(lam, LorentzMatrix):
         lam = LorentzMatrix(lam, params)
-    d = params.d
     den = lcm(*(x.denominator for row in lam.rows for x in row))
     ent = [[params.eta(nu) * params.eta(mu) * x.numerator * (den // x.denominator)
             for mu, x in enumerate(row)] for nu, row in enumerate(lam.rows)]
@@ -567,7 +559,7 @@ def lorentz_apply(lam, v: FockVector, params: ModelParams) -> FockVector:
         for mode, mu in mono:
             partial = [(c * ent[nu][mu], factors + ((mode, nu),))
                        for c, factors in partial
-                       for nu in range(d) if ent[nu][mu]]
+                       for nu in range(params.d) if ent[nu][mu]]
         for c, factors in partial:
             _accumulate(out, tuple(sorted(factors)), c)
     return FockVector._of(out, den ** top * v.den)._reduce()
