@@ -3,9 +3,10 @@
 Each row of ``MUTANTS`` names one exact text replacement in one file of
 ``src/`` or ``tests/``, the pytest selection that should fail on it, and
 the expected verdict.  For each row the script copies ``src/``,
-``tests/``, ``perfbench/`` and ``pyproject.toml`` of the checkout holding
-it into a temporary directory, applies the replacement there, and runs
-``pytest -x -q`` on the selection in a fresh interpreter.  The verdict is
+``tests/``, ``perfbench/``, ``scripts/`` (the case list that tier-1 pins
+lives there) and ``pyproject.toml`` of the checkout holding it into a
+temporary directory, applies the replacement there, and runs ``pytest -x
+-q`` on the selection in a fresh interpreter.  The verdict is
 
 * ``killed``: pytest reported a failing test;
 * ``survived``: every selected test passed;
@@ -425,7 +426,7 @@ MUTANTS = [
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "results")
-    for name in ("src", "tests", "perfbench"):
+    for name in ("src", "tests", "perfbench", "scripts"):
         shutil.copytree(benchkit.ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(benchkit.ROOT / "pyproject.toml", dest / "pyproject.toml")
 
