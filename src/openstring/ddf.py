@@ -83,7 +83,7 @@ from fractions import Fraction
 
 from .fiber import Momentum, virasoro_apply
 from .fock import FockVector, InvalidDirectionError, ModelParams, \
-    _split_scalar, apply_oscillator, iter_level_basis, level_of
+    _split_scalar, _times, apply_oscillator, iter_level_basis, level_of
 
 __all__ = [
     "CalibrationError",
@@ -268,7 +268,7 @@ def _assembled(v: FockVector, i: int, p: Momentum, last: int,
         for s, image in images(lam, top):
             if hit := _moved(s, i, tau, p):
                 a, b = _split_scalar(hit[1])
-                out.add_product(image, hit[0], c * a, v.den * b)
+                out.add_product(image, hit[0], _times(c, a), v.den * b)
     return out._reduce()
 
 

@@ -34,8 +34,8 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .fock import FockVector, ModelParams, _accumulate, apply_oscillator, \
-    iter_level_basis, level_of
+from .fock import FockVector, ModelParams, _accumulate, _times, \
+    apply_oscillator, iter_level_basis, level_of
 
 __all__ = [
     "DEFAULT_MODE_CAP",
@@ -139,7 +139,7 @@ def _creator_pairs_into(out: dict, k: int, mono, d: int, scale: int) -> dict:
 
     With :func:`_contractions_into` this is the pair sum over n not in
     {0, k}, twice the oscillator part of L_k (k != 0); both add into the
-    {monomial: int} dict ``out`` (``scale`` a nonzero int) and return it.
+    dict ``out`` (``scale`` a nonzero int or ring numerator) and return it.
     Both modes here create (k < 0, k/2 <= n < 0)."""
     for n in range(-(-k // 2), 0):
         _insert_pairs(out, mono, -n, n - k, d,
@@ -164,14 +164,14 @@ def _contractions_into(out: dict, k: int, mono, scale: int) -> dict:
         if n == k or (pos and mono[pos - 1] == key):
             continue
         rest = mono[:pos] + mono[pos + 1:]
-        c, other = scale * mono.count(key) * n, (abs(k - n), mu)
+        c, other = mono.count(key) * n, (abs(k - n), mu)
         if k < n:       # a creator; the two metric signs cancel
             i = bisect_right(rest, other)
-            _accumulate(out, rest[:i] + (other,) + rest[i:], 2 * c)
+            _accumulate(out, rest[:i] + (other,) + rest[i:], scale * (2 * c))
         elif k - n <= n and other in rest:  # a second annihilator, once
             c *= rest.count(other) * (k - n) * (1 if 2 * n == k else 2)
             i = rest.index(other)
-            _accumulate(out, rest[:i] + rest[i + 1:], -c if mu == 0 else c)
+            _accumulate(out, rest[:i] + rest[i + 1:], scale * (-c if mu == 0 else c))
     return out
 
 
@@ -198,11 +198,11 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
         return FockVector._of(out, 2 * den * den * v.den)._reduce()
     out = FockVector._of({}, 2 * den * v.den)
     for mono, c in v.num.items():
-        w = c * den if den != 1 else c
+        w = _times(c, den)
         _creator_pairs_into(out.num, m, mono, params.d, w)
         _contractions_into(out.num, m, mono, w)
-    # zero-mode cross terms: p . alpha_m = (P / D) . alpha_m; an
-    # annihilator only sees the directions present at mode m
+    out._reduce()   # ring numerators fold the 2 D in before the cross terms
+    # cross terms (P / D) . alpha_m; for m > 0 only the directions at mode m
     dirs = range(params.d) if m < 0 else \
         sorted({mu for mono in v.num for mode, mu in mono if mode == m})
     for mu in dirs:

@@ -94,10 +94,11 @@ def level_of(mono: Monomial) -> int:
 
 def _accumulate(num: dict, mono, c) -> None:
     """num[mono] += c on a {monomial: numerator} dict, pruning a zero."""
-    new = num.get(mono, 0) + c
+    cur = num.get(mono)
+    new = c if cur is None else cur + c
     if new:
         num[mono] = new
-    elif mono in num:
+    elif cur is not None:
         del num[mono]
 
 
@@ -107,6 +108,14 @@ def _split_scalar(c) -> tuple:
     if isinstance(c, Fraction):
         return c.numerator, c.denominator
     return c, 1
+
+
+def _times(c, k):
+    """c * k, with k = 1 and k = -1 taken as c and -c: a ring element's
+    product with an int rescales every one of its terms."""
+    if type(k) is int and k in (1, -1):
+        return c if k == 1 else -c
+    return c * k
 
 
 def _value(c, den: int):
@@ -164,8 +173,8 @@ class FockVector:
         return cls._of({tuple(sorted(mono)): a} if a else {}, b if a else 1)
 
     def _reduce(self) -> "FockVector":
-        """Divide the gcd of ``den`` and int numerators out, in place;
-        ring numerators have no gcd and keep their ``den``."""
+        """Divide the gcd of ``den`` and int numerators out, in place; ring
+        numerators have no gcd, so ``den`` is folded into them instead."""
         if self.den != 1:
             if not self.num:
                 self.den = 1
@@ -173,6 +182,8 @@ class FockVector:
             try:
                 g = gcd(self.den, *self.num.values())
             except TypeError:
+                inv, self.den = Fraction(1, self.den), 1
+                self.num = {m: c * inv for m, c in self.num.items()}
                 return self
             if g != 1:
                 self.num = {m: c // g for m, c in self.num.items()}
@@ -221,7 +232,7 @@ class FockVector:
         """In place, add (c / den) image (x) tau, each monomial of
         ``image`` multiplied by the monomial ``tau``; ``c`` is a numerator
         (an int, or a ring element), ``image`` is only read."""
-        f = c * self._over(den * image.den)
+        f = _times(c, self._over(den * image.den))
         for mono, x in image.num.items():
             _accumulate(self.num, tuple(sorted(mono + tau)) if tau else mono,
                         x * f)
@@ -233,7 +244,7 @@ class FockVector:
         items = other.num.items() if other is not self else \
             list(other.num.items())
         for mono, c in items:
-            _accumulate(self.num, mono, c * f)
+            _accumulate(self.num, mono, _times(c, f))
         return self._reduce()
 
     def __iadd__(self, other):
@@ -256,7 +267,7 @@ class FockVector:
         if not scalar or not self.num:
             return FockVector()
         a, b = _split_scalar(scalar)
-        return FockVector._of({m: a * c for m, c in self.num.items()},
+        return FockVector._of({m: _times(c, a) for m, c in self.num.items()},
                               self.den * b)._reduce()
 
     __mul__ = __rmul__ = scaled
