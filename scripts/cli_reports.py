@@ -16,9 +16,9 @@ and of stderr:
 Two trees whose lines agree print the same bytes and exit the same way
 on every case.  The cases are ``cli_cases.CASES``; ``--exact`` digests
 only the exact commands among them, the lines that
-``tests/cli_exact_pins.jsonl`` pins in tier-1.  The matrix took 11-14 s on a shared 2-core machine;
-the three ``virasoro`` runs at d = 26 and the level-3 ``noghost`` run are
-most of it.
+``tests/cli_exact_pins.jsonl`` pins in tier-1.  The matrix took 9.5-14 s
+on a shared 2-core machine; the three ``virasoro`` runs at d = 26 and the
+level-3 ``noghost`` run are most of it.
 """
 
 from __future__ import annotations
