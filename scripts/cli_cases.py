@@ -97,4 +97,4 @@ CASES = [
 
 def is_exact(argv, config) -> bool:
     """An exact command that needs no config file written first."""
-    return config is None and argv[:1] != [] and argv[0] in EXACT_COMMANDS
+    return config is None and bool(argv) and argv[0] in EXACT_COMMANDS

@@ -22,8 +22,8 @@ readers see plain Fraction values, and the form is symmetric bilinear.
 The same container hosts the polynomial sections of the momentum-symbolic
 pipelines as numerators, so all arithmetic on numerators is written
 against the generic ring protocol (+, *, unary -, truthiness for zero
-tests); such numerators have no gcd, and their denominator only collects
-the rational scalars applied.
+tests); such numerators have no gcd, so each built vector folds its
+denominator into them instead.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class FockVector:
 
     Zero numerators are pruned; the empty dict is the zero vector.  Int
     numerators are reduced against ``den`` by one gcd per built vector,
-    not per term.  ``items()``, ``terms`` and equality read values, so a
+    not per term; ring numerators take ``den`` in and stay over 1.
+    ``items()``, ``terms`` and equality read values, so a
     reader never sees the denominator.  Scalar multiplication accepts
     anything the coefficient ring multiplies with (int, Fraction,
     polynomial sections).
@@ -169,8 +170,10 @@ class FockVector:
 
     @classmethod
     def basis_state(cls, mono: Monomial, coeff=Fraction(1)):
+        if not coeff:
+            return cls()
         a, b = _split_scalar(coeff)
-        return cls._of({tuple(sorted(mono)): a} if a else {}, b if a else 1)
+        return cls._of({tuple(sorted(mono)): a}, b)
 
     def _reduce(self) -> "FockVector":
         """Divide the gcd of ``den`` and int numerators out, in place; ring

@@ -1,5 +1,9 @@
 """Exit codes, report shapes, and byte stability of the command line."""
 
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -682,8 +686,6 @@ class TestExactCommandsLoadNoNumpy:
 def _load_cli_cases():
     """``scripts/cli_cases.py``, the case list ``cli_reports.py`` digests,
     loaded by path (it imports nothing)."""
-    import importlib.util
-
     path = Path(__file__).resolve().parents[1] / "scripts" / "cli_cases.py"
     spec = importlib.util.spec_from_file_location("cli_cases", path)
     module = importlib.util.module_from_spec(spec)
@@ -694,10 +696,6 @@ def _load_cli_cases():
 def test_exact_reports_match_pins(tmp_path, monkeypatch):
     """Every exact command of the shared case list prints the pinned bytes
     and exits the pinned way, run in one process through ``cli.main``."""
-    import contextlib
-    import hashlib
-    import io
-
     cases = _load_cli_cases()
     pins = Path(__file__).with_name("cli_exact_pins.jsonl")
     want = [json.loads(line) for line in pins.read_text().splitlines()]
