@@ -60,6 +60,7 @@ CASES = [
     (["locality", "--tol", "0", "--d", "4"], None),
     (["observable", "--tol", "inf", "--d", "4"], None),
     (["basis", "--d", "4", "--config", "run.json"], '{"format": "xml"}'),
+    # not refused since the grid lost its cost cap: a passing report
     (["virasoro", "--d", "26", "--max-level", "3"], None),
     (["ddf", "--d", "4", "--kappa-set", "0"], None),
     (["ddf-state", "--d", "4", "--word", "1:1", "--momentum", "1,0,0,-1"],

@@ -304,6 +304,24 @@ MUTANTS = [
     ("fock.reduce-keeps-denominator", FOCK,
      "                self.den //= g\n", "",
      LANE_TESTS, "killed"),
+    # the one diagonal-operator path, and the L_0 weight both engines share
+    ("fock.diagonal-ignores-den", FOCK,
+     "return FockVector._of(out, den * self.den)._reduce()",
+     "return FockVector._of(out, self.den)._reduce()",
+     LANE_TESTS, "killed"),
+    ("fock.diagonal-keeps-zero-weights", FOCK,
+     "            w = weight(mono)\n"
+     "            if w:\n"
+     "                out[mono] = c * w\n",
+     "            out[mono] = c * weight(mono)\n",
+     LANE_TESTS, "killed"),
+    ("fiber.l0-weight-plus-b", FIBER,
+     "(den * level_of(mono) - B)", "(den * level_of(mono) + B)",
+     FIBER_TESTS, "killed"),
+    ("fock.j-counts-spatial-factors", FOCK,
+     "(-1) ** sum(1 for _, mu in mono if mu == 0)",
+     "(-1) ** sum(1 for _, mu in mono if mu != 0)",
+     FOCK_TESTS, "killed"),
     ("fiber.two-l-row-over-undoubled-denominator", FIBER,
      "out = FockVector._of({}, 2 * den * v.den)",
      "out = FockVector._of({}, den * v.den)",

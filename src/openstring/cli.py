@@ -7,7 +7,7 @@ verdict in the exit status —
     0   every check the command ran passed,
     1   a check ran to completion and failed,
     2   the request itself was unusable (bad flags, bad config, bad
-        geometry, a grid too coarse for the radius, refused cost caps),
+        geometry, a grid too coarse for the radius),
     3   operator calibration failed (no normalization candidate works;
         the residual evidence is dumped),
     4   internal error: two exact routes disagreed, a result failed
@@ -42,10 +42,10 @@ from .ddf import CalibrationError, DdfContext, calibrate_normalization, \
     constraint_report, ddf_state
 from .exactnum import sqrt_fraction
 from .fiber import Momentum, virasoro_bracket_scan
-from .fock import ModelParams, basis_dimension, iter_level_basis
+from .fock import InvariantError, ModelParams, basis_dimension, \
+    iter_level_basis
 from .field import QuadratureSpec, locality_check, locality_sweep
-from .spectrum import InvariantError, find_onshell_momentum, noghost_csv, \
-    noghost_scan
+from .spectrum import find_onshell_momentum, noghost_csv, noghost_scan
 from .testfn import BumpProfile, ResolutionError, SeparationError, \
     is_c1_real, make_testfunction, realify, verify_constraints_pointwise, \
     verify_support
@@ -106,7 +106,6 @@ FLAGS = {
     "seed": Flag(int, "seed for the randomized probe momentum"),
     "max_level": Flag(int, "highest oscillator level",
                       check=(lambda v: v >= 0, "must be nonnegative")),
-    "allow_expensive": Flag(bool, "lift the cap on d >= 26, level >= 3"),
     "kappa_set": Flag(list, "normalization candidates to try, rationals",
                       lambda texts: tuple(map(_parse_fraction, texts)),
                       (lambda ks: ks and all(ks), "must be nonempty, without "
@@ -222,11 +221,6 @@ def _probe_momenta(d: int, seed: int) -> list:
 
 def cmd_virasoro(args) -> int:
     params = ModelParams(args.d, args.b)
-    if params.d >= 26 and args.max_level >= 3 and not args.allow_expensive:
-        sys.stderr.write(
-            "refused: the bracket grid at d >= 26, level >= 3 is a "
-            "long run; pass --allow-expensive to lift the cap\n")
-        return 2
     momenta = _probe_momenta(params.d, args.seed)
     pairs = checked = bad = 0
     for m in range(-3, 4):
@@ -487,7 +481,7 @@ _ARGPARSE = {int: {"type": int}, float: {"type": float}, str: {},
 # subcommand also takes --out and --config
 COMMANDS = {
     "virasoro": (cmd_virasoro, "bracket identity grid, exact", {
-        **_MODEL, "seed": 0, "max_level": 2, "allow_expensive": False}),
+        **_MODEL, "seed": 0, "max_level": 2}),
     "ddf": (cmd_ddf, "calibrate and verify the transverse operators", {
         **_MODEL, "seed": 0, "kappa_set": ["1", "1/2", "2"]}),
     "noghost": (cmd_noghost, "signature scan of physical subspaces", {

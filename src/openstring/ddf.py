@@ -82,8 +82,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fiber import Momentum, virasoro_apply
-from .fock import FockVector, InvalidDirectionError, ModelParams, \
-    _split_scalar, _times, apply_oscillator, iter_level_basis, level_of
+from .fock import FockVector, InvalidDirectionError, InvariantError, \
+    ModelParams, _split_scalar, _times, apply_oscillator, iter_level_basis, \
+    level_of
 
 __all__ = [
     "CalibrationError",
@@ -238,7 +239,7 @@ def _lightcone_image(n: int, k: NullVector, lc, params: ModelParams) -> FockVect
         w = k.ladders.get((idx, lc))
         if w is None:
             w = k.ladders[idx, lc] = u_op_apply(
-                idx, k, FockVector({lc: Fraction(1)}), params, sign=1)
+                idx, k, FockVector.basis_state(lc), params, sign=1)
         if w:
             out += u_op_apply(idx - n, k, w, params, sign=-1, dagger=True)
     return out
@@ -341,9 +342,7 @@ def ddf_state(word, ctx: DdfContext) -> FockVector:
 
 def mass_project(r, v: FockVector, params: ModelParams) -> FockVector:
     """Keep exactly the terms whose level n satisfies 2(n - b) = r."""
-    return FockVector._of({mono: c for mono, c in v.num.items()
-                           if 2 * (level_of(mono) - params.b) == r},
-                          v.den)._reduce()
+    return v.diagonal(lambda mono: int(2 * (level_of(mono) - params.b) == r))
 
 
 def constraint_report(v: FockVector, ctx: DdfContext) -> dict:
@@ -374,7 +373,6 @@ def _certified(build, m, i, n, v, ctx) -> FockVector:
         if (j, u) != (i, v):
             literal = _literal_residual(m, i, n, v, ctx)
         if res != literal:
-            from .spectrum import InvariantError
             raise InvariantError(f"[L_{m}, A^{i}_{n}] factored form "
                                  f"disagrees with the literal one on {v!r}")
         ctx.certified.add((build, *cell))
@@ -414,7 +412,7 @@ def _residual_image(m, n, s, lam, ctx, vertex) -> FockVector:
     """R_s(lam) = [L_m, V_{n-s}] lam - (s - m) V_{n-s+m} lam, plus
     n V_{n-s} lam for m = 0, in the d = 2 model with V at n k."""
     params, t = ModelParams(2, ctx.params.b), n - s
-    lowered = virasoro_apply(m, ctx._lc, FockVector({lam: Fraction(1)}), params)
+    lowered = virasoro_apply(m, ctx._lc, FockVector.basis_state(lam), params)
     out = virasoro_apply(m, ctx._lc, vertex(t), params)
     out -= v_scalar_apply(t, ctx.null_at(n), lowered, params)
     out += vertex(t + m).scaled((m or n) - s)

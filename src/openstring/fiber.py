@@ -14,6 +14,8 @@ in integers; :func:`virasoro_apply` runs them on a vector's numerators,
 and :class:`IntegerBracketScanner` sums whole residuals in integers, with
 per-monomial work only on the terms that contract a factor, and with the
 contraction bracket read off cached responses on one factor or one pair.
+``L_0``, ``N`` and ``M^2`` are weights of ``FockVector.diagonal``; both
+engines take that of ``L_0`` from :func:`_two_l0`.
 :func:`virasoro_bracket_scan` certifies the scanner in a chain: its rows
 against :func:`virasoro_apply`, its creator parts as pure insertions, and
 its split residual against the commutator composed from those rows.
@@ -34,8 +36,9 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .fock import FockVector, ModelParams, _accumulate, _times, \
-    apply_oscillator, iter_level_basis, level_of
+from .fock import FockVector, InvariantError, ModelParams, _accumulate, \
+    _times, apply_oscillator, iter_level_basis, level_of
+from .linalg import matrix_inverse
 
 __all__ = [
     "DEFAULT_MODE_CAP",
@@ -118,6 +121,12 @@ def _integral(p: Momentum, b: Fraction) -> tuple:
     return p._integrals[key]
 
 
+def _two_l0(mono, den: int, B: int, p2):
+    """2 D^2 L_0 on ``mono`` = P . P + 2 D (D N - B), (D, P, B, P . P) of
+    :func:`_integral`: the weight of L_0's row and of the scanner's T_0."""
+    return p2 + 2 * den * (den * level_of(mono) - B)
+
+
 def _insert_pairs(out: dict, mono, lo: int, hi: int, d: int, w: int) -> None:
     """Add w :alpha_{-lo} . alpha_{-hi}: (lo <= hi), inserted into mono."""
     for mu in range(d):
@@ -181,8 +190,8 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
 
     Generic over the coefficient ring.  With (D, P, B) of :func:`_integral`,
     v's numerators take the row 2 D L_m = D (pair row) + 2 P . alpha_m
-    (m != 0), over 2 D times v's denominator, or 2 D^2 L_0 = P . P
-    + 2 D (D N - B), over 2 D^2 times it.
+    (m != 0), over 2 D times v's denominator, or the diagonal weight
+    2 D^2 L_0 of :func:`_two_l0`, over 2 D^2 times it.
     """
     if params.d != p.d:
         raise ValueError(f"momentum has {p.d} components, model has d={params.d}")
@@ -190,12 +199,7 @@ def virasoro_apply(m: int, p: Momentum, v: FockVector,
         return FockVector.zero()
     den, P, B, p2 = _integral(p, params.b)
     if m == 0:
-        out = {}
-        for mono, c in v.num.items():
-            w = c * (p2 + 2 * den * (den * level_of(mono) - B))
-            if w:
-                out[mono] = w
-        return FockVector._of(out, 2 * den * den * v.den)._reduce()
+        return v.diagonal(lambda mono: _two_l0(mono, den, B, p2), 2 * den * den)
     out = FockVector._of({}, 2 * den * v.den)
     for mono, c in v.num.items():
         w = _times(c, den)
@@ -240,16 +244,14 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     factors, which makes its commutator [T_m, T_n] a composition of those
     rows; and that its split residual equals that commutator less
     2 D^2 (m - n) T_{m+n}.  A failure raises
-    :class:`~openstring.spectrum.InvariantError`.
+    :class:`~openstring.fock.InvariantError`.
     """
-    from .spectrum import InvariantError
-
     scanner = IntegerBracketScanner(p, params)
     monos = list(iter_level_basis(params, level))
     first = monos[0]
     for k in ({m} if m == n else {m, n, m + n}):
         want = virasoro_apply(k, p, FockVector.basis_state(first), params)
-        if FockVector(scanner.two_l(k, first)) != want.scaled(scanner.scale):
+        if FockVector(scanner.add_two_l({}, k, first, 1)) != want.scaled(scanner.scale):
             raise InvariantError(
                 f"integer scanner disagrees with L_{k} on {first!r}")
     factors = Counter(first)
@@ -279,7 +281,8 @@ class IntegerBracketScanner:
     With D the lcm of the denominators of the momentum and the intercept,
     and P = D p, the scanner tracks T_k = 2 D^2 L_k, whose rows are integer:
     T_k = D^2 (pair row) + 2 D P . alpha_k for k != 0, and
-    T_0 = P . P + 2 D^2 (N - b).  A composed bracket then carries 4 D^4,
+    T_0 = P . P + 2 D^2 (N - b) (:func:`_two_l0`); a row on a monomial is
+    :meth:`add_two_l` into {}.  A composed bracket then carries 4 D^4,
     which residuals divide back out on conversion to :class:`FockVector`.
 
     Each row splits as T_k = C_k + X_k: the creator part C_k (D^2 times
@@ -310,10 +313,6 @@ class IntegerBracketScanner:
         self._polys = {}        # (m, n) -> the cell polynomial
         self._responses = {}    # (m, n, factors) -> [X_m, X_n] on them
 
-    def two_l(self, k: int, mono) -> dict:
-        """T_k = 2 D^2 L_k on one monomial, as {monomial: int}."""
-        return self.add_two_l({}, k, mono, 1)
-
     def add_two_l(self, out: dict, k: int, mono, c: int) -> dict:
         """Add c T_k on one monomial into ``out`` (c != 0); returns ``out``."""
         self.add_creators(out, k, mono, c)
@@ -342,8 +341,7 @@ class IntegerBracketScanner:
     def add_contractions(self, out: dict, k: int, mono, c: int) -> dict:
         """Add c X_k = c (T_k - C_k) on one monomial; T_0 lies here."""
         if k == 0:
-            _accumulate(out, mono, c * (self.p2 + 2 * self.den * (
-                self.den * level_of(mono) - self.b)))
+            _accumulate(out, mono, c * _two_l0(mono, self.den, self.b, self.p2))
             return out
         _contractions_into(out, k, mono, c * self.den * self.den)
         if k > 0:
@@ -454,19 +452,14 @@ class IntegerBracketScanner:
 
 def number_apply(v: FockVector, params: ModelParams) -> FockVector:
     """Level-counting operator N (diagonal on the monomial basis)."""
-    return FockVector._of({mono: c * level_of(mono)
-                           for mono, c in v.num.items() if mono},
-                          v.den)._reduce()
+    return v.diagonal(level_of)
 
 
 def mass_square_apply(v: FockVector, params: ModelParams) -> FockVector:
     """M^2 = 2(N - b); together with L_0 this gives 2 L_0 = p.p + M^2."""
-    b, out = params.b, {}
-    for mono, c in v.num.items():
-        w = 2 * (b.denominator * level_of(mono) - b.numerator)
-        if w:
-            out[mono] = c * w
-    return FockVector._of(out, b.denominator * v.den)._reduce()
+    b = params.b
+    return v.diagonal(lambda mono: 2 * (
+        b.denominator * level_of(mono) - b.numerator), b.denominator)
 
 
 # -- exact Lorentz transforms ------------------------------------------------
@@ -512,8 +505,6 @@ def cayley_lorentz(seed, params: ModelParams) -> LorentzMatrix:
     Cayley transform (I - X)(I + X)^{-1} satisfies L^T eta L = eta exactly.
     Raises ValueError if I + X is singular or the seed is not antisymmetric.
     """
-    from .linalg import matrix_inverse
-
     d = params.d
     if len(seed) != d or any(len(row) != d for row in seed):
         raise ValueError("seed must be a d x d matrix")
@@ -549,17 +540,15 @@ def lorentz_apply(lam, v: FockVector, params: ModelParams) -> FockVector:
     """
     if not isinstance(lam, LorentzMatrix):
         lam = LorentzMatrix(lam, params)
-    den = lcm(*(x.denominator for row in lam.rows for x in row))
-    ent = [[params.eta(nu) * params.eta(mu) * x.numerator * (den // x.denominator)
-            for mu, x in enumerate(row)] for nu, row in enumerate(lam.rows)]
-    top = max((len(mono) for mono in v.num), default=0)
-    out = {}
-    for mono, coeff in v.num.items():   # a k-factor monomial gains den^k
-        partial = [(coeff * den ** (top - len(mono)), ())]
+    ent = [[params.eta(nu) * params.eta(mu) * x for mu, x in enumerate(row)]
+           for nu, row in enumerate(lam.rows)]
+    out = FockVector()
+    for mono, coeff in v.items():
+        partial = [(coeff, ())]
         for mode, mu in mono:
             partial = [(c * ent[nu][mu], factors + ((mode, nu),))
                        for c, factors in partial
                        for nu in range(params.d) if ent[nu][mu]]
         for c, factors in partial:
-            _accumulate(out, tuple(sorted(factors)), c)
-    return FockVector._of(out, den ** top * v.den)._reduce()
+            out.add_term(tuple(sorted(factors)), c)
+    return out._reduce()

@@ -43,7 +43,8 @@ from math import isfinite, pi, sqrt
 
 from .fock import monomial_norm
 from .poly import Poly
-from .testfn import SeparationError, TestFunction, _poly_on_grid
+from .testfn import SeparationError, TestFunction, _poly_on_grid, \
+    verify_constraints_pointwise
 
 __all__ = [
     "LocalityReport",
@@ -378,8 +379,6 @@ def gupta_bleuler_check(tf: TestFunction, samples) -> bool:
     evaluated and tested with exact arithmetic.  Samples on the wrong
     shell are rejected by the same rule as the pointwise verifier.
     """
-    from .testfn import verify_constraints_pointwise
-
     return verify_constraints_pointwise(tf, samples).passed
 
 

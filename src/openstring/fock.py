@@ -19,6 +19,9 @@ denominator.  On a rational fiber the numerators are ints, so the builders
 here and in ``fiber`` and ``ddf`` add and scale in integers, combine
 denominators by lcm once per vector and divide out one gcd per result;
 readers see plain Fraction values, and the form is symmetric bilinear.
+Each operator diagonal on the monomial basis (N, M^2, L_0, the mass
+projection and J) is one weight per monomial through
+:meth:`FockVector.diagonal`.
 The same container hosts the polynomial sections of the momentum-symbolic
 pipelines as numerators, so all arithmetic on numerators is written
 against the generic ring protocol (+, *, unary -, truthiness for zero
@@ -38,6 +41,7 @@ from math import gcd, lcm
 __all__ = [
     "FockVector",
     "InvalidDirectionError",
+    "InvariantError",
     "ModelParams",
     "apply_oscillator",
     "basis_dimension",
@@ -61,6 +65,12 @@ class InvalidDirectionError(ValueError):
     """A Lorentz direction index lies outside 0..d-1."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: two elimination routes
+    disagree, or a result fails its certificate.  This is a fault of the
+    program, not of the request."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model-wide constants: target dimension d and the intercept b.
@@ -78,9 +88,7 @@ class ModelParams:
         object.__setattr__(self, "b", Fraction(self.b))
 
     def eta(self, mu: int) -> int:
-        if not 0 <= mu < self.d:
-            raise InvalidDirectionError(f"direction {mu} outside 0..{self.d - 1}")
-        return -1 if mu == 0 else 1
+        return -1 if self.check_direction(mu) == 0 else 1
 
     def check_direction(self, mu: int) -> int:
         if not 0 <= mu < self.d:
@@ -135,7 +143,8 @@ class FockVector:
     ``items()``, ``terms`` and equality read values, so a
     reader never sees the denominator.  Scalar multiplication accepts
     anything the coefficient ring multiplies with (int, Fraction,
-    polynomial sections).
+    polynomial sections).  An operator diagonal on the monomial basis is
+    :meth:`diagonal` with its weight.
     """
 
     __slots__ = ("num", "den")
@@ -204,6 +213,17 @@ class FockVector:
                 num[m] *= f
             self.den *= f
         return self.den // den
+
+    def diagonal(self, weight, den: int = 1) -> "FockVector":
+        """sum_m (weight(m) / den) c_m m, a new vector: each numerator times
+        the int or ring weight of its monomial, over ``den`` times this
+        denominator, a zero weight dropping its term."""
+        out = {}
+        for mono, c in self.num.items():
+            w = weight(mono)
+            if w:
+                out[mono] = c * w
+        return FockVector._of(out, den * self.den)._reduce()
 
     @property
     def terms(self) -> dict:
@@ -377,9 +397,7 @@ def j_involution(v: FockVector) -> FockVector:
     J alpha^{mu}_{-n} J = eta^{mu mu} alpha^{mu}_{-n}, J vac = vac; J^2 = 1
     and (u, v) := <u, Jv> is positive definite on the monomial basis.
     """
-    return FockVector._of({
-        mono: -c if sum(1 for _, mu in mono if mu == 0) % 2 else c
-        for mono, c in v.num.items()}, v.den)
+    return v.diagonal(lambda mono: (-1) ** sum(1 for _, mu in mono if mu == 0))
 
 
 def inner_positive(u: FockVector, v: FockVector):

@@ -32,6 +32,8 @@ from fractions import Fraction
 from math import comb
 from operator import add, mul, sub
 
+from .fiber import Momentum
+
 __all__ = ["LcRational", "Poly", "sym_momentum"]
 
 
@@ -348,6 +350,4 @@ class LcRational:
 
 def sym_momentum(d: int):
     """The momentum with symbolic components, as LcRational sections."""
-    from .fiber import Momentum
-
     return Momentum(tuple(LcRational(Poly.variable(d, mu)) for mu in range(d)))

@@ -60,6 +60,7 @@ from .ddf import DdfContext, ddf_state
 from .fiber import Momentum, virasoro_apply
 from .fock import (
     FockVector,
+    InvariantError,
     ModelParams,
     inner_indefinite,
     iter_level_basis,
@@ -100,12 +101,6 @@ CSV_FIELDS = (
 
 class OffShellWarning(UserWarning):
     """Momentum does not sit on the shell matching the truncation level."""
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: two elimination routes
-    disagree, or a result fails its certificate.  This is a fault of the
-    program, not of the request."""
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ radial transforms by a shell-and-angle double quadrature, the support
 slices by a dense phase matrix instead of an FFT, the spurious
 radical and the physical signature through the Gram of a physical basis,
 L_m by composing single oscillators on whole vectors, the vector
-arithmetic on plain {monomial: coefficient} dicts with no shared
-denominator, the integer
+arithmetic and the diagonal operators on plain {monomial: coefficient}
+dicts with no shared denominator, the integer
 scanner's [T_m, T_n] by composing its own rows, U_n by enumerating
 compositions and partitions, V_t by running U_n over the whole vector,
 V^mu_n by its two-loop definition on top of that V_t, the closed-form
@@ -177,6 +177,12 @@ def dict_virasoro(m, p, u, b):
                 out = dict_combine(out, dict_scaled(
                     w, eta * (Fraction(1, 2) if a == c else 1)))
     return out
+
+
+def dict_diagonal(weight, u, den=1):
+    """sum_m (weight(m) / den) u_m m, term by term, a zero weight pruned."""
+    return {mono: c * weight(mono) * Fraction(1, den)
+            for mono, c in u.items() if weight(mono)}
 
 
 def dict_inner(u, v):

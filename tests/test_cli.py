@@ -1,5 +1,6 @@
 """Exit codes, report shapes, and byte stability of the command line."""
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -121,7 +122,7 @@ class TestConfig:
     ["virasoro", "--d", "4"],
     ["noghost", "--d-list", "4"],
     ["basis"],
-    ["virasoro", "--d", "26", "--allow-expensive"],
+    ["virasoro", "--d", "26"],
     ["noghost", "--d-list", "26", "--format", "json"],
     ["basis", "--d", "4", "--format", "json"],
 ], ids=["virasoro", "noghost", "basis", "virasoro-uncapped", "noghost-json",
@@ -320,10 +321,14 @@ class TestVirasoro:
         assert payload["states_checked"] == len(calls) == 56
 
     def test_expensive_grid_refused(self, capsys):
-        code, _, err = run(
-            capsys, ["virasoro", "--d", "26", "--max-level", "3"])
-        assert code == 2
-        assert "--allow-expensive" in err
+        # the level-3 grid at d = 26 runs uncapped, so the old switch
+        # that lifted the cap is an unknown argument
+        with pytest.raises(SystemExit) as exc:
+            main(["virasoro", "--d", "26", "--max-level", "3",
+                  "--allow-expensive"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-expensive" in \
+            capsys.readouterr().err
 
     def test_reports_are_byte_stable(self, capsys, tmp_path):
         argv = ["virasoro", "--d", "4", "--max-level", "1", "--seed", "9"]
@@ -681,6 +686,37 @@ class TestExactCommandsLoadNoNumpy:
     def test_separation_error_has_one_class(self):
         from openstring import field, testfn
         assert field.SeparationError is testfn.SeparationError
+
+
+def _function_level_package_imports(src: Path) -> list:
+    """``module.py:line`` of every import of the package itself, relative
+    or absolute, made inside a function of a module under ``src``."""
+    sites = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if not node.level else None
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if names is None or any(name.split(".")[0] == "openstring"
+                                        for name in names):
+                    sites.add(f"{path.relative_to(src)}:{node.lineno}")
+    return sorted(sites)
+
+
+def test_package_imports_sit_at_module_top():
+    """No function imports a package module, so each module's header
+    names all it depends on and no import hides a cycle; numpy, which
+    the exact commands must not load, is the one import kept inside
+    functions."""
+    src = Path(__file__).resolve().parents[1] / "src" / "openstring"
+    assert _function_level_package_imports(src) == []
 
 
 def _load_cli_cases():

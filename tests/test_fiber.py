@@ -181,7 +181,7 @@ class TestScanEngines:
             for level in range(4):
                 for mono in iter_level_basis(P4, level):
                     for k in range(-3, 4):
-                        fast = FockVector(scanner.two_l(k, mono))
+                        fast = FockVector(scanner.add_two_l({}, k, mono, 1))
                         ref = virasoro_apply(
                             k, p, FockVector.basis_state(mono), P4
                         ).scaled(2)
@@ -196,7 +196,7 @@ class TestScanEngines:
         monos = list(iter_level_basis(P26, 2))
         for mono in rng.sample(monos, 25):
             for k in (-3, -1, 0, 2):
-                fast = FockVector(scanner.two_l(k, mono))
+                fast = FockVector(scanner.add_two_l({}, k, mono, 1))
                 ref = virasoro_apply(
                     k, p, FockVector.basis_state(mono), P26
                 ).scaled(2)
@@ -255,7 +255,7 @@ class TestScanEngines:
                 want = virasoro_apply_reference(
                     k, p, FockVector.basis_state(mono), P26)
                 nonzero += bool(want)
-                assert FockVector(scanner.two_l(k, mono)) == \
+                assert FockVector(scanner.add_two_l({}, k, mono, 1)) == \
                     want.scaled(scanner.scale), (k, mono)
         assert nonzero >= 190  # 198 of the 325 rows compared
 
@@ -292,13 +292,13 @@ class TestScanEngines:
             return out if k == -1 else contractions(self, out, k, mono, c)
 
         mono = next(iter(iter_level_basis(P4, 1)))
-        want = IntegerBracketScanner(p, P4).two_l(-1, mono)
+        want = IntegerBracketScanner(p, P4).add_two_l({}, -1, mono, 1)
         monkeypatch.setattr(IntegerBracketScanner, "add_creators",
                             tampered_creators)
         monkeypatch.setattr(IntegerBracketScanner, "add_contractions",
                             tampered_contractions)
         scanner = IntegerBracketScanner(p, P4)
-        assert scanner.two_l(-1, mono) == want
+        assert scanner.add_two_l({}, -1, mono, 1) == want
         assert scanner.residual(-2, -1, mono)
         with pytest.raises(InvariantError, match="creator part C_-1"):
             virasoro_bracket_scan(-2, -1, 1, p, P4)
@@ -434,15 +434,15 @@ class TestScanEngines:
 
     def test_scan_certifies_scanner_rows(self, monkeypatch):
         p = Momentum((Fraction(2), Fraction(1), Fraction(0), Fraction(1)))
-        real = IntegerBracketScanner.two_l
+        real = IntegerBracketScanner.add_two_l
 
-        def tampered(self, k, mono):
-            row = dict(real(self, k, mono))
-            row[((5, 1),)] = 1
-            return row
+        def tampered(self, out, k, mono, c):
+            real(self, out, k, mono, c)
+            out[((5, 1),)] = out.get(((5, 1),), 0) + c
+            return out
 
-        monkeypatch.setattr(IntegerBracketScanner, "two_l", tampered)
-        with pytest.raises(InvariantError, match="disagrees"):
+        monkeypatch.setattr(IntegerBracketScanner, "add_two_l", tampered)
+        with pytest.raises(InvariantError, match="disagrees with L_"):
             virasoro_bracket_scan(1, -1, 1, p, P4)
 
     def test_scanner_rows_clear_denominators(self):
@@ -463,7 +463,7 @@ class TestScanEngines:
                         want = virasoro_apply_reference(
                             k, p, FockVector.basis_state(mono), params)
                         nonzero += bool(want)
-                        assert FockVector(scanner.two_l(k, mono)) == \
+                        assert FockVector(scanner.add_two_l({}, k, mono, 1)) == \
                             want.scaled(scanner.scale), (k, mono)
         assert nonzero > 150  # of the 266 rows compared
 

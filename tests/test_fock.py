@@ -25,8 +25,8 @@ from openstring.fock import (
 from openstring.fiber import Momentum, virasoro_apply
 from openstring.poly import sym_momentum
 
-from .oracles import count_colored_partitions, dict_combine, dict_inner, \
-    dict_oscillator, dict_scaled, dict_virasoro, inner_recursive, \
+from .oracles import count_colored_partitions, dict_combine, dict_diagonal, \
+    dict_inner, dict_oscillator, dict_scaled, dict_virasoro, inner_recursive, \
     random_vector
 
 P26 = ModelParams(d=26)
@@ -325,6 +325,9 @@ rationals = st.one_of(st.integers(-6, 6), st.fractions(
 sections = st.builds(lambda a, b, mu, c: a + b * SYM[mu] + c * INV_W,
                      rationals, rationals, st.integers(0, 3), rationals)
 COEFFS = {"rational": rationals, "symbolic": st.one_of(rationals, sections)}
+# the weights of a diagonal operator: ints, or ring sections on sym_momentum(4)
+WEIGHTS = {"rational": st.integers(-3, 3),
+           "symbolic": st.one_of(st.integers(-3, 3), sections)}
 lane = settings(max_examples=40, deadline=None)
 
 
@@ -406,6 +409,19 @@ class TestIntegerLane:
             data.draw(st.lists(rationals, min_size=4, max_size=4)))
         assert_matches(virasoro_apply(m, p, FockVector(a), ModelParams(4, b)),
                        dict_virasoro(m, p, a, b))
+
+    @lane
+    @given(data=st.data())
+    def test_diagonal(self, ring, data):
+        # one weight per monomial, zero on some, over a drawn denominator
+        a = draw_dict(data, ring)
+        weight = {mono: data.draw(WEIGHTS[ring]) for mono in POOL}.get
+        den = data.draw(st.integers(1, 12))
+        v = FockVector(a).diagonal(weight, den)
+        assert_matches(v, dict_diagonal(weight, a, den))
+        assert all(weight(mono) for mono in v.num)
+        if any(type(c) is not int for c in v.num.values()):
+            assert v.den == 1       # ring numerators take den in
 
     @lane
     @given(data=st.data())
