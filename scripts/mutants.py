@@ -83,8 +83,7 @@ MUTANTS = [
      "c * self.p[mu] * mult * j", "-c * self.p[mu] * mult * j",
      FIBER_TESTS, "killed"),
     ("fiber.closure-coefficient", FIBER,
-     "return self.add_contractions(out, m + n, mono, -self.scale * (m - n))",
-     "return self.add_contractions(out, m + n, mono, -self.scale * (n - m))",
+     "out, w = {}, self.scale * (m - n)", "out, w = {}, self.scale * (n - m)",
      FIBER_TESTS, "killed"),
     ("fiber.drop-closure-certificate", FIBER,
      "{m} if m == n else {m, n, m + n}", "{m} if m == n else {m, n}",
@@ -125,27 +124,20 @@ MUTANTS = [
      "if level_of(tm) != level - k or factors - Counter(tm):",
      "if False:",
      FIBER_TESTS, "killed"),
-    # the cell polynomial, summed once on the vacuum and multiplied in
+    # the cell, the residual composed once on the vacuum, multiplied in
     ("fiber.drop-polynomial-product", FIBER,
-     "        for tm, tc in poly.items():\n"
-     "            _accumulate(out, tuple(sorted(mono + tm)), tc)\n",
-     "",
+     "slots = [((), mono, 1)]", "slots = []",
      FIBER_TESTS, "killed"),
     ("fiber.polynomial-without-closure-row", FIBER,
-     "poly = self._polys[m, n] = self.add_two_l(self.commutator(\n"
-     "                m, n, ()), m + n, (), -self.scale * (m - n))\n"
-     "            self.add_contractions(poly, m + n, (), self.scale * (m - n))",
-     "poly = self._polys[m, n] = self.commutator(m, n, ())",
+     "out = self.composed(m, n, ())", "out = self.commutator(m, n, ())",
      FIBER_TESTS, "killed"),
     ("fiber.polynomial-on-the-monomial", FIBER,
-     "                m, n, ()), m + n, (), -self.scale * (m - n))\n"
-     "            self.add_contractions(poly, m + n, (), self.scale",
-     "                m, n, mono), m + n, mono, -self.scale * (m - n))\n"
-     "            self.add_contractions(poly, m + n, mono, self.scale",
+     "slots = [((), mono, 1)]", "slots = [(mono, (), 1)]",
      FIBER_TESTS, "killed"),
-    # [X_m, X_n] from cached one- and two-factor responses
+    # the residual's cached one- and two-factor responses, and the terms
+    # that compose them
     ("fiber.response-single-weight", FIBER,
-     "factors, w = (key,), c", "factors, w = (key,), 1",
+     "slots.append(((key,), rest, c))", "slots.append(((key,), rest, 1))",
      FIBER_TESTS, "killed"),
     ("fiber.response-repeated-pair-weight", FIBER,
      "c * (c - 1) // 2", "c * c",
@@ -156,9 +148,18 @@ MUTANTS = [
     ("fiber.response-distinct-pair-weight", FIBER,
      "else c * rest.count(other)", "else rest.count(other)",
      FIBER_TESTS, "killed"),
+    ("fiber.response-keeps-vacuum-constant", FIBER,
+     "                _accumulate(out, factors, w * self.add_contractions(\n"
+     "                    {}, m + n, (), 1).get((), 0))\n",
+     "",
+     FIBER_TESTS, "killed"),
+    ("fiber.response-without-bracket-contractions", FIBER,
+     "                    self._add_bracket_contractions(out, a, b, factors, sign)\n",
+     "",
+     FIBER_TESTS, "killed"),
     ("fiber.drop-split-certificate", FIBER,
-     "if m != n and scanner._split_residual(m, n, first) != ",
-     "if False and scanner._split_residual(m, n, first) != ",
+     "if m != n and scanner.residual(m, n, first) != FockVector(",
+     "if False and scanner.residual(m, n, first) != FockVector(",
      FIBER_TESTS, "killed"),
     # the one assembly sum_s image_s(lam) (x) alpha^i_s tau, and A^i_n's
     # V_{n-s} images in it; A^i_n shares _moved with the builders, so the

@@ -11,14 +11,14 @@ with zero modes replaced by the momentum.  Acting on a state of finite level
 only finitely many summands survive (modes up to ``level + |m|``), so every
 operator application here is exact.  The oscillator pairs are written once,
 in integers; :func:`virasoro_apply` runs them on a vector's numerators,
-and :class:`IntegerBracketScanner` sums whole residuals in integers, with
-per-monomial work only on the terms that contract a factor, and with the
-contraction bracket read off cached responses on one factor or one pair.
-``L_0``, ``N`` and ``M^2`` are weights of ``FockVector.diagonal``; both
-engines take that of ``L_0`` from :func:`_two_l0`.
-:func:`virasoro_bracket_scan` certifies the scanner in a chain: its rows
-against :func:`virasoro_apply`, its creator parts as pure insertions, and
-its split residual against the commutator composed from those rows.
+and :class:`IntegerBracketScanner` sums whole residuals in integers, each
+one its cell on the vacuum times the monomial plus cached responses on one
+factor or one pair of factors.  ``L_0``, ``N`` and ``M^2`` are weights of
+``FockVector.diagonal``; both engines take that of ``L_0`` from
+:func:`_two_l0`.  :func:`virasoro_bracket_scan` certifies the scanner in a
+chain: its rows against :func:`virasoro_apply`, its creator parts as pure
+insertions, and its split residual against the residual composed from
+those rows.
 
 With the shifted ``L_0`` the algebra closes as
 
@@ -127,6 +127,11 @@ def _two_l0(mono, den: int, B: int, p2):
     return p2 + 2 * den * (den * level_of(mono) - B)
 
 
+def _central(m: int, d: int, b: Fraction) -> Fraction:
+    """The c-number of [L_m, L_{-m}] - 2 m L_0: d m (m^2 - 1) / 12 + 2 b m."""
+    return Fraction(d * m * (m * m - 1), 12) + 2 * b * m
+
+
 def _insert_pairs(out: dict, mono, lo: int, hi: int, d: int, w: int) -> None:
     """Add w :alpha_{-lo} . alpha_{-hi}: (lo <= hi), inserted into mono."""
     for mu in range(d):
@@ -225,8 +230,7 @@ def virasoro_bracket_residual(m: int, n: int, p: Momentum, v: FockVector,
     )
     rhs = virasoro_apply(m + n, p, v, params).scaled(Fraction(m - n))
     if m + n == 0:
-        anomaly = Fraction(params.d * m * (m * m - 1), 12) + 2 * params.b * m
-        rhs += v.scaled(anomaly)
+        rhs += v.scaled(_central(m, params.d, params.b))
     return lhs - rhs
 
 
@@ -242,8 +246,9 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
     scanner's rows (L_m, L_n and, off the diagonal, L_{m+n}) equal
     :func:`virasoro_apply`; that its creator parts C_m, C_n only insert
     factors, which makes its commutator [T_m, T_n] a composition of those
-    rows; and that its split residual equals that commutator less
-    2 D^2 (m - n) T_{m+n}.  A failure raises
+    rows; and, off the diagonal, that its residual split into the cell and
+    the cached responses equals the one composed from the rows, closure
+    and central term included.  A failure raises
     :class:`~openstring.fock.InvariantError`.
     """
     scanner = IntegerBracketScanner(p, params)
@@ -261,10 +266,10 @@ def virasoro_bracket_scan(m: int, n: int, level: int, p: Momentum,
                 raise InvariantError(
                     f"creator part C_{k} of the integer scanner gives "
                     f"{tm!r} on {first!r}, not a product with it")
-    if m != n and scanner._split_residual(m, n, first) != scanner.add_two_l(
-            scanner.commutator(m, n, first), m + n, first, -scanner.scale * (m - n)):
+    if m != n and scanner.residual(m, n, first) != FockVector(
+            scanner.composed(m, n, first)).scaled(Fraction(1, scanner.scale ** 2)):
         raise InvariantError(f"split residual of the integer scanner disagrees "
-                             f"with [T_{m}, T_{n}] on {first!r}")
+                             f"with [T_{m}, T_{n}] less the closure on {first!r}")
     return [(mono, scanner.residual(m, n, mono)) for mono in monos]
 
 
@@ -288,17 +293,20 @@ class IntegerBracketScanner:
     Each row splits as T_k = C_k + X_k: the creator part C_k (D^2 times
     the two-creator pairs plus the cross term, k < 0 only) and the rest.
     Creators commute, so :meth:`commutator` composes [T_m, T_n] from the
-    rows, and [T_m, T_n] = [X_m, X_n] + [T_m, C_n] - [T_n, C_m].  A
-    residual applies only the terms that contract a factor to each
-    monomial; the rest multiply it by one creator polynomial per cell,
-    taken once from the commutator on the vacuum ({} if m + n != 0, a
-    c-number if m + n = 0).  [X_m, X_n] kills the vacuum, so by Wick's
-    theorem a residual sums it from its responses on one factor and on one
-    pair of factors, each composed once per scanner, cell and factor key.
-    A diagonal cell (m, m) is zero without composing.  Rows are not
-    cached: a row cache over five level-3 pairs at d = 26 grew past 2 GB
-    and was slower.  :func:`virasoro_bracket_scan` certifies what a
-    residual uses.
+    rows, and :meth:`composed` the whole residual R = [T_m, T_n] -
+    2 D^2 (m - n) T_{m+n} - 4 D^4 (central term).  R is a normal-ordered
+    quadratic plus a c-number, so by Wick's theorem a residual is its
+    cell, R on the vacuum, times the monomial, plus R's connected
+    responses on one factor (j, mu) with j >= s = m + n, weighted by its
+    multiplicity c, and on one pair (j, mu), (s - j, mu) below s, weighted
+    C(c, 2) or c c'.  A response is composed once per scanner from the
+    terms that contract its factors: [X_m, X_n], the contracting terms of
+    [T_m, C_n] - [T_n, C_m] (:meth:`_add_bracket_contractions`) and the
+    closure row X_{m+n}, less its vacuum constant.  The one cache, keyed
+    (m, n, factors), holds the cell under factors ().  A diagonal cell
+    (m, m) is zero without composing.  Rows are not cached: a row cache
+    over five level-3 pairs at d = 26 grew past 2 GB and was slower.
+    :func:`virasoro_bracket_scan` certifies what a residual uses.
     """
 
     def __init__(self, p: Momentum, params: ModelParams):
@@ -310,8 +318,7 @@ class IntegerBracketScanner:
                                  f"momentum component {mu} is {c!r}")
         self.den, self.p, self.b, self.p2 = _integral(p, params.b)
         self.d, self.scale = params.d, 2 * self.den * self.den
-        self._polys = {}        # (m, n) -> the cell polynomial
-        self._responses = {}    # (m, n, factors) -> [X_m, X_n] on them
+        self._responses = {}    # (m, n, factors) -> R's response on them
 
     def add_two_l(self, out: dict, k: int, mono, c: int) -> dict:
         """Add c T_k on one monomial into ``out`` (c != 0); returns ``out``."""
@@ -381,72 +388,61 @@ class IntegerBracketScanner:
                 self.add_contractions(out, a, tm, tc)
         return out
 
-    def _add_x_bracket(self, out: dict, m: int, n: int, mono) -> dict:
-        """Add [X_m, X_n] on one monomial, composed from contractions."""
-        for a, b, sign in ((m, n, 1), (n, m, -1)):
-            for tm, tc in self.add_contractions({}, b, mono, sign).items():
-                self.add_contractions(out, a, tm, tc)
+    def composed(self, m: int, n: int, mono) -> dict:
+        """4 D^4 ([L_m, L_n] - closure) on one monomial (m != n), composed
+        from the rows: [T_m, T_n] - 2 D^2 (m - n) T_{m+n}, less 4 D^4 times
+        the central term when m + n = 0."""
+        out = self.add_two_l(self.commutator(m, n, mono), m + n, mono,
+                             -self.scale * (m - n))
+        if m + n == 0:
+            _accumulate(out, mono, -int(self.scale ** 2 * _central(
+                m, self.d, Fraction(self.b, self.den))))
         return out
 
-    def _split_residual(self, m: int, n: int, mono) -> dict:
-        """[T_m, T_n] - 2 D^2 (m - n) T_{m+n} on one monomial (m != n); the
-        cell polynomial is that sum on the vacuum, less X_{m+n} there, the
-        creator brackets contract through :meth:`_add_bracket_contractions`
-        and [X_m, X_n] comes from :meth:`_add_x_responses`."""
-        poly = self._polys.get((m, n))
-        if poly is None:    # only the fixed terms survive on the vacuum
-            poly = self._polys[m, n] = self.add_two_l(self.commutator(
-                m, n, ()), m + n, (), -self.scale * (m - n))
-            self.add_contractions(poly, m + n, (), self.scale * (m - n))
-        out = self._add_bracket_contractions({}, m, n, mono, 1)
-        self._add_bracket_contractions(out, n, m, mono, -1)
-        for tm, tc in poly.items():
-            _accumulate(out, tuple(sorted(mono + tm)), tc)
-        self._add_x_responses(out, m, n, mono)
-        return self.add_contractions(out, m + n, mono, -self.scale * (m - n))
+    def _response(self, m: int, n: int, factors) -> dict:
+        """The cell (factors ()) or R's connected response on one factor or
+        one pair, composed on first use and kept."""
+        slot = (m, n, factors)
+        if slot not in self._responses:
+            if not factors:
+                out = self.composed(m, n, ())
+            else:
+                out, w = {}, self.scale * (m - n)
+                for a, b, sign in ((m, n, 1), (n, m, -1)):
+                    self._add_bracket_contractions(out, a, b, factors, sign)
+                    for tm, tc in self.add_contractions({}, b, factors,
+                                                        sign).items():
+                        self.add_contractions(out, a, tm, tc)
+                self.add_contractions(out, m + n, factors, -w)
+                # less X_0's vacuum constant, which the cell holds
+                _accumulate(out, factors, w * self.add_contractions(
+                    {}, m + n, (), 1).get((), 0))
+            self._responses[slot] = out
+        return self._responses[slot]
 
-    def _add_x_responses(self, out: dict, m: int, n: int, mono) -> dict:
-        """Add [X_m, X_n] on one monomial from cached responses.
-
-        [X_m, X_n] is a normal-ordered quadratic that kills the vacuum, so
-        by Wick's theorem it acts on one factor or one pair of factors at a
-        time.  A distinct factor (j, mu) of multiplicity c adds c times its
-        one-factor response, zero for j < s = m + n; each pair (j, mu),
-        (s - j, mu) adds its two-factor response, C(c, 2) times for a
-        repeated factor and c c' times for two distinct ones.  Both its
-        factors lie below s, so that response is its connected part.  Each
-        response is composed once per scanner by :meth:`_add_x_bracket`.
-        """
-        s = m + n
+    def residual(self, m: int, n: int, mono) -> FockVector:
+        """([L_m, L_n] - closure) on a basis monomial, as a FockVector: the
+        cell times the monomial plus the weighted responses of its factors
+        and pairs of factors."""
+        if m == n:      # the closure and central coefficients vanish
+            return FockVector()
+        s, out = m + n, {}
+        slots = [((), mono, 1)]
         for pos, key in enumerate(mono):
             if pos and mono[pos - 1] == key:
                 continue
             c, rest = mono.count(key), mono[:pos] + mono[pos + 1:]
             other = (s - key[0], key[1])
             if key[0] >= s:
-                factors, w = (key,), c
+                slots.append(((key,), rest, c))
             elif other >= key and other in rest:    # each pair once
-                w = c * (c - 1) // 2 if other == key else c * rest.count(other)
                 i = rest.index(other)
-                factors, rest = (key, other), rest[:i] + rest[i + 1:]
-            else:
-                continue
-            slot = (m, n, factors)
-            if slot not in self._responses:
-                self._responses[slot] = self._add_x_bracket({}, m, n, factors)
-            for tm, tc in self._responses[slot].items():
+                slots.append(((key, other), rest[:i] + rest[i + 1:],
+                              c * (c - 1) // 2 if other == key
+                              else c * rest.count(other)))
+        for factors, rest, w in slots:
+            for tm, tc in self._response(m, n, factors).items():
                 _accumulate(out, tuple(sorted(rest + tm)), w * tc)
-        return out
-
-    def residual(self, m: int, n: int, mono) -> FockVector:
-        """([L_m, L_n] - closure) on a basis monomial, as a FockVector; the
-        cell's creator polynomial is multiplied in, even when it is not {}."""
-        if m == n:      # the closure and central coefficients vanish
-            return FockVector()
-        out = self._split_residual(m, n, mono)
-        if m + n == 0:      # 4 D^4 (d m (m^2 - 1) / 12 + 2 b m)
-            _accumulate(out, mono, -self.den ** 3 * (
-                self.den * (self.d * m * (m * m - 1) // 3) + 8 * m * self.b))
         return FockVector._of(out, self.scale * self.scale)._reduce()
 
 

@@ -182,7 +182,8 @@ class FockVector:
         if not coeff:
             return cls()
         a, b = _split_scalar(coeff)
-        return cls._of({tuple(sorted(mono)): a}, b)
+        key = tuple(sorted(mono))
+        return cls._of({mono if key == mono else key: a}, b)
 
     def _reduce(self) -> "FockVector":
         """Divide the gcd of ``den`` and int numerators out, in place; ring

@@ -144,14 +144,18 @@ def kernel_basis(matrix, ncols=None):
     """Basis of the right kernel, in deterministic free-column order.
 
     The columns are 0 .. ncols - 1, ``ncols`` by default the length of a
-    dense first row.  Each basis vector is a dense list with entry 1 at its
+    dense first row; dict rows do not tell it, so they need ``ncols`` (else
+    ``ValueError``).  Each basis vector is a dense list with entry 1 at its
     free column and the solved pivot entries elsewhere.
     """
     if not matrix:
         if ncols is None:
             return []
         return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    ncols = ncols if ncols is not None else len(matrix[0])
+    if ncols is None:
+        if isinstance(matrix[0], dict):
+            raise ValueError("kernel_basis needs ncols for dict rows")
+        ncols = len(matrix[0])
     rows, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

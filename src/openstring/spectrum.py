@@ -480,11 +480,8 @@ def ddf_span_check(level: int, ctx: DdfContext) -> DdfSpanReport:
 
     Membership in the physical subspace is checked directly — L_m psi = 0
     exactly for 1 <= m <= level — which is the kernel's defining property.
-    The span rank is read off the word Gram when the Gram is nondegenerate
-    (the generic case: transverse words are mutually orthogonal with
-    positive norms, making the Gram diagonal and elimination near-free);
-    a degenerate Gram falls back to eliminating coordinate rows, since a
-    radical in the span would make the Gram rank undercount.
+    The span rank is the rank of the states' coordinate rows, which a
+    radical in the span cannot make undercount, as it would the Gram's.
     """
     params = ctx.params
     p = ctx.p
@@ -503,12 +500,7 @@ def ddf_span_check(level: int, ctx: DdfContext) -> DdfSpanReport:
         for m in range(1, level + 1):
             if virasoro_apply(m, p, psi, params):
                 failures.append((word, m))
-    gram = _gram(states)
-    gram_rank = len(gram) - len(kernel_basis(gram, ncols=len(gram)))
-    if gram_rank == len(states):
-        span_rank = gram_rank
-    else:
-        span_rank = rank([psi.terms for psi in states])
+    span_rank = rank([psi.terms for psi in states])
     dim_physical = len(physical_subspace(space))
     return DdfSpanReport(
         level=level, momentum=p, words=words,

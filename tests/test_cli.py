@@ -688,6 +688,40 @@ class TestExactCommandsLoadNoNumpy:
         assert field.SeparationError is testfn.SeparationError
 
 
+def test_benchmark_workloads_reach_every_expected_layer():
+    # what a traced benchmark run requires, on one seed-1 operation of each
+    # workload: every layer that perfbench/layers.py EXPECTs records a call
+    root = Path(__file__).resolve().parents[1]
+    script = "\n".join([
+        "import json",
+        "from layers import EXPECTED, TARGETS",
+        "from spans import Tracer",
+        "from workloads import WORKLOADS",
+        "dead = {}",
+        "for name, wl in WORKLOADS.items():",
+        "    inputs, tracer = wl.build(1), Tracer()",
+        "    tracer.install(TARGETS)",
+        "    try:",
+        "        wl.run(inputs)",
+        "    finally:",
+        "        tracer.uninstall()",
+        "    dead[name] = [layer for layer in EXPECTED[name]",
+        "                  if layer not in tracer.names",
+        "                  and not tracer.count(layer)]",
+        "print(json.dumps(dead))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / part) for part in ("src", "perfbench")))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    dead = json.loads(proc.stdout)
+    assert sorted(dead) == ["ddf", "noghost", "observable", "virasoro"]
+    missing = [f"{name}: {layer}" for name, layers in dead.items()
+               for layer in layers]
+    assert not missing, "no call on " + ", ".join(missing)
+
+
 def _function_level_package_imports(src: Path) -> list:
     """``module.py:line`` of every import of the package itself, relative
     or absolute, made inside a function of a module under ``src``."""

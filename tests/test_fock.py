@@ -68,6 +68,13 @@ class TestBasis:
     def test_generator_matches_list(self):
         assert list(iter_level_basis(P4, 4)) == level_basis(P4, 4)
 
+    def test_basis_state_keeps_a_canonical_monomial(self):
+        # a caller that caches states by their monomial keeps one tuple
+        for mono in level_basis(P4, 3):
+            assert next(iter(FockVector.basis_state(mono).num)) is mono
+        v = FockVector.basis_state([(2, 1), (1, 3), (1, 0)], Fraction(1, 2))
+        assert v.num == {((1, 0), (1, 3), (2, 1)): 1} and v.den == 2
+
 
 def _level_oracle(d, n):
     """The level-n monomials by brute force: every multiset of keys

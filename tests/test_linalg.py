@@ -149,6 +149,13 @@ class TestDictRows:
             outcomes.add(witness is None)
         assert outcomes == {False, True}
 
+    def test_kernel_of_dict_rows_needs_ncols(self):
+        # a dict row's length is its nonzero count, not the column count
+        with pytest.raises(ValueError, match="ncols"):
+            kernel_basis([{0: Fraction(1), 2: Fraction(1)}])
+        assert kernel_basis([{0: Fraction(1), 2: Fraction(1)}], ncols=3) == [
+            [0, 1, 0], [-1, 0, 1]]
+
 
 # symmetric forms with a known inertia
 FIXED_FORMS = {
